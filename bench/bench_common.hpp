@@ -33,9 +33,7 @@ double time_spkadd(const std::vector<CscMatrix<std::int32_t, double>>& inputs,
 /// The method rows of Tables III/IV in paper order.
 const std::vector<core::Method>& table_methods();
 
-/// One named skew-sweep workload (bench_hybrid / bench_calibration share
-/// the same four presets so analytic-vs-calibrated comparisons line up
-/// with the hybrid trajectory).
+/// One named skew-sweep workload of bench_hybrid.
 struct SkewPreset {
   std::string name;
   std::vector<CscMatrix<std::int32_t, double>> inputs;

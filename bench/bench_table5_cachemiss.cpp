@@ -3,7 +3,9 @@
 // used Cachegrind; see DESIGN.md for the substitution argument). With a
 // multi-level --cache-spec the table reports per-level (L1/L2/LLC) miss
 // columns — the Table V number is the last (LLC) column; the inner levels
-// show where the sliding partition's reuse actually lands.
+// show where the sliding partition's reuse actually lands. The columns are
+// the levels one simulated thread sees: the LLC is divided by --threads,
+// and a private level at least as large as that share is not simulated.
 #include <iostream>
 #include <stdexcept>
 
@@ -55,14 +57,10 @@ int main(int argc, char** argv) {
       {"(d) high-cf RMAT", gen::Pattern::RMAT, big / 16, 16, 256, 64},
   };
 
-  // One miss column per modeled level per kernel, LLC last — that final
-  // pair is the Table V comparison.
-  std::vector<std::string> head{"Case"};
-  for (const auto& l : hier.levels) head.push_back("sliding " + l.name);
-  for (const auto& l : hier.levels) head.push_back("hash " + l.name);
-  head.push_back("sliding/hash (" + hier.levels.back().name + ")");
-  util::TablePrinter table(head);
-
+  struct Traced {
+    cachesim::TraceResult sliding, plain;
+  };
+  std::vector<Traced> traced;
   for (const auto& c : cases) {
     gen::WorkloadSpec spec;
     spec.pattern = c.pattern;
@@ -73,30 +71,43 @@ int main(int argc, char** argv) {
     spec.seed = 5000;
     const auto inputs = gen::make_workload(spec);
 
-    cachesim::KernelTraceConfig cfg;
+    cachesim::TraceConfig cfg;
     cfg.hierarchy = hier;
     cfg.threads = static_cast<int>(*threads);
-    cfg.kernel = core::ColumnKernel::Hash;
-    const auto plain = cachesim::trace_kernel_spkadd(
+    cfg.sliding = false;
+    const auto plain = cachesim::trace_spkadd(
         std::span<const CscMatrix<std::int32_t, double>>(inputs), cfg);
-    cfg.kernel = core::ColumnKernel::SlidingHash;
-    const auto sliding = cachesim::trace_kernel_spkadd(
+    cfg.sliding = true;
+    const auto sliding = cachesim::trace_spkadd(
         std::span<const CscMatrix<std::int32_t, double>>(inputs), cfg);
+    traced.push_back({sliding, plain});
+    std::cerr << "done: " << c.name << "\n";
+  }
 
-    const std::size_t last = hier.levels.size() - 1;
+  // One miss column per simulated level per kernel, LLC last — that final
+  // pair is the Table V comparison.
+  const std::vector<std::string>& levels = traced.front().plain.level_names;
+  std::vector<std::string> head{"Case"};
+  for (const auto& l : levels) head.push_back("sliding " + l);
+  for (const auto& l : levels) head.push_back("hash " + l);
+  head.push_back("sliding/hash (" + levels.back() + ")");
+  util::TablePrinter table(head);
+  const std::size_t last = levels.size() - 1;
+  for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+    const cachesim::TraceResult& sliding = traced[ci].sliding;
+    const cachesim::TraceResult& plain = traced[ci].plain;
     const double ratio =
         plain.level_misses(last) == 0
             ? 1.0
             : static_cast<double>(sliding.level_misses(last)) /
                   static_cast<double>(plain.level_misses(last));
-    std::vector<std::string> row{c.name};
-    for (std::size_t i = 0; i < hier.levels.size(); ++i)
+    std::vector<std::string> row{cases[ci].name};
+    for (std::size_t i = 0; i < levels.size(); ++i)
       row.push_back(util::TablePrinter::fmt_count(sliding.level_misses(i)));
-    for (std::size_t i = 0; i < hier.levels.size(); ++i)
+    for (std::size_t i = 0; i < levels.size(); ++i)
       row.push_back(util::TablePrinter::fmt_count(plain.level_misses(i)));
     row.push_back(util::TablePrinter::fmt_ratio(ratio));
     table.add_row(row);
-    std::cerr << "done: " << c.name << "\n";
   }
   table.print(std::cout);
   std::cout << "\npaper reference (Skylake, Cachegrind): (a) 1.8M vs 1.4M, "

@@ -8,10 +8,6 @@
 # streaming-SUMMA footprint, aggregation-service ingest latency and the
 # per-chunk hybrid dispatch mix behind.
 #
-# The analytic-vs-calibrated hybrid comparison (bench_calibration against
-# the committed calibration/misscost_default.json) lands in
-# BENCH_calibration.json on the same schema.
-#
 # The network-daemon loadgen (bench_daemon: >= 8 pipelined connections,
 # every windowed snapshot verified bit-identical to a single-threaded
 # reference fold) lands in BENCH_daemon.json on the same schema.
@@ -29,8 +25,7 @@
 # same schema.
 #
 # Usage: scripts/bench_smoke.sh [summa.json] [service.json] [hybrid.json] \
-#                               [calibration.json] [daemon.json] [obs.json] \
-#                               [dense.json]
+#                               [daemon.json] [obs.json] [dense.json]
 #   BUILD_DIR=build   build tree holding the bench binaries (configured and
 #                     built here when the binaries are missing)
 #   SERVICE_THREADS=N run ONLY the service sweep, sized for a multi-core
@@ -47,10 +42,9 @@ BUILD_DIR="${BUILD_DIR:-build}"
 OUT="${1:-BENCH_summa.json}"
 SERVICE_OUT="${2:-BENCH_service.json}"
 HYBRID_OUT="${3:-BENCH_hybrid.json}"
-CALIBRATION_OUT="${4:-BENCH_calibration.json}"
-DAEMON_OUT="${5:-BENCH_daemon.json}"
-OBS_OUT="${6:-BENCH_obs.json}"
-DENSE_OUT="${7:-BENCH_dense.json}"
+DAEMON_OUT="${4:-BENCH_daemon.json}"
+OBS_OUT="${5:-BENCH_obs.json}"
+DENSE_OUT="${6:-BENCH_dense.json}"
 JOBS="${JOBS:-$(nproc)}"
 SERVICE_THREADS="${SERVICE_THREADS:-}"
 
@@ -58,14 +52,13 @@ if [ ! -x "$BUILD_DIR/bench/bench_streaming" ] ||
    [ ! -x "$BUILD_DIR/bench/bench_fig6_summa" ] ||
    [ ! -x "$BUILD_DIR/bench/bench_service" ] ||
    [ ! -x "$BUILD_DIR/bench/bench_hybrid" ] ||
-   [ ! -x "$BUILD_DIR/bench/bench_calibration" ] ||
    [ ! -x "$BUILD_DIR/bench/bench_daemon" ] ||
    [ ! -x "$BUILD_DIR/bench/bench_dense" ]; then
   echo "=== bench binaries missing; building $BUILD_DIR ==="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BUILD_DIR" -j "$JOBS" \
     --target bench_streaming bench_fig6_summa bench_service bench_hybrid \
-             bench_calibration bench_daemon bench_dense
+             bench_daemon bench_dense
 fi
 
 tmp="$(mktemp -d)"
@@ -140,24 +133,6 @@ echo "=== bench_hybrid (skew sweep) ==="
 "$BUILD_DIR/bench/bench_hybrid" \
   --rows 65536 --cols 512 --d 16 --k 64 --repeats 9 \
   --json "$tmp/hybrid.json" > "$tmp/hybrid.txt"
-# Analytic vs calibrated Hybrid. The committed table models the paper's
-# 48-thread 8MB-LLC EPYC; for a TIMING comparison the table has to model
-# the machine the timings run on, so this leg first calibrates a local
-# table (detected hierarchy, this box's thread count, bench-matched rows)
-# and compares against that — the per-machine recalibration workflow the
-# README documents. Choice stability of the committed table is CI's
-# calibrate-smoke drift gate, not this leg. Bit-identity still gates the
-# run (nonzero exit on any mismatch); the +2% overhead budget is recorded
-# in the samples but not enforced here (timing noise).
-echo "=== bench_calibration (local sweep + analytic vs calibrated) ==="
-"$BUILD_DIR/bench/bench_calibration" \
-  --emit "$tmp/misscost_local.json" --threads "$(nproc)" --rows 65536 \
-  --k-axis 4,16,64 --d-axis 2,16,128,1024 --w-axis 16,64 \
-  > "$tmp/calibration_sweep.txt"
-"$BUILD_DIR/bench/bench_calibration" \
-  --table "$tmp/misscost_local.json" \
-  --bench-rows 65536 --bench-cols 512 --repeats 9 \
-  --json "$tmp/calibration.json" > "$tmp/calibration.txt"
 # Network daemon loadgen, in-process transport (CI's daemon-smoke job
 # runs the real socket-pair form): 8 pipelined connections, 2 tenants,
 # and the run fails on any snapshot mismatch, dropped ack or protocol
@@ -218,7 +193,6 @@ PY
 merge_benches "$OUT" "$tmp/streaming.json" "$tmp/fig6.json"
 merge_benches "$SERVICE_OUT" "$tmp/service.json"
 merge_benches "$HYBRID_OUT" "$tmp/hybrid.json"
-merge_benches "$CALIBRATION_OUT" "$tmp/calibration.json"
 merge_benches "$DAEMON_OUT" "$tmp/daemon.json"
 merge_benches "$OBS_OUT" \
   "$tmp/obs_on_1.json" "$tmp/obs_on_2.json" "$tmp/obs_on_3.json" \
@@ -230,16 +204,15 @@ if command -v jq > /dev/null 2>&1; then
   jq -e '.benches | length == 2' "$OUT" > /dev/null
   jq -e '.benches | length == 1' "$SERVICE_OUT" > /dev/null
   jq -e '.benches | length == 1' "$HYBRID_OUT" > /dev/null
-  jq -e '.benches | length == 1' "$CALIBRATION_OUT" > /dev/null
   jq -e '.benches | length == 1' "$DAEMON_OUT" > /dev/null
   jq -e '.benches | length == 6' "$OBS_OUT" > /dev/null
   jq -e '.benches | length == 1' "$DENSE_OUT" > /dev/null
 elif command -v python3 > /dev/null 2>&1; then
-  for doc in "$OUT" "$SERVICE_OUT" "$HYBRID_OUT" "$CALIBRATION_OUT" \
-             "$DAEMON_OUT" "$OBS_OUT" "$DENSE_OUT"; do
+  for doc in "$OUT" "$SERVICE_OUT" "$HYBRID_OUT" "$DAEMON_OUT" \
+             "$OBS_OUT" "$DENSE_OUT"; do
     python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$doc"
   done
 fi
 
-echo "=== wrote $OUT, $SERVICE_OUT, $HYBRID_OUT, $CALIBRATION_OUT," \
-     "$DAEMON_OUT, $OBS_OUT and $DENSE_OUT ==="
+echo "=== wrote $OUT, $SERVICE_OUT, $HYBRID_OUT, $DAEMON_OUT," \
+     "$OBS_OUT and $DENSE_OUT ==="

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Docs-drift gate: every `--flag` the user-facing docs mention must be
-# registered by some binary's CliParser (util/cli.hpp add_* call).
+# registered by some binary's CliParser (util/cli.hpp add_* call) or some
+# Python script's argparse add_argument call.
 # Catches docs that keep documenting flags a later PR deleted (the
 # --llc-bytes/--llc-mb drift this gate was born from). Source-grep
 # based — no build needed, so the CI format job can run it.
@@ -9,6 +10,14 @@
 # mention must appear as a string literal somewhere under src/ —
 # renaming a metric family without updating docs/OBSERVABILITY.md (or
 # vice versa) fails here, not in an operator's broken dashboard.
+#
+# Third gate: every backticked file name the docs mention (*.json, *.sh,
+# *.hpp, *.cpp, *.py, *.yml, *.md) must be a tracked path or a trailing
+# part of one (`bench_smoke.sh` for scripts/bench_smoke.sh; `*` globs).
+# Deleting or renaming a file while a doc still names it fails here.
+# Files CI only uploads as workflow artifacts are never in the tree; they
+# are allowlisted below, and every doc line naming one must say it is an
+# artifact, so no doc can list one as committed.
 #
 # Scope: README.md and docs/*.md (CHANGES.md / ISSUE.md are history,
 # not documentation — old flag names there are fine).
@@ -24,15 +33,18 @@ fi
 # Flags registered in source. Registrations can wrap across lines
 # (clang-format), so flatten each file before matching
 #   add_int("rows", ...) / add_flag( "pin", ...) / add_int_list("shards",
+#   add_argument("--seed", ...)
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
-git ls-files -co --exclude-standard '*.cpp' '*.hpp' | while read -r f; do
-  [ -f "$f" ] || continue  # staged deletions still list here
-  tr '\n' ' ' < "$f"
-  printf '\n'
-done |
-  grep -ohE 'add_(int|double|flag|string|int_list)\( *"[a-zA-Z0-9_-]+"' |
-  sed -E 's/.*"([^"]+)"$/\1/' | sort -u > "$tmp"
+git ls-files -co --exclude-standard '*.cpp' '*.hpp' '*.py' |
+  while read -r f; do
+    [ -f "$f" ] || continue  # staged deletions still list here
+    tr '\n' ' ' < "$f"
+    printf '\n'
+  done |
+  grep -ohE -e 'add_(int|double|flag|string|int_list)\( *"[a-zA-Z0-9_-]+"' \
+            -e 'add_argument\( *"--[a-zA-Z0-9_-]+"' |
+  sed -E 's/.*"-*([^"]+)"$/\1/' | sort -u > "$tmp"
 
 # Flags no binary registers itself but that are still real:
 #   help               generated by CliParser for every binary
@@ -46,7 +58,7 @@ fail=0
 # shellcheck disable=SC2086
 for flag in $(grep -ohE -- '--[a-z][a-z0-9-]+' $docs | sed 's/^--//' |
               sort -u); do
-  if echo "$allowlist" | grep -qx "$flag"; then continue; fi
+  if grep -qx -- "$flag" <<< "$allowlist"; then continue; fi
   if ! grep -qx "$flag" "$tmp"; then
     # shellcheck disable=SC2086
     where="$(grep -ln -- "--$flag" $docs | tr '\n' ' ')"
@@ -78,10 +90,50 @@ for metric in $(grep -ohE 'spkadd_[a-z0-9_]+' $docs | sort -u); do
   fi
 done
 
+# File-name drift. Names CI uploads as artifacts but never commits:
+artifacts="BENCH_service_tN.json
+BENCH_obs.json"
+
+tracked="$(git ls-files)"
+path_count=0
+# shellcheck disable=SC2086
+while IFS= read -r name; do
+  path_count=$((path_count + 1))
+  if grep -qxF -- "$name" <<< "$artifacts"; then
+    # shellcheck disable=SC2086
+    if grep -nF -- "\`$name\`" $docs | grep -vi 'artifact'; then
+      echo "ARTIFACT NAMED AS A FILE: $name is a CI artifact, never" \
+           "committed; the line(s) above must say so"
+      fail=1
+    fi
+    continue
+  fi
+  found=0
+  while IFS= read -r path; do
+    # Unquoted $name: `*` in a documented name is a glob.
+    # shellcheck disable=SC2053
+    if [[ "$path" == $name || "$path" == */$name ]]; then
+      found=1
+      break
+    fi
+  done <<< "$tracked"
+  if [ "$found" -eq 0 ]; then
+    # shellcheck disable=SC2086
+    where="$(grep -lF -- "$name" $docs | tr '\n' ' ')"
+    echo "STALE PATH: $name documented in ${where}but no tracked file" \
+         "has that path"
+    fail=1
+  fi
+done < <(grep -ohE '`[^`]+`' $docs |
+         grep -oE '[A-Za-z0-9_./*-]+\.(json|sh|hpp|cpp|py|yml|md)\b' |
+         sed 's|^\./||' | sort -u)
+
 if [ "$fail" -eq 0 ]; then
   echo "OK: every documented flag is registered ($(wc -l < "$tmp")" \
        "registered, docs: $docs)"
   echo "OK: every documented metric name is emitted" \
        "($metric_count documented, $(wc -l < "$metrics_src") in src/)"
+  echo "OK: every documented file name is tracked or a CI artifact" \
+       "($path_count documented)"
 fi
 exit "$fail"

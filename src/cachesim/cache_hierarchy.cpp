@@ -1,73 +1,14 @@
 #include "cachesim/cache_hierarchy.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace spkadd::cachesim {
 
-namespace {
-
-/// Assign default miss penalties: positional for the first levels, DRAM
-/// for the last (whatever the depth).
-void fill_default_penalties(std::vector<LevelSpec>& levels) {
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    if (levels[i].miss_penalty > 0.0) continue;
-    levels[i].miss_penalty =
-        (i + 1 == levels.size())
-            ? kDramMissPenalty
-            : kDefaultMissPenalty[i < 3 ? i : 2];
-  }
-}
-
-LevelSpec from_cache_level(const util::CacheLevel& l, std::string name) {
-  LevelSpec spec;
-  spec.name = std::move(name);
-  spec.bytes = l.bytes;
-  spec.ways = l.ways > 0 ? l.ways : 8;
-  spec.line_bytes = l.line_bytes > 0 ? static_cast<int>(l.line_bytes) : 64;
-  spec.shared = l.shared;
-  return spec;
-}
-
-}  // namespace
-
-HierarchySpec HierarchySpec::from_machine(const util::MachineInfo& m) {
-  HierarchySpec spec;
-  if (m.l1.bytes > 0) spec.levels.push_back(from_cache_level(m.l1, "L1"));
-  if (m.l2.bytes > 0 && m.l2.bytes > m.l1.bytes)
-    spec.levels.push_back(from_cache_level(m.l2, "L2"));
-  if (m.llc.bytes > 0 &&
-      (spec.levels.empty() || m.llc.bytes > spec.levels.back().bytes)) {
-    LevelSpec llc = from_cache_level(m.llc, "LLC");
-    llc.shared = true;
-    spec.levels.push_back(std::move(llc));
-  }
-  if (spec.levels.empty())  // pathological detection: paper's Skylake LLC
-    spec.levels.push_back(LevelSpec{"LLC", 32ull << 20, 16, 64, true, 0.0});
-  fill_default_penalties(spec.levels);
-  spec.validate();
-  return spec;
-}
-
-HierarchySpec HierarchySpec::detected() {
-  return from_machine(util::cached_machine());
-}
-
-HierarchySpec HierarchySpec::single(const CacheConfig& config) {
-  HierarchySpec spec;
-  spec.levels.push_back(LevelSpec{"LLC", config.bytes, config.ways,
-                                  config.line_bytes, true,
-                                  kDramMissPenalty});
-  spec.validate();
-  return spec;
-}
-
 HierarchySpec HierarchySpec::from_cli_spec(const std::string& text) {
   HierarchySpec spec;
   for (const util::CacheLevelSpec& l : util::parse_cache_spec(text))
-    spec.levels.push_back(LevelSpec{l.name, l.bytes, l.ways, 64, false, 0.0});
+    spec.levels.push_back(LevelSpec{l.name, l.bytes, l.ways, 64, false});
   spec.levels.back().shared = true;
-  fill_default_penalties(spec.levels);
   spec.validate();
   return spec;
 }
@@ -133,14 +74,6 @@ std::vector<CacheStats> CacheHierarchy::stats() const {
 
 void CacheHierarchy::reset_stats() {
   for (CacheModel& level : levels_) level.reset_stats();
-}
-
-double CacheHierarchy::weighted_miss_cost() const {
-  double cost = 0.0;
-  for (std::size_t i = 0; i < levels_.size(); ++i)
-    cost += static_cast<double>(levels_[i].stats().misses) *
-            spec_.levels[i].miss_penalty;
-  return cost;
 }
 
 }  // namespace spkadd::cachesim

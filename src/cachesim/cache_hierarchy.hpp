@@ -4,15 +4,12 @@
 // inclusive-fill LRU semantics: an access probes the levels outermost-in
 // (L1 first); the first hit stops the walk — an L1 hit never touches L2 —
 // and a miss at every level installs the line in each level it traversed.
-// Per-level CacheStats (hits/misses/evictions) plus a latency-weighted miss
-// cost turn an address trace into one comparable scalar, which is what the
-// calibration sweep (bench_calibration) records per (kernel, k, density,
-// chunk-width) cell and the Hybrid planner consumes as its measured
-// decision surface.
+// Per-level CacheStats (hits/misses/evictions) let the Table V traces
+// report where the sliding partition's reuse actually lands.
 //
-// A HierarchySpec defaults to the detected machine (util::cached_machine)
-// and accepts explicit per-level overrides — e.g. the paper's 8MB-LLC EPYC
-// modeled from a different host — via util::parse_cache_spec strings.
+// A HierarchySpec comes from explicit per-level CLI specs — e.g. the
+// paper's 8MB-LLC EPYC modeled from a different host — via
+// util::parse_cache_spec strings.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +17,6 @@
 #include <vector>
 
 #include "cachesim/cache_model.hpp"
-#include "util/cache_info.hpp"
 #include "util/cli.hpp"
 
 namespace spkadd::cachesim {
@@ -33,24 +29,11 @@ struct LevelSpec {
   int line_bytes = 64;
   bool shared = false;        ///< shared among threads (typical LLC):
                               ///< a traced thread gets bytes/threads
-  /// Cycles charged per miss at this level (the cost of going one level
-  /// further out; the last level's penalty is the memory round-trip).
-  double miss_penalty = 0.0;
 };
 
 /// Ordered outermost-in (L1 first) level stack.
 struct HierarchySpec {
   std::vector<LevelSpec> levels;
-
-  /// The detected machine's L1/L2/LLC (util::cached_machine, one sysfs
-  /// probe per process). Levels with zero capacity (no L2 on some VMs) are
-  /// dropped.
-  [[nodiscard]] static HierarchySpec detected();
-  [[nodiscard]] static HierarchySpec from_machine(const util::MachineInfo& m);
-
-  /// Single-level hierarchy behaving exactly like the old CacheModel (the
-  /// Table V compatibility shape).
-  [[nodiscard]] static HierarchySpec single(const CacheConfig& config);
 
   /// Explicit override from a "L1:32K:8,L2:1M:16,LLC:8M:16" CLI spec; the
   /// last level is marked shared. Throws std::invalid_argument on
@@ -61,15 +44,9 @@ struct HierarchySpec {
   /// capacities strictly increase outermost-in.
   void validate() const;
 
-  /// Canonical "NAME:SIZE:WAYS,..." rendering (table provenance).
+  /// Canonical "NAME:SIZE:WAYS,..." rendering (bench provenance).
   [[nodiscard]] std::string to_string() const;
 };
-
-/// Default per-level miss penalties (cycles, Skylake-ish): filled in by the
-/// spec constructors when a level's penalty is 0. Index by distance from
-/// the innermost level; the last level always gets the DRAM penalty.
-inline constexpr double kDefaultMissPenalty[3] = {12.0, 40.0, 200.0};
-inline constexpr double kDramMissPenalty = 200.0;
 
 /// Inclusive-fill multi-level LRU cache simulator. Each level reuses the
 /// CacheModel set-associative core, so a single-level hierarchy reproduces
@@ -87,19 +64,11 @@ class CacheHierarchy {
   /// spans).
   void access_range(std::uint64_t addr, std::uint64_t size);
 
-  [[nodiscard]] std::size_t depth() const { return levels_.size(); }
-  [[nodiscard]] const LevelSpec& level_spec(std::size_t i) const {
-    return spec_.levels[i];
-  }
   [[nodiscard]] const CacheStats& level_stats(std::size_t i) const {
     return levels_[i].stats();
   }
   [[nodiscard]] std::vector<CacheStats> stats() const;
   void reset_stats();
-
-  /// Latency-weighted cost of the misses recorded so far:
-  /// sum over levels of misses(level) * miss_penalty(level).
-  [[nodiscard]] double weighted_miss_cost() const;
 
  private:
   HierarchySpec spec_;

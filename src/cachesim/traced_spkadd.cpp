@@ -1,9 +1,9 @@
 #include "cachesim/traced_spkadd.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <vector>
 
+#include "core/column_kernels.hpp"
 #include "core/workspace.hpp"
 #include "util/bit_ops.hpp"
 
@@ -17,22 +17,12 @@ using View = ColumnView<std::int32_t, double>;
 constexpr std::uint64_t kInputBase = 0x1000'0000ull;
 constexpr std::uint64_t kInputStride = 0x4000'0000ull;  // per input matrix
 constexpr std::uint64_t kTableBase = 0x8000'0000'0000ull;
-constexpr std::uint64_t kHeapBase = 0xA000'0000'0000ull;
-constexpr std::uint64_t kSpaBase = 0xB000'0000'0000ull;
-constexpr std::uint64_t kTouchedBase = 0xC000'0000'0000ull;
 constexpr std::uint64_t kSortBase = 0xD000'0000'0000ull;  // radix pair scratch
-constexpr std::uint64_t kDenseBase = 0xE000'0000'0000ull;  // dense value array
-constexpr std::uint64_t kDenseMaskBase = 0xE800'0000'0000ull;  // occupancy bits
 constexpr std::uint64_t kOutputBase = 0xF000'0000'0000ull;
 
 constexpr std::uint64_t kSymEntryBytes = sizeof(std::int32_t);          // 4
 constexpr std::uint64_t kAddEntryBytes =
     sizeof(std::int32_t) + sizeof(double);                              // 12
-constexpr std::uint64_t kHeapNodeBytes = 16;  // (row, source) node
-constexpr std::uint64_t kSpaCellBytes =
-    sizeof(double) + sizeof(std::uint32_t);                             // 12
-constexpr std::uint64_t kDenseCellBytes = sizeof(double);               // 8
-constexpr std::uint64_t kMaskWordBytes = sizeof(std::uint64_t);         // 8
 
 /// Per-thread view of the hierarchy: private levels keep their capacity,
 /// shared levels (the LLC) are divided by the simulated thread count.
@@ -48,8 +38,8 @@ HierarchySpec per_thread_share(const HierarchySpec& spec, int threads) {
   }
   // Division can break strict capacity growth (e.g. 48 threads sharing a
   // 32MB LLC behind a 1MB private L2). Keep the outermost level of any
-  // non-increasing run: it carries the larger miss penalty, so dropping the
-  // swallowed inner level keeps the cost model conservative.
+  // non-increasing run: its misses go to memory, the count Table V
+  // reports, so the swallowed inner level is the one to drop.
   std::vector<LevelSpec> kept;
   for (auto it = share.levels.rbegin(); it != share.levels.rend(); ++it)
     if (kept.empty() || it->bytes < kept.back().bytes) kept.push_back(*it);
@@ -195,234 +185,6 @@ std::size_t trace_add_part(CacheHierarchy& cache, std::span<const View> views,
   return emitted;
 }
 
-/// Trace Alg. 3 (k-way heap merge) on one column; returns entries emitted.
-/// The heap array lives at kHeapBase; every replace/pop walks one
-/// root-to-leaf path, the locality that makes the heap nearly cache-free at
-/// small k. Inputs are consumed in true merge order (real row values drive
-/// the interleaving), one entry read per element.
-std::size_t trace_heap_column(CacheHierarchy& cache,
-                              std::span<const View> views,
-                              std::span<const std::size_t> matrix_ids,
-                              std::span<const std::size_t> entry_offsets,
-                              std::size_t out_cursor) {
-  struct Node {
-    std::int32_t row;
-    std::size_t src;
-  };
-  std::vector<Node> heap;
-  std::vector<std::size_t> cursor(views.size(), 0);
-  auto before = [](const Node& x, const Node& y) {
-    return x.row < y.row || (x.row == y.row && x.src < y.src);
-  };
-  auto less = [&before](const Node& x, const Node& y) { return before(y, x); };
-
-  auto touch_path = [&cache](std::size_t live) {
-    for (std::size_t idx = 0; idx < live; idx = 2 * idx + 1)
-      cache.access_range(kHeapBase + idx * kHeapNodeBytes, kHeapNodeBytes);
-  };
-  auto read_input = [&](std::size_t s, std::size_t i) {
-    const std::uint64_t base = kInputBase + kInputStride * matrix_ids[s];
-    cache.access_range(base + kAddEntryBytes * (entry_offsets[s] + i),
-                       kAddEntryBytes);
-  };
-
-  for (std::size_t s = 0; s < views.size(); ++s) {
-    if (views[s].empty()) continue;
-    read_input(s, 0);
-    heap.push_back(Node{views[s].rows[0], s});
-    touch_path(heap.size());
-  }
-  std::make_heap(heap.begin(), heap.end(), less);
-
-  std::size_t emitted = 0;
-  std::int32_t last_row = -1;
-  while (!heap.empty()) {
-    const Node top = heap.front();
-    // Extend or accumulate into the sorted output tail: either way the
-    // current tail entry is touched.
-    if (emitted == 0 || last_row != top.row) {
-      ++emitted;
-      last_row = top.row;
-    }
-    cache.access_range(
-        kOutputBase + (out_cursor + emitted - 1) * kAddEntryBytes,
-        kAddEntryBytes);
-    const std::size_t next = ++cursor[top.src];
-    if (next < views[top.src].nnz()) {
-      read_input(top.src, next);
-      std::pop_heap(heap.begin(), heap.end(), less);
-      heap.back().row = views[top.src].rows[next];
-      std::push_heap(heap.begin(), heap.end(), less);
-    } else {
-      std::pop_heap(heap.begin(), heap.end(), less);
-      heap.pop_back();
-    }
-    touch_path(heap.size());
-  }
-  return emitted;
-}
-
-/// Trace Alg. 4 (SPA) on one column; returns entries emitted. The dense
-/// accumulator cells live at kSpaBase + row * cell (value + generation
-/// stamp), the touched-row list streams at kTouchedBase, and sorted output
-/// adds the radix passes over the touched list before the emission sweep
-/// re-reads the accumulator at the touched rows.
-std::size_t trace_spa_column(CacheHierarchy& cache,
-                             std::span<const View> views,
-                             std::span<const std::size_t> matrix_ids,
-                             std::span<const std::size_t> entry_offsets,
-                             std::size_t out_cursor,
-                             std::vector<std::int32_t>& touched_scratch) {
-  touched_scratch.clear();
-  // Accumulation: one streamed input read + one SPA cell touch per entry;
-  // first touches also append to the touched list.
-  thread_local std::vector<bool> seen;  // structural dedup only
-  for (std::size_t s = 0; s < views.size(); ++s) {
-    const View& v = views[s];
-    stream_input(cache, matrix_ids[s], entry_offsets[s], v.nnz(),
-                 kAddEntryBytes);
-    for (std::size_t i = 0; i < v.nnz(); ++i) {
-      const auto r = static_cast<std::size_t>(v.rows[i]);
-      cache.access_range(kSpaBase + r * kSpaCellBytes, kSpaCellBytes);
-      if (seen.size() <= r) seen.resize(r + 1, false);
-      if (!seen[r]) {
-        seen[r] = true;
-        touched_scratch.push_back(v.rows[i]);
-        cache.access_range(
-            kTouchedBase + (touched_scratch.size() - 1) * kSymEntryBytes,
-            kSymEntryBytes);
-      }
-    }
-  }
-  for (const std::int32_t r : touched_scratch)
-    seen[static_cast<std::size_t>(r)] = false;
-  // Sorted emission (the default hybrid contract): radix passes read and
-  // rewrite the touched list...
-  cache.access_range(kTouchedBase, touched_scratch.size() * kSymEntryBytes);
-  cache.access_range(kTouchedBase, touched_scratch.size() * kSymEntryBytes);
-  std::sort(touched_scratch.begin(), touched_scratch.end());
-  // ...then the emission sweep gathers each accumulator cell in row order
-  // and streams the output run.
-  for (const std::int32_t r : touched_scratch)
-    cache.access_range(
-        kSpaBase + static_cast<std::size_t>(r) * kSpaCellBytes,
-        kSpaCellBytes);
-  cache.access_range(kOutputBase + out_cursor * kAddEntryBytes,
-                     touched_scratch.size() * kAddEntryBytes);
-  return touched_scratch.size();
-}
-
-/// Trace the dense kernel's symbolic phase (dense_symbolic_column): one
-/// streamed input read + one occupancy-word touch per entry, then the
-/// O(input nnz) clear-by-replay re-reads the indices and re-touches the
-/// same words (typically cache-hot — exactly the locality the real kernel
-/// banks on). Returns distinct rows.
-std::size_t trace_dense_symbolic(CacheHierarchy& cache,
-                                 std::span<const View> views,
-                                 std::span<const std::size_t> matrix_ids,
-                                 std::span<const std::size_t> entry_offsets) {
-  thread_local std::vector<std::uint64_t> mask;
-  std::size_t need = 0;
-  for (const auto& v : views)
-    for (std::size_t i = 0; i < v.nnz(); ++i)
-      need = std::max(need, (static_cast<std::size_t>(v.rows[i]) >> 6) + 1);
-  if (mask.size() < need) mask.resize(need, 0);
-  std::size_t nz = 0;
-  for (std::size_t s = 0; s < views.size(); ++s) {
-    const View& v = views[s];
-    stream_input(cache, matrix_ids[s], entry_offsets[s], v.nnz(),
-                 kSymEntryBytes);
-    for (std::size_t i = 0; i < v.nnz(); ++i) {
-      const auto r = static_cast<std::size_t>(v.rows[i]);
-      cache.access_range(kDenseMaskBase + (r >> 6) * kMaskWordBytes,
-                         kMaskWordBytes);
-      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-      if (!(mask[r >> 6] & bit)) {
-        mask[r >> 6] |= bit;
-        ++nz;
-      }
-    }
-  }
-  for (std::size_t s = 0; s < views.size(); ++s) {
-    const View& v = views[s];
-    stream_input(cache, matrix_ids[s], entry_offsets[s], v.nnz(),
-                 kSymEntryBytes);
-    for (std::size_t i = 0; i < v.nnz(); ++i) {
-      const auto r = static_cast<std::size_t>(v.rows[i]);
-      cache.access_range(kDenseMaskBase + (r >> 6) * kMaskWordBytes,
-                         kMaskWordBytes);
-      mask[r >> 6] = 0;
-    }
-  }
-  return nz;
-}
-
-/// Trace the dense kernel's numeric phase (dense_add_column): scatter one
-/// streamed input read + one dense-cell touch + one occupancy-word touch
-/// per entry (fully dense addends stream the whole cell/mask arrays — the
-/// vectorized fast path touches the same lines sequentially), then the
-/// emission sweeps the touched word range reading each occupied cell in
-/// row order and streams the output run. No radix pass: sortedness is by
-/// construction. Returns entries emitted.
-std::size_t trace_dense_column(CacheHierarchy& cache,
-                               std::span<const View> views,
-                               std::span<const std::size_t> matrix_ids,
-                               std::span<const std::size_t> entry_offsets,
-                               std::int32_t rows, std::size_t out_cursor) {
-  thread_local std::vector<std::uint64_t> mask;
-  const auto m = static_cast<std::size_t>(rows);
-  const std::size_t words = (m + 63) / 64;
-  if (mask.size() < words) mask.resize(words, 0);
-  std::size_t w_lo = words, w_hi = 0;
-
-  for (std::size_t s = 0; s < views.size(); ++s) {
-    const View& v = views[s];
-    stream_input(cache, matrix_ids[s], entry_offsets[s], v.nnz(),
-                 kAddEntryBytes);
-    if (v.nnz() == m) {
-      // Identity-dense addend: whole-column vector copy/add plus one mask
-      // sweep — pure sequential streams.
-      cache.access_range(kDenseBase, m * kDenseCellBytes);
-      cache.access_range(kDenseMaskBase, words * kMaskWordBytes);
-      for (std::size_t w = 0; w + 1 < words; ++w) mask[w] = ~std::uint64_t{0};
-      mask[words - 1] =
-          (m % 64 == 0) ? ~std::uint64_t{0}
-                        : ((std::uint64_t{1} << (m % 64)) - 1);
-      w_lo = 0;
-      w_hi = words - 1;
-      continue;
-    }
-    for (std::size_t i = 0; i < v.nnz(); ++i) {
-      const auto r = static_cast<std::size_t>(v.rows[i]);
-      const std::size_t w = r >> 6;
-      cache.access_range(kDenseBase + r * kDenseCellBytes, kDenseCellBytes);
-      cache.access_range(kDenseMaskBase + w * kMaskWordBytes, kMaskWordBytes);
-      mask[w] |= std::uint64_t{1} << (r & 63);
-      w_lo = std::min(w_lo, w);
-      w_hi = std::max(w_hi, w);
-    }
-  }
-
-  std::size_t out = 0;
-  for (std::size_t w = w_lo; w <= w_hi && w < words; ++w) {
-    cache.access_range(kDenseMaskBase + w * kMaskWordBytes, kMaskWordBytes);
-    std::uint64_t bits = mask[w];
-    mask[w] = 0;
-    if (bits == 0) continue;
-    const std::size_t base = w << 6;
-    while (bits != 0) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(bits));
-      cache.access_range(kDenseBase + (base + b) * kDenseCellBytes,
-                         kDenseCellBytes);
-      ++out;
-      bits &= bits - 1;
-    }
-  }
-  cache.access_range(kOutputBase + out_cursor * kAddEntryBytes,
-                     out * kAddEntryBytes);
-  return out;
-}
-
 struct ColumnViews {
   std::vector<View> views;
   std::vector<std::size_t> matrix_ids;
@@ -462,15 +224,14 @@ struct ColumnViews {
   }
 };
 
-/// The shared two-phase replay: symbolic with the kernel's symbolic variant
-/// (sliding partition for sliding chunks, plain hash symbolic otherwise —
-/// mirroring core::kernel_symbolic_column), then the kernel's own numeric
+/// The two-phase replay: symbolic over all columns (sliding partition when
+/// a sliding column's table overflows its cap, plain hash symbolic
+/// otherwise — mirroring core::kernel_symbolic_column), then the numeric
 /// phase. Stats are snapshotted per phase from the hierarchy.
-KernelTraceResult trace_through(std::span<const Csc> inputs,
-                                const HierarchySpec& share,
-                                core::ColumnKernel kernel,
-                                std::size_t sym_cap, std::size_t add_cap) {
-  KernelTraceResult result;
+TraceResult trace_through(std::span<const Csc> inputs,
+                          const HierarchySpec& share, bool sliding,
+                          std::size_t sym_cap, std::size_t add_cap) {
+  TraceResult result;
   CacheHierarchy cache(share);
   for (const LevelSpec& l : share.levels)
     result.level_names.push_back(l.name);
@@ -480,11 +241,9 @@ KernelTraceResult trace_through(std::span<const Csc> inputs,
 
   const std::int32_t cols = inputs[0].cols();
   const std::int32_t rows = inputs[0].rows();
-  const bool sliding = kernel == core::ColumnKernel::SlidingHash;
 
   core::SymbolicHashWorkspace<std::int32_t> table;
   ColumnViews full, part;
-  std::vector<std::int32_t> spa_touched;
   std::vector<std::size_t> out_nnz(static_cast<std::size_t>(cols), 0);
 
   // ---- Symbolic phase over all columns ----
@@ -495,10 +254,7 @@ KernelTraceResult trace_through(std::span<const Csc> inputs,
     if (inz == 0) continue;
     const std::size_t parts = sliding ? util::ceil_div(inz, sym_cap) : 1;
     std::size_t nz = 0;
-    if (kernel == core::ColumnKernel::DenseAcc) {
-      nz = trace_dense_symbolic(cache, full.views, full.matrix_ids,
-                                full.entry_offsets);
-    } else if (parts <= 1) {
+    if (parts <= 1) {
       nz = trace_symbolic_part(cache, full.views, full.matrix_ids,
                                full.entry_offsets, table);
     } else {
@@ -523,101 +279,52 @@ KernelTraceResult trace_through(std::span<const Csc> inputs,
     const std::size_t onz = out_nnz[static_cast<std::size_t>(j)];
     if (onz == 0) continue;
     full.gather(inputs, j);
-    switch (kernel) {
-      case core::ColumnKernel::Heap:
-        out_cursor += trace_heap_column(cache, full.views, full.matrix_ids,
-                                        full.entry_offsets, out_cursor);
-        break;
-      case core::ColumnKernel::Spa:
-        out_cursor += trace_spa_column(cache, full.views, full.matrix_ids,
-                                       full.entry_offsets, out_cursor,
-                                       spa_touched);
-        break;
-      case core::ColumnKernel::Hash:
-        out_cursor +=
-            trace_add_part(cache, full.views, full.matrix_ids,
-                           full.entry_offsets, onz, out_cursor, table);
-        break;
-      case core::ColumnKernel::DenseAcc:
-        out_cursor += trace_dense_column(cache, full.views, full.matrix_ids,
-                                         full.entry_offsets, rows, out_cursor);
-        break;
-      case core::ColumnKernel::SlidingHash: {
-        const std::size_t parts = util::ceil_div(onz, add_cap);
-        if (parts <= 1) {
-          out_cursor +=
-              trace_add_part(cache, full.views, full.matrix_ids,
-                             full.entry_offsets, onz, out_cursor, table);
-          break;
-        }
-        for (std::size_t p = 0; p < parts; ++p) {
-          const auto r1 = static_cast<std::int32_t>(
-              static_cast<std::size_t>(rows) * p / parts);
-          const auto r2 = static_cast<std::int32_t>(
-              static_cast<std::size_t>(rows) * (p + 1) / parts);
-          part.restrict_rows(full, r1, r2);
-          std::size_t part_in = 0;
-          for (const auto& v : part.views) part_in += v.nnz();
-          if (part_in == 0) continue;
-          // Mirror the driver: keys-only symbolic over the part, then an
-          // output-sized numeric table (see kway.hpp).
-          const std::size_t part_onz =
-              trace_symbolic_part(cache, part.views, part.matrix_ids,
-                                  part.entry_offsets, table);
-          out_cursor +=
-              trace_add_part(cache, part.views, part.matrix_ids,
-                             part.entry_offsets, part_onz, out_cursor, table);
-        }
-        break;
-      }
+    const std::size_t parts = sliding ? util::ceil_div(onz, add_cap) : 1;
+    if (parts <= 1) {
+      out_cursor += trace_add_part(cache, full.views, full.matrix_ids,
+                                   full.entry_offsets, onz, out_cursor, table);
+      continue;
+    }
+    for (std::size_t p = 0; p < parts; ++p) {
+      const auto r1 = static_cast<std::int32_t>(
+          static_cast<std::size_t>(rows) * p / parts);
+      const auto r2 = static_cast<std::int32_t>(
+          static_cast<std::size_t>(rows) * (p + 1) / parts);
+      part.restrict_rows(full, r1, r2);
+      std::size_t part_in = 0;
+      for (const auto& v : part.views) part_in += v.nnz();
+      if (part_in == 0) continue;
+      // Mirror spkadd_sliding_hash: keys-only symbolic over the part, then an
+      // output-sized numeric table (see kway.hpp).
+      const std::size_t part_onz =
+          trace_symbolic_part(cache, part.views, part.matrix_ids,
+                              part.entry_offsets, table);
+      out_cursor +=
+          trace_add_part(cache, part.views, part.matrix_ids,
+                         part.entry_offsets, part_onz, out_cursor, table);
     }
   }
   result.numeric = cache.stats();
-  result.weighted_miss_cost = 0.0;
-  for (std::size_t i = 0; i < share.levels.size(); ++i)
-    result.weighted_miss_cost +=
-        static_cast<double>(result.symbolic[i].misses +
-                            result.numeric[i].misses) *
-        share.levels[i].miss_penalty;
   return result;
-}
-
-/// Outermost shared capacity of the (undivided) hierarchy — the M of the
-/// Alg. 7/8 table-sizing rule.
-std::uint64_t shared_capacity(const HierarchySpec& spec) {
-  return spec.levels.back().bytes;
 }
 
 }  // namespace
 
-TraceResult trace_hash_spkadd(std::span<const Csc> inputs,
-                              const TraceConfig& config) {
-  KernelTraceConfig kcfg;
-  kcfg.hierarchy = HierarchySpec::single(config.cache);
-  kcfg.threads = config.threads;
-  kcfg.kernel = config.sliding ? core::ColumnKernel::SlidingHash
-                               : core::ColumnKernel::Hash;
-  kcfg.max_table_entries = config.max_table_entries;
-  const KernelTraceResult r = trace_kernel_spkadd(inputs, kcfg);
-  TraceResult out;
-  if (!r.symbolic.empty()) {
-    out.symbolic = r.symbolic.front();
-    out.numeric = r.numeric.front();
-  }
-  return out;
-}
-
-KernelTraceResult trace_kernel_spkadd(std::span<const Csc> inputs,
-                                      const KernelTraceConfig& config) {
-  const HierarchySpec share =
-      per_thread_share(config.hierarchy, config.threads);
+TraceResult trace_spkadd(std::span<const Csc> inputs,
+                         const TraceConfig& config) {
+  config.hierarchy.validate();
+  // The M of the Alg. 7/8 table-sizing rule: the outermost shared
+  // capacity of the undivided hierarchy.
+  const std::uint64_t shared_bytes = config.hierarchy.levels.back().bytes;
   const std::size_t sym_cap =
-      entry_cap(shared_capacity(config.hierarchy), config.threads,
-                config.max_table_entries, kSymEntryBytes);
+      entry_cap(shared_bytes, config.threads, config.max_table_entries,
+                kSymEntryBytes);
   const std::size_t add_cap =
-      entry_cap(shared_capacity(config.hierarchy), config.threads,
-                config.max_table_entries, kAddEntryBytes);
-  return trace_through(inputs, share, config.kernel, sym_cap, add_cap);
+      entry_cap(shared_bytes, config.threads, config.max_table_entries,
+                kAddEntryBytes);
+  return trace_through(inputs, per_thread_share(config.hierarchy,
+                                                config.threads),
+                       config.sliding, sym_cap, add_cap);
 }
 
 }  // namespace spkadd::cachesim

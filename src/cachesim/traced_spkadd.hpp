@@ -1,24 +1,13 @@
-// Address-trace instrumented SpKAdd column kernels.
+// Address-trace instrumented hash and sliding-hash SpKAdd.
 //
-// Replays the memory behaviour of the paper's algorithms through the cache
-// simulator to count misses (the paper's Table V used Cachegrind): input
-// columns stream sequentially, kernel data structures (hash table, SPA
-// array, heap) are hit at the probed slots, and the output streams
-// sequentially. One thread is simulated against its fair share of each
-// *shared* hierarchy level (capacity / threads; private L1/L2 are not
-// divided), which models T threads competing for a shared LLC the same way
-// the paper's table-size analysis does (MemAdd = b*T*nnz > M <=> per-thread
-// need > M/T).
-//
-// Two entry points:
-//   trace_hash_spkadd    — the original Table V pair (hash vs sliding hash)
-//                          against a single modeled LLC; kept for
-//                          compatibility and the Table V reproduction.
-//   trace_kernel_spkadd  — any core::ColumnKernel (heap/SPA/hash/sliding/
-//                          dense) against a full CacheHierarchy, returning
-//                          per-level per-phase stats plus the weighted miss
-//                          cost. This is the measurement behind the
-//                          calibration table the Hybrid planner consumes.
+// Replays the memory behaviour of the paper's hash algorithms through the
+// cache simulator to count misses (the paper's Table V used Cachegrind):
+// input columns stream sequentially, the hash table is hit at the probed
+// slots, and the output streams sequentially. One thread is simulated
+// against its fair share of each *shared* hierarchy level (capacity /
+// threads; private L1/L2 are not divided), which models T threads
+// competing for a shared LLC the same way the paper's table-size analysis
+// does (MemAdd = b*T*nnz > M <=> per-thread need > M/T).
 #pragma once
 
 #include <cstdint>
@@ -28,59 +17,31 @@
 
 #include "cachesim/cache_hierarchy.hpp"
 #include "cachesim/cache_model.hpp"
-#include "core/column_kernels.hpp"
 #include "matrix/csc.hpp"
 
 namespace spkadd::cachesim {
 
 struct TraceConfig {
-  CacheConfig cache;     ///< the physical LLC being modeled
-  int threads = 48;      ///< threads sharing it (the paper's Skylake run)
-  bool sliding = false;  ///< Alg. 7/8 (sliding) vs Alg. 5/6 (plain)
-  /// Force the sliding table entry cap (0 = derive from cache/threads as
-  /// table_entry_cap does). Mirrors the x-axis of Fig. 4.
-  std::size_t max_table_entries = 0;
-};
-
-struct TraceResult {
-  CacheStats symbolic;  ///< misses during the symbolic phase
-  CacheStats numeric;   ///< misses during the addition phase
-  [[nodiscard]] std::uint64_t total_misses() const {
-    return symbolic.misses + numeric.misses;
-  }
-  [[nodiscard]] std::uint64_t total_accesses() const {
-    return symbolic.accesses + numeric.accesses;
-  }
-};
-
-/// Replay hash (or sliding-hash) SpKAdd over `inputs` and return per-phase
-/// LL miss counts. Structural only: values never affect the trace.
-TraceResult trace_hash_spkadd(
-    std::span<const CscMatrix<std::int32_t, double>> inputs,
-    const TraceConfig& config);
-
-// ---------------------------------------------------------------------------
-// Hierarchy-wide kernel traces (the calibration measurement)
-// ---------------------------------------------------------------------------
-
-struct KernelTraceConfig {
   /// The modeled machine; private levels are per-thread, shared levels are
   /// divided by `threads`.
-  HierarchySpec hierarchy = HierarchySpec::detected();
-  int threads = 48;
-  core::ColumnKernel kernel = core::ColumnKernel::Hash;
+  HierarchySpec hierarchy;
+  int threads = 48;      ///< threads sharing the shared levels (the
+                         ///< paper's Skylake run)
+  bool sliding = false;  ///< Alg. 7/8 (sliding) vs Alg. 5/6 (plain)
   /// Force the sliding table entry cap (0 = derive from the last shared
-  /// level / threads, as core::detail::table_entry_cap does).
+  /// level / threads, as core::detail::table_entry_cap does). Mirrors the
+  /// x-axis of Fig. 4.
   std::size_t max_table_entries = 0;
 };
 
-/// Per-level, per-phase miss counts of one kernel's replay, plus the
-/// latency-weighted scalar the calibration table stores.
-struct KernelTraceResult {
+/// Per-level, per-phase miss counts of one replay. The levels are the
+/// simulated per-thread hierarchy: a private level at least as large as
+/// the divided shared level below it is not simulated, so there can be
+/// fewer levels than in TraceConfig::hierarchy.
+struct TraceResult {
   std::vector<std::string> level_names;  ///< "L1", "L2", "LLC", ...
   std::vector<CacheStats> symbolic;      ///< one per level
   std::vector<CacheStats> numeric;       ///< one per level
-  double weighted_miss_cost = 0.0;       ///< both phases, all levels
 
   [[nodiscard]] std::uint64_t level_misses(std::size_t i) const {
     return symbolic[i].misses + numeric[i].misses;
@@ -99,14 +60,13 @@ struct KernelTraceResult {
   }
 };
 
-/// Replay any ColumnKernel's SpKAdd (symbolic: hash symbolic, sliding
-/// symbolic for sliding chunks, occupancy-bitmap symbolic for dense —
-/// mirroring kernel_symbolic_column; numeric: the kernel itself) over
-/// `inputs` through the full hierarchy. Structural
-/// only: values never affect the trace. Deterministic for fixed inputs and
-/// config.
-KernelTraceResult trace_kernel_spkadd(
+/// Replay hash (or sliding-hash) SpKAdd over `inputs` through the
+/// hierarchy: the symbolic phase (Alg. 6, or Alg. 7's sliding partition),
+/// then the numeric phase (Alg. 5, or Alg. 8). Structural only: values
+/// never affect the trace. Deterministic for fixed inputs and config.
+/// Throws std::invalid_argument when config.hierarchy is invalid.
+TraceResult trace_spkadd(
     std::span<const CscMatrix<std::int32_t, double>> inputs,
-    const KernelTraceConfig& config);
+    const TraceConfig& config);
 
 }  // namespace spkadd::cachesim

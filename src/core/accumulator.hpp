@@ -11,7 +11,7 @@
 // of addends live instead of all k) against re-streaming the partial sum
 // once per batch.
 //
-// What makes it cheaper than calling spkadd_batched in a loop:
+// What makes it cheaper than calling spkadd() once per batch in a loop:
 //   * zero input copies — batches are spans of borrowed matrix pointers
 //     fed straight to the pointer-span drivers;
 //   * persistent per-thread workspaces — the hash/SPA/heap scratch in the
@@ -235,6 +235,9 @@ class Accumulator {
       if (fopts.sorted_output && !acc_.is_sorted()) acc_.sort_columns();
     } else {
       acc_ = spkadd(MatrixPtrs<IndexT, ValueT>(fold_), fopts, &rt_);
+      // Keep the persistent footprint independent of which thread ran
+      // which column (see Runtime::level_scratch).
+      rt_.level_scratch();
     }
     scatter_staged_into_dense();
     have_acc_ = true;

@@ -649,22 +649,6 @@ std::size_t dense_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
 enum class ColumnKernel : std::uint8_t { Heap, Spa, Hash, SlidingHash,
                                          DenseAcc };
 
-[[nodiscard]] inline const char* column_kernel_name(ColumnKernel k) {
-  switch (k) {
-    case ColumnKernel::Heap: return "heap";
-    case ColumnKernel::Spa: return "spa";
-    case ColumnKernel::Hash: return "hash";
-    case ColumnKernel::SlidingHash: return "sliding";
-    case ColumnKernel::DenseAcc: return "dense";
-  }
-  return "?";
-}
-
-/// Inverse of column_kernel_name(); same parsing/throwing contract as
-/// method_from_name() (case- and punctuation-insensitive; defined in
-/// method.cpp).
-[[nodiscard]] ColumnKernel column_kernel_from_name(const std::string& name);
-
 /// Record one chunk dispatched to kernel `k` (hybrid observability).
 inline void count_chunk(OpCounters& counters, ColumnKernel k) {
   switch (k) {

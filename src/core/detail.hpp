@@ -4,8 +4,8 @@
 //
 // The drivers' primary signatures take *pointer* spans
 // (span<const CscMatrix* const>) so callers that stream or batch addends —
-// the Accumulator, batched SpKAdd — can fold borrowed matrices without deep
-// copies. The helpers here are generic over both span flavors via deref().
+// the Accumulator — can fold borrowed matrices without deep copies. The
+// helpers here are generic over both span flavors via deref().
 #pragma once
 
 #include "util/omp_compat.hpp"

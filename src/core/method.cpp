@@ -2,7 +2,6 @@
 #include <cctype>
 #include <stdexcept>
 
-#include "core/column_kernels.hpp"
 #include "core/options.hpp"
 
 namespace spkadd::core {
@@ -85,19 +84,6 @@ Method method_from_name(const std::string& name) {
       "unknown SpKAdd method '" + name +
       "' (expected one of: 2way-incremental, 2way-tree, heap, spa, hash, "
       "sliding-hash, dense, ref-incremental, ref-tree, auto, hybrid)");
-}
-
-ColumnKernel column_kernel_from_name(const std::string& name) {
-  const std::string key = normalized(name);
-  if (key == "heap") return ColumnKernel::Heap;
-  if (key == "spa") return ColumnKernel::Spa;
-  if (key == "hash") return ColumnKernel::Hash;
-  if (key == "sliding" || key == "slidinghash")
-    return ColumnKernel::SlidingHash;
-  if (key == "dense" || key == "denseacc") return ColumnKernel::DenseAcc;
-  throw std::invalid_argument(
-      "unknown column kernel '" + name +
-      "' (expected one of: heap, spa, hash, sliding, dense)");
 }
 
 Schedule schedule_from_name(const std::string& name) {

@@ -7,8 +7,6 @@
 
 namespace spkadd::core {
 
-struct MissCostTable;  // core/calibration.hpp
-
 /// The algorithm family of the paper (§II-B, §II-C, §III-B) plus the
 /// library-style reference baseline standing in for MKL.
 enum class Method {
@@ -155,14 +153,6 @@ struct Options {
   std::size_t max_table_entries = 0;
 
   Schedule schedule = Schedule::Dynamic;
-
-  /// When non-null and usable(), Method::Hybrid classifies each
-  /// nnz-balanced column chunk by measured miss-cost argmin from this
-  /// table (core/calibration.hpp) instead of the analytic
-  /// hybrid_kernel_for thresholds. Null or unusable tables fall back to
-  /// the analytic surface — never an error. The table only changes which
-  /// kernel runs per chunk; results stay bit-identical either way.
-  const MissCostTable* calibration = nullptr;
 
   /// When non-null, kernels count their operations here (not thread-safe to
   /// share across concurrent spkadd() calls; one counter per call).

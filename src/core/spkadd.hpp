@@ -81,10 +81,10 @@ template <class IndexT, class ValueT>
 }
 
 /// Add a collection of borrowed conformant sparse matrices:
-/// B = sum_i *inputs[i]. The primary entry point: batched and streaming
-/// callers (Accumulator, spkadd_batched) fold through here without copying
-/// an input, and a caller-owned Runtime keeps the per-thread scratch and
-/// the per-column cost scan alive across calls.
+/// B = sum_i *inputs[i]. The primary entry point: streaming callers (the
+/// Accumulator) fold through here without copying an input, and a
+/// caller-owned Runtime keeps the per-thread scratch and the per-column
+/// cost scan alive across calls.
 template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> spkadd(
     MatrixPtrs<IndexT, ValueT> inputs, const Options& opts = {},

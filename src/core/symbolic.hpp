@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/calibration.hpp"
 #include "core/column_kernels.hpp"
 #include "core/detail.hpp"
 #include "util/cache_info.hpp"
@@ -118,9 +117,7 @@ inline constexpr std::uint64_t kHybridHeapMaxColNnz = 64;
 /// and beat the SPA's radix sort.
 inline constexpr std::uint64_t kHybridDenseMinFillDivisor = 8;
 
-/// The analytic dense eligibility test shared by the analytic surface and
-/// the calibrated argmin (the miss-cost grid has no rows axis, and the
-/// dense kernel's cost is a function of rows above all): the chunk must
+/// The dense eligibility test of the per-chunk surface: the chunk must
 /// be dense enough (see kHybridDenseMinFillDivisor) and the T per-thread
 /// dense arrays (value + mask bit per row) must stay LLC-resident.
 template <class IndexT>
@@ -189,11 +186,8 @@ struct HybridPlan {
 /// Build the hybrid plan from the per-column input-nnz totals the call
 /// already computed (the Auto-prescan/NnzBalanced cost vector — no new
 /// scan): cut the columns into cost-balanced chunks, then classify each
-/// chunk from its heaviest column. When Options::calibration points at a
-/// usable MissCostTable the classification is the measured miss-cost
-/// argmin at the nearest grid point; otherwise it is the analytic
-/// hybrid_kernel_for surface. ValueT fixes the numeric table entry size
-/// of the cache-residency test.
+/// chunk from its heaviest column on the hybrid_kernel_for surface.
+/// ValueT fixes the numeric table entry size of the cache-residency test.
 template <class IndexT, class ValueT>
 void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
                  std::size_t k, const Options& opts,
@@ -203,10 +197,6 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
   detail::balance_chunks(costs, threads, plan.chunks);
   plan.kernels.clear();
   plan.kernels.reserve(plan.chunks.size());
-  const MissCostTable* table =
-      (opts.calibration != nullptr && opts.calibration->usable())
-          ? opts.calibration
-          : nullptr;
   const std::size_t b = sizeof(IndexT) + sizeof(ValueT);
   const std::size_t llc =
       opts.llc_bytes != 0 ? opts.llc_bytes : util::effective_llc_bytes();
@@ -223,14 +213,8 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
     std::uint64_t mx = 0;
     for (IndexT j = c0; j < c1; ++j)
       mx = std::max(mx, costs[static_cast<std::size_t>(j)]);
-    plan.kernels.push_back(
-        table != nullptr
-            ? table->best_kernel(k, mx,
-                                 static_cast<std::uint64_t>(c1 - c0),
-                                 opts.inputs_sorted,
-                                 dense_chunk_eligible(mx, rows, dense_fit))
-            : hybrid_kernel_for(mx, k, rows, opts.inputs_sorted, fit,
-                                spa_fit, dense_fit));
+    plan.kernels.push_back(hybrid_kernel_for(mx, k, rows, opts.inputs_sorted,
+                                             fit, spa_fit, dense_fit));
   }
 }
 

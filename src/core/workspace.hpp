@@ -7,6 +7,7 @@
 // cache; the SPA avoids O(m) clearing per column with generation stamps.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -153,10 +154,10 @@ struct HeapWorkspace {
 /// sliding passes. One superset struct (rather than one per driver) lets a
 /// single pool serve symbolic + numeric phases and every method, so a
 /// streaming accumulator can keep the scratch hot across batches. All
-/// members start empty and only grow on first use, so under the per-chunk
-/// hybrid dispatch a thread's scratch footprint is the union of the
-/// kernels it actually ran — e.g. the O(m) SPA array is never allocated
-/// on a thread that only ever drew hash chunks.
+/// members start empty and only grow on first use, so within one call
+/// under the per-chunk hybrid dispatch a thread's scratch footprint is the
+/// union of the kernels it actually ran — e.g. the O(m) SPA array is never
+/// allocated on a thread that only ever drew hash chunks.
 template <class IndexT, class ValueT>
 struct ThreadScratch {
   HashWorkspace<IndexT, ValueT> table;
@@ -170,25 +171,34 @@ struct ThreadScratch {
   std::vector<ValueT> vals_scratch;
   std::vector<std::size_t> bounds;
 
+  /// Call f on every backing vector above, in declaration order.
+  template <class Self, class F>
+  static void for_each_buffer(Self& s, F&& f) {
+    f(s.table.keys);
+    f(s.table.vals);
+    f(s.sym_table.keys);
+    f(s.spa.values);
+    f(s.spa.stamp);
+    f(s.spa.touched);
+    f(s.dense.values);
+    f(s.dense.mask);
+    f(s.heap.nodes);
+    f(s.heap.cursor);
+    f(s.views);
+    f(s.part_views);
+    f(s.rows_scratch);
+    f(s.vals_scratch);
+    f(s.bounds);
+  }
+
   /// Bytes of backing storage currently held (footprint reporting and the
   /// no-regrowth reuse tests).
   [[nodiscard]] std::size_t storage_bytes() const {
-    return table.keys.capacity() * sizeof(IndexT) +
-           table.vals.capacity() * sizeof(ValueT) +
-           sym_table.keys.capacity() * sizeof(IndexT) +
-           spa.values.capacity() * sizeof(ValueT) +
-           spa.stamp.capacity() * sizeof(std::uint32_t) +
-           spa.touched.capacity() * sizeof(IndexT) +
-           dense.values.capacity() * sizeof(ValueT) +
-           dense.mask.capacity() * sizeof(std::uint64_t) +
-           heap.nodes.capacity() *
-               sizeof(typename HeapWorkspace<IndexT>::Node) +
-           heap.cursor.capacity() * sizeof(std::size_t) +
-           views.capacity() * sizeof(ColumnView<IndexT, ValueT>) +
-           part_views.capacity() * sizeof(ColumnView<IndexT, ValueT>) +
-           rows_scratch.capacity() * sizeof(IndexT) +
-           vals_scratch.capacity() * sizeof(ValueT) +
-           bounds.capacity() * sizeof(std::size_t);
+    std::size_t total = 0;
+    for_each_buffer(*this, [&total](const auto& v) {
+      total += v.capacity() * sizeof(v[0]);
+    });
+    return total;
   }
 };
 
@@ -223,6 +233,31 @@ struct Runtime {
     std::size_t total = col_costs.capacity() * sizeof(std::uint64_t);
     for (const auto& s : scratch) total += s.storage_bytes();
     return total;
+  }
+
+  /// Reserve every thread's scratch vectors to the largest capacity any
+  /// thread holds. Dynamic scheduling hands columns to different threads
+  /// on every call, so without this a persistent Runtime keeps growing
+  /// whenever a thread draws a heavier column than it drew before, even
+  /// on an identical stream. Afterwards every thread can run any column
+  /// seen so far without reallocating. O(threads) per buffer; owners that
+  /// reuse a Runtime across calls (the Accumulator) call it after each
+  /// fold, one-shot calls do not.
+  void level_scratch() {
+    using Scratch = ThreadScratch<IndexT, ValueT>;
+    std::vector<std::size_t> caps;
+    for (const Scratch& s : scratch) {
+      std::size_t i = 0;
+      Scratch::for_each_buffer(s, [&](const auto& v) {
+        if (caps.size() <= i) caps.push_back(0);
+        caps[i] = std::max(caps[i], v.capacity());
+        ++i;
+      });
+    }
+    for (Scratch& s : scratch) {
+      std::size_t i = 0;
+      Scratch::for_each_buffer(s, [&](auto& v) { v.reserve(caps[i++]); });
+    }
   }
 };
 

@@ -30,10 +30,9 @@ namespace spkadd {
 namespace debug {
 
 /// Process-wide count of CscMatrix deep copies (any index/value type).
-/// The streaming accumulator and batched SpKAdd promise zero per-batch
-/// input-matrix copies; tests pin that guarantee by differencing this
-/// counter around a call. Relaxed atomics: the counter is a tally, not a
-/// synchronization point.
+/// The streaming accumulator promises zero per-batch input-matrix copies;
+/// tests pin that guarantee by differencing this counter around a call.
+/// Relaxed atomics: the counter is a tally, not a synchronization point.
 inline std::atomic<std::uint64_t>& csc_copy_counter() {
   static std::atomic<std::uint64_t> count{0};
   return count;

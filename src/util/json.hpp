@@ -1,6 +1,6 @@
 // Shared JSON string escaping for every emitter in the tree (the
-// daemon's stats verb, the calibration table writer, the bench
-// SampleLog, the metrics registry's render_json). One definition so a
+// daemon's stats verb, the bench SampleLog, the metrics registry's
+// render_json). One definition so a
 // tenant name containing '"', '\' or a control byte can never yield an
 // invalid document from ANY surface.
 //

@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "core/accumulator.hpp"
-#include "core/batched.hpp"
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
 #include "test_helpers.hpp"
@@ -111,6 +110,21 @@ TEST(Accumulator, PropertyAcrossMethodsAndCapacities) {
       acc.add_batch(std::span<const Csc>(inputs));
       EXPECT_TRUE(approx_equal(oracle, acc.finalize()))
           << method_name(m) << " cap=" << cap;
+    }
+  }
+  // Unsorted inputs, through the kernels that accept them, folded at the
+  // smallest capacities.
+  auto unsorted = inputs;
+  for (auto& m : unsorted) gen::shuffle_columns(m, 77);
+  for (auto m : {Method::Spa, Method::Hash, Method::SlidingHash}) {
+    for (const std::size_t cap : {2u, 3u, 4u}) {
+      Options opts;
+      opts.method = m;
+      opts.inputs_sorted = false;
+      Accumulator<> acc(64, 8, opts, cap);
+      acc.add_batch(std::span<const Csc>(unsorted));
+      EXPECT_TRUE(approx_equal(oracle, acc.finalize()))
+          << method_name(m) << " unsorted cap=" << cap;
     }
   }
 }
@@ -406,13 +420,11 @@ TEST(Schedule, NnzBalancedMatchesOtherSchedulesExactly) {
   }
 }
 
-TEST(Schedule, NnzBalancedWorksThroughBatchedAndAccumulator) {
+TEST(Schedule, NnzBalancedWorksThroughAccumulator) {
   const auto inputs = random_collection(11, 96, 12, 250, 41);
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
   Options opts;
   opts.schedule = Schedule::NnzBalanced;
-  EXPECT_TRUE(approx_equal(
-      oracle, spkadd_batched(std::span<const Csc>(inputs), 4, opts)));
   Accumulator<> acc(96, 12, opts, 3);
   acc.add_batch(std::span<const Csc>(inputs));
   EXPECT_TRUE(approx_equal(oracle, acc.finalize()));

@@ -1,11 +1,9 @@
-// Batched SpKAdd (the paper's §V memory-constrained extension) and the
-// binary matrix container.
+// The binary matrix container.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
-#include "core/batched.hpp"
-#include "gen/workload.hpp"
 #include "io/binary_io.hpp"
 #include "io/matrix_market.hpp"
 #include "matrix/validate.hpp"
@@ -14,103 +12,9 @@
 namespace {
 
 using namespace spkadd;
-using namespace spkadd::core;
-using spkadd::testing::dense_sum_oracle;
-using spkadd::testing::random_collection;
 using spkadd::testing::random_matrix;
 
 using Csc = spkadd::testing::Csc;
-
-// ------------------------------------------------------------- batched
-TEST(Batched, MatchesUnbatchedForAllBatchSizes) {
-  const auto inputs = random_collection(13, 128, 16, 250, 1);
-  const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  for (std::size_t b : {2u, 3u, 4u, 7u, 13u, 100u}) {
-    const auto out =
-        spkadd_batched(std::span<const Csc>(inputs), b, Options{});
-    EXPECT_TRUE(approx_equal(oracle, out)) << "batch_size=" << b;
-  }
-}
-
-TEST(Batched, WorksWithEveryMethod) {
-  const auto inputs = random_collection(9, 64, 8, 120, 2);
-  const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  for (auto m : {Method::TwoWayTree, Method::Heap, Method::Spa, Method::Hash,
-                 Method::SlidingHash}) {
-    Options opts;
-    opts.method = m;
-    EXPECT_TRUE(approx_equal(
-        oracle, spkadd_batched(std::span<const Csc>(inputs), 4, opts)))
-        << method_name(m);
-  }
-}
-
-TEST(Batched, MethodsByBatchSizesIncludingIndivisibleK) {
-  // The batched-vs-unbatched equality property across the method grid:
-  // batch_size=2 (the smallest legal batch) and sizes that do not divide k
-  // exercise the partial-final-batch and acc-plus-batch fold paths.
-  const int k = 11;  // prime: no batch size divides it
-  const auto inputs = random_collection(k, 72, 9, 140, 21);
-  const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  for (auto m : {Method::Auto, Method::TwoWayTree, Method::Heap, Method::Spa,
-                 Method::Hash, Method::SlidingHash}) {
-    for (const std::size_t b : {2u, 3u, 5u, 10u}) {
-      Options opts;
-      opts.method = m;
-      EXPECT_TRUE(approx_equal(
-          oracle, spkadd_batched(std::span<const Csc>(inputs), b, opts)))
-          << method_name(m) << " batch=" << b;
-    }
-  }
-}
-
-TEST(Batched, UnsortedInputsAcrossBatchSizes) {
-  auto inputs = random_collection(7, 64, 8, 130, 22);
-  const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  for (auto& m : inputs) gen::shuffle_columns(m, 77);
-  for (auto method : {Method::Spa, Method::Hash, Method::SlidingHash}) {
-    for (const std::size_t b : {2u, 3u, 4u}) {
-      Options opts;
-      opts.method = method;
-      opts.inputs_sorted = false;
-      opts.sorted_output = true;
-      EXPECT_TRUE(approx_equal(
-          oracle, spkadd_batched(std::span<const Csc>(inputs), b, opts)))
-          << method_name(method) << " batch=" << b;
-    }
-  }
-}
-
-TEST(Batched, PerformsZeroPerBatchInputCopies) {
-  // The pre-accumulator implementation deep-copied every input into a
-  // scratch vector each round; the streaming rewrite borrows pointers.
-  const auto inputs = random_collection(16, 64, 8, 120, 23);
-  Options opts;
-  opts.method = Method::Hash;
-  const std::uint64_t before = spkadd::debug::csc_copies();
-  const auto out = spkadd_batched(std::span<const Csc>(inputs), 4, opts);
-  EXPECT_EQ(spkadd::debug::csc_copies() - before, 0u);
-  EXPECT_GT(out.nnz(), 0u);
-}
-
-TEST(Batched, RejectsDegenerateBatchSize) {
-  const auto inputs = random_collection(4, 16, 4, 20, 3);
-  EXPECT_THROW(spkadd_batched(std::span<const Csc>(inputs), 1, Options{}),
-               std::invalid_argument);
-  EXPECT_THROW(spkadd_batched(std::span<const Csc>(inputs), 0, Options{}),
-               std::invalid_argument);
-}
-
-TEST(Batched, SingleBatchDegeneratesToPlainSpkadd) {
-  const auto inputs = random_collection(4, 32, 4, 50, 4);
-  EXPECT_TRUE(spkadd_batched(std::span<const Csc>(inputs), 8, Options{}) ==
-              core::spkadd(inputs));
-}
-
-TEST(Batched, VectorOverload) {
-  const auto inputs = random_collection(6, 32, 4, 50, 5);
-  EXPECT_TRUE(spkadd_batched(inputs, 3) == core::spkadd(inputs));
-}
 
 // ------------------------------------------------------------- binary io
 TEST(BinaryIo, RoundTripsExactly) {

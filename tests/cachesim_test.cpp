@@ -2,7 +2,7 @@
 // simulated LL misses than plain hash once tables outgrow the cache budget.
 // Plus the CacheHierarchy layer: inclusion (an inner hit never counts an
 // outer access), per-level stats accounting, and the single-level ==
-// CacheModel equivalence the Table V compatibility path relies on.
+// CacheModel equivalence.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -102,8 +102,8 @@ TEST(CacheModel, CountsEvictionsAndHits) {
 
 HierarchySpec two_level() {
   HierarchySpec spec;
-  spec.levels.push_back(LevelSpec{"L1", 128, 2, 64, false, 12.0});
-  spec.levels.push_back(LevelSpec{"LLC", 1 << 12, 4, 64, true, 200.0});
+  spec.levels.push_back(LevelSpec{"L1", 128, 2, 64, false});
+  spec.levels.push_back(LevelSpec{"LLC", 1 << 12, 4, 64, true});
   return spec;
 }
 
@@ -139,7 +139,7 @@ TEST(CacheHierarchy, InclusiveFillRehitsOuterAfterInnerEviction) {
 TEST(CacheHierarchy, SingleLevelReproducesCacheModelExactly) {
   const CacheConfig cfg{1 << 14, 8, 64};
   CacheModel flat(cfg);
-  CacheHierarchy single(HierarchySpec::single(cfg));
+  CacheHierarchy single(HierarchySpec::from_cli_spec("LLC:16K:8"));
   std::mt19937_64 rng(42);
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t addr = rng() % (1 << 18);
@@ -148,16 +148,6 @@ TEST(CacheHierarchy, SingleLevelReproducesCacheModelExactly) {
   EXPECT_EQ(flat.stats().accesses, single.level_stats(0).accesses);
   EXPECT_EQ(flat.stats().misses, single.level_stats(0).misses);
   EXPECT_EQ(flat.stats().evictions, single.level_stats(0).evictions);
-}
-
-TEST(CacheHierarchy, WeightedMissCostSumsLevels) {
-  CacheHierarchy cache(two_level());
-  std::mt19937_64 rng(3);
-  for (int i = 0; i < 500; ++i) cache.access((rng() % 256) * 64);
-  const double expect =
-      static_cast<double>(cache.level_stats(0).misses) * 12.0 +
-      static_cast<double>(cache.level_stats(1).misses) * 200.0;
-  EXPECT_DOUBLE_EQ(cache.weighted_miss_cost(), expect);
 }
 
 TEST(HierarchySpec, ValidatesShapeAndOrder) {
@@ -179,17 +169,9 @@ TEST(HierarchySpec, FromCliSpecRoundTripsAndSharesLast) {
   EXPECT_FALSE(spec.levels[1].shared);
   EXPECT_TRUE(spec.levels[2].shared);
   EXPECT_EQ(spec.levels[2].bytes, 8ull << 20);
-  EXPECT_GT(spec.levels[0].miss_penalty, 0.0);
   EXPECT_EQ(spec.to_string(), "L1:32K:8,L2:1M:16,LLC:8M:16");
   EXPECT_THROW(HierarchySpec::from_cli_spec("LLC:8M:16,L1:32K:8"),
                std::invalid_argument);
-}
-
-TEST(HierarchySpec, DetectedHasSharedOutermostLevel) {
-  const auto spec = HierarchySpec::detected();
-  ASSERT_GE(spec.levels.size(), 1u);
-  EXPECT_TRUE(spec.levels.back().shared);
-  EXPECT_NO_THROW(spec.validate());
 }
 
 // ---------------------------------------------------------------- traces
@@ -204,17 +186,24 @@ std::vector<Csc> workload(Pattern p, int k, int d) {
   return spkadd::gen::make_workload(spec);
 }
 
+/// Trace config over one shared level, given as a --cache-spec string.
+TraceConfig llc_only(const std::string& llc, int threads, bool sliding) {
+  TraceConfig cfg;
+  cfg.hierarchy = HierarchySpec::from_cli_spec(llc);
+  cfg.threads = threads;
+  cfg.sliding = sliding;
+  return cfg;
+}
+
 TEST(TracedSpkadd, SlidingNeverWorseWhenTablesOverflow) {
   // Dense-enough columns that per-thread tables overflow the modeled share:
-  // the heart of Table V cases (b)/(c).
+  // the heart of Table V cases (b)/(c). 64KB LLC model, 4 threads: 16KB
+  // per-thread share.
   const auto inputs = workload(Pattern::ER, 16, 512);
-  TraceConfig cfg;
-  cfg.cache = CacheConfig{1 << 16, 16, 64};  // 64KB LLC model
-  cfg.threads = 4;                           // 16KB per-thread share
-  cfg.sliding = false;
-  const auto plain = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
-  cfg.sliding = true;
-  const auto sliding = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
+  const auto plain = trace_spkadd(std::span<const Csc>(inputs),
+                                  llc_only("LLC:64K:16", 4, false));
+  const auto sliding = trace_spkadd(std::span<const Csc>(inputs),
+                                    llc_only("LLC:64K:16", 4, true));
   EXPECT_GT(plain.total_accesses(), 0u);
   EXPECT_LT(sliding.total_misses(), plain.total_misses());
 }
@@ -222,131 +211,96 @@ TEST(TracedSpkadd, SlidingNeverWorseWhenTablesOverflow) {
 TEST(TracedSpkadd, NoBenefitWhenTablesFit) {
   // Table V cases (a)/(d): small tables => sliding == plain (same trace).
   const auto inputs = workload(Pattern::ER, 4, 4);
-  TraceConfig cfg;
-  cfg.cache = CacheConfig{32u << 20, 16, 64};
-  cfg.threads = 2;
-  cfg.sliding = false;
-  const auto plain = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
-  cfg.sliding = true;
-  const auto sliding = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
+  const auto plain = trace_spkadd(std::span<const Csc>(inputs),
+                                  llc_only("LLC:32M:16", 2, false));
+  const auto sliding = trace_spkadd(std::span<const Csc>(inputs),
+                                    llc_only("LLC:32M:16", 2, true));
   EXPECT_EQ(plain.total_misses(), sliding.total_misses());
 }
 
 TEST(TracedSpkadd, PhasesBothCounted) {
   const auto inputs = workload(Pattern::RMAT, 8, 32);
-  TraceConfig cfg;
-  cfg.cache = CacheConfig{1 << 20, 16, 64};
-  cfg.threads = 2;
-  const auto r = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
-  EXPECT_GT(r.symbolic.accesses, 0u);
-  EXPECT_GT(r.numeric.accesses, 0u);
-  EXPECT_EQ(r.total_accesses(), r.symbolic.accesses + r.numeric.accesses);
+  const auto r = trace_spkadd(std::span<const Csc>(inputs),
+                              llc_only("LLC:1M:16", 2, false));
+  ASSERT_EQ(r.level_names, std::vector<std::string>{"LLC"});
+  EXPECT_GT(r.symbolic[0].accesses, 0u);
+  EXPECT_GT(r.numeric[0].accesses, 0u);
+  EXPECT_EQ(r.total_accesses(),
+            r.symbolic[0].accesses + r.numeric[0].accesses);
 }
 
 TEST(TracedSpkadd, EmptyInputsAreHarmless) {
+  const TraceConfig cfg = llc_only("LLC:32M:16", 48, false);
   std::vector<Csc> empty;
-  const auto r = trace_hash_spkadd(std::span<const Csc>(empty), TraceConfig{});
+  const auto r = trace_spkadd(std::span<const Csc>(empty), cfg);
   EXPECT_EQ(r.total_accesses(), 0u);
   std::vector<Csc> zeros{Csc(16, 4), Csc(16, 4)};
-  const auto z = trace_hash_spkadd(std::span<const Csc>(zeros), TraceConfig{});
+  const auto z = trace_spkadd(std::span<const Csc>(zeros), cfg);
   EXPECT_EQ(z.total_misses(), 0u);
+  // A config without levels is rejected, not traced.
+  EXPECT_THROW((void)trace_spkadd(std::span<const Csc>(zeros), TraceConfig{}),
+               std::invalid_argument);
 }
 
 TEST(TracedSpkadd, DeterministicTrace) {
   const auto inputs = workload(Pattern::ER, 4, 16);
-  TraceConfig cfg;
-  cfg.cache = CacheConfig{1 << 18, 8, 64};
-  const auto a = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
-  const auto b = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
+  const TraceConfig cfg = llc_only("LLC:256K:8", 48, false);
+  const auto a = trace_spkadd(std::span<const Csc>(inputs), cfg);
+  const auto b = trace_spkadd(std::span<const Csc>(inputs), cfg);
   EXPECT_EQ(a.total_misses(), b.total_misses());
   EXPECT_EQ(a.total_accesses(), b.total_accesses());
 }
 
 TEST(TracedSpkadd, MaxTableEntriesOverrideControlsPartitioning) {
   const auto inputs = workload(Pattern::ER, 8, 128);
-  TraceConfig cfg;
-  cfg.cache = CacheConfig{1 << 20, 16, 64};
-  cfg.threads = 1;
-  cfg.sliding = true;
+  TraceConfig cfg = llc_only("LLC:1M:16", 1, true);
   cfg.max_table_entries = 64;  // tiny tables -> many parts -> more streaming
-  const auto small = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
+  const auto small = trace_spkadd(std::span<const Csc>(inputs), cfg);
   cfg.max_table_entries = 1 << 20;  // one part
-  const auto large = trace_hash_spkadd(std::span<const Csc>(inputs), cfg);
+  const auto large = trace_spkadd(std::span<const Csc>(inputs), cfg);
   EXPECT_NE(small.total_accesses(), large.total_accesses());
 }
 
-// ------------------------------------------------ hierarchy kernel traces
+// ------------------------------------------------ multi-level traces
 
-TEST(TracedSpkadd, KernelTraceSingleLevelMatchesLegacyHashTrace) {
-  // The compatibility contract: trace_hash_spkadd is trace_kernel_spkadd
-  // over a single-level hierarchy, miss for miss.
-  const auto inputs = workload(Pattern::RMAT, 8, 64);
-  TraceConfig legacy;
-  legacy.cache = CacheConfig{1 << 18, 8, 64};
-  legacy.threads = 4;
-  KernelTraceConfig kcfg;
-  kcfg.hierarchy = HierarchySpec::single(legacy.cache);
-  kcfg.threads = 4;
-  for (const bool sliding : {false, true}) {
-    legacy.sliding = sliding;
-    kcfg.kernel = sliding ? spkadd::core::ColumnKernel::SlidingHash
-                          : spkadd::core::ColumnKernel::Hash;
-    const auto old_r = trace_hash_spkadd(std::span<const Csc>(inputs), legacy);
-    const auto new_r = trace_kernel_spkadd(std::span<const Csc>(inputs), kcfg);
-    ASSERT_EQ(new_r.symbolic.size(), 1u);
-    EXPECT_EQ(new_r.symbolic[0].misses, old_r.symbolic.misses);
-    EXPECT_EQ(new_r.symbolic[0].accesses, old_r.symbolic.accesses);
-    EXPECT_EQ(new_r.numeric[0].misses, old_r.numeric.misses);
-    EXPECT_EQ(new_r.numeric[0].accesses, old_r.numeric.accesses);
-  }
-}
-
-TEST(TracedSpkadd, AllFourKernelsTraceThroughHierarchy) {
+TEST(TracedSpkadd, BothKernelsTraceThroughHierarchy) {
   const auto inputs = workload(Pattern::ER, 8, 32);
-  KernelTraceConfig cfg;
+  TraceConfig cfg;
   cfg.hierarchy = HierarchySpec::from_cli_spec("L1:4K:4,L2:64K:8,LLC:1M:16");
   cfg.threads = 4;
-  for (const auto kernel :
-       {spkadd::core::ColumnKernel::Heap, spkadd::core::ColumnKernel::Spa,
-        spkadd::core::ColumnKernel::Hash,
-        spkadd::core::ColumnKernel::SlidingHash}) {
-    cfg.kernel = kernel;
-    const auto r = trace_kernel_spkadd(std::span<const Csc>(inputs), cfg);
-    ASSERT_EQ(r.level_names.size(), 3u)
-        << spkadd::core::column_kernel_name(kernel);
+  for (const bool sliding : {false, true}) {
+    cfg.sliding = sliding;
+    const auto r = trace_spkadd(std::span<const Csc>(inputs), cfg);
+    ASSERT_EQ(r.level_names.size(), 3u) << "sliding=" << sliding;
     EXPECT_EQ(r.level_names[0], "L1");
-    EXPECT_GT(r.total_accesses(), 0u)
-        << spkadd::core::column_kernel_name(kernel);
-    EXPECT_GT(r.total_misses(), 0u) << spkadd::core::column_kernel_name(kernel);
-    EXPECT_GT(r.weighted_miss_cost, 0.0)
-        << spkadd::core::column_kernel_name(kernel);
+    EXPECT_GT(r.total_accesses(), 0u) << "sliding=" << sliding;
+    EXPECT_GT(r.total_misses(), 0u) << "sliding=" << sliding;
     // Inclusion holds inside the trace too: deeper levels only see the
     // upstream misses.
     for (std::size_t phase = 0; phase < 2; ++phase) {
       const auto& stats = phase == 0 ? r.symbolic : r.numeric;
       for (std::size_t i = 1; i < stats.size(); ++i)
         EXPECT_EQ(stats[i].accesses, stats[i - 1].misses)
-            << spkadd::core::column_kernel_name(kernel);
+            << "sliding=" << sliding;
     }
     // Deterministic replay.
-    const auto again = trace_kernel_spkadd(std::span<const Csc>(inputs), cfg);
+    const auto again = trace_spkadd(std::span<const Csc>(inputs), cfg);
     EXPECT_EQ(r.total_misses(), again.total_misses());
-    EXPECT_DOUBLE_EQ(r.weighted_miss_cost, again.weighted_miss_cost);
   }
 }
 
-TEST(TracedSpkadd, HeapBeatsHashOnTinySortedColumns) {
-  // The Fig. 2 heap corner, now measurable: k=4, d=2 columns have no table
-  // to initialize, so the heap trace touches far less memory.
-  const auto inputs = workload(Pattern::ER, 4, 2);
-  KernelTraceConfig cfg;
-  cfg.hierarchy = HierarchySpec::from_cli_spec("L1:32K:8,LLC:1M:16");
-  cfg.threads = 4;
-  cfg.kernel = spkadd::core::ColumnKernel::Heap;
-  const auto heap = trace_kernel_spkadd(std::span<const Csc>(inputs), cfg);
-  cfg.kernel = spkadd::core::ColumnKernel::Hash;
-  const auto hash = trace_kernel_spkadd(std::span<const Csc>(inputs), cfg);
-  EXPECT_LT(heap.weighted_miss_cost, hash.weighted_miss_cost);
+TEST(TracedSpkadd, PrivateLevelSwallowedByTheLlcShareIsNotSimulated) {
+  // 48 threads share the 8MB LLC: each gets ~170KB, less than the private
+  // 1MB L2, so one simulated thread sees L1 then its LLC share. The result
+  // names the levels it simulated, which is what bench_table5 prints.
+  const auto inputs = workload(Pattern::ER, 4, 16);
+  TraceConfig cfg;
+  cfg.hierarchy = HierarchySpec::from_cli_spec("L1:32K:8,L2:1M:16,LLC:8M:16");
+  cfg.threads = 48;
+  const auto r = trace_spkadd(std::span<const Csc>(inputs), cfg);
+  EXPECT_EQ(r.level_names, (std::vector<std::string>{"L1", "LLC"}));
+  EXPECT_EQ(r.symbolic.size(), 2u);
+  EXPECT_EQ(r.numeric.size(), 2u);
 }
 
 }  // namespace

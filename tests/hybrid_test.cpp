@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/accumulator.hpp"
-#include "core/calibration.hpp"
 #include "core/spkadd.hpp"
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
@@ -313,118 +312,6 @@ TEST(HybridBitIdentity, UnsortedInputsMatchHash) {
 // ---------------------------------------------------------------------------
 // Observability + dispatch plumbing
 // ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Calibrated dispatch (Options::calibration -> MissCostTable argmin)
-// ---------------------------------------------------------------------------
-
-/// A table whose argmin is `favored` at every grid point (cost 1 vs 100).
-MissCostTable table_favoring(ColumnKernel favored) {
-  MissCostTable t;
-  t.hierarchy = "LLC:8M:16";
-  t.rows = 512;
-  t.threads = 4;
-  t.k_axis = {2, 16, 64};
-  t.d_axis = {2, 32, 512};
-  t.width_axis = {4, 16, 64};
-  for (std::size_t ki = 0; ki < kNumColumnKernels; ++ki)
-    t.costs[ki].assign(t.cells(),
-                       ki == static_cast<std::size_t>(favored) ? 1.0 : 100.0);
-  return t;
-}
-
-TEST(CalibratedDispatch, BitIdenticalToAnalyticForEveryForcedKernel) {
-  // The calibration table only changes which kernel runs per chunk; the
-  // result must stay bit-identical whatever the table says — here pinned
-  // to each kernel in turn on the same grids the analytic test uses.
-  for (const gen::Pattern p : {gen::Pattern::ER, gen::Pattern::RMAT}) {
-    for (const int k : {2, 8, 16}) {
-      gen::WorkloadSpec spec;
-      spec.pattern = p;
-      spec.rows = 512;
-      spec.cols = 16;
-      spec.avg_nnz_per_col = 16;
-      spec.k = k;
-      spec.seed = 700 + static_cast<std::uint64_t>(k);
-      const auto inputs = gen::make_workload(spec);
-      Options analytic;
-      analytic.method = Method::Hybrid;
-      const Csc expected = core::spkadd(inputs, analytic);
-      for (const ColumnKernel kern :
-           {ColumnKernel::Heap, ColumnKernel::Spa, ColumnKernel::Hash,
-            ColumnKernel::SlidingHash, ColumnKernel::DenseAcc}) {
-        const MissCostTable table = table_favoring(kern);
-        Options opts = analytic;
-        opts.calibration = &table;
-        EXPECT_TRUE(expected == core::spkadd(inputs, opts))
-            << column_kernel_name(kern) << " pattern="
-            << (p == gen::Pattern::ER ? "ER" : "RMAT") << " k=" << k;
-      }
-    }
-  }
-}
-
-TEST(CalibratedDispatch, TableControlsTheChunkMix) {
-  const auto inputs = random_collection(8, 512, 32, 600, 41);
-  const MissCostTable sliding_table =
-      table_favoring(ColumnKernel::SlidingHash);
-  Options opts;
-  opts.method = Method::Hybrid;
-  opts.calibration = &sliding_table;
-  OpCounters counters;
-  opts.counters = &counters;
-  (void)core::spkadd(inputs, opts);
-  EXPECT_GT(counters.chunks_total(), 0u);
-  EXPECT_EQ(counters.chunks_sliding, counters.chunks_total());
-
-  const MissCostTable spa_table = table_favoring(ColumnKernel::Spa);
-  opts.calibration = &spa_table;
-  counters = {};
-  (void)core::spkadd(inputs, opts);
-  EXPECT_EQ(counters.chunks_spa, counters.chunks_total());
-}
-
-TEST(CalibratedDispatch, HeapExcludedWhenInputsUnsorted) {
-  auto inputs = random_collection(6, 512, 16, 600, 43);
-  for (auto& m : inputs) gen::shuffle_columns(m, 99);
-  const MissCostTable heap_table = table_favoring(ColumnKernel::Heap);
-  Options opts;
-  opts.method = Method::Hybrid;
-  opts.inputs_sorted = false;
-  opts.calibration = &heap_table;
-  OpCounters counters;
-  opts.counters = &counters;
-  const Csc out = core::spkadd(inputs, opts);
-  EXPECT_EQ(counters.chunks_heap, 0u)
-      << "calibrated planner must not hand unsorted inputs to the heap";
-  Options hash_opts;
-  hash_opts.method = Method::Hash;
-  hash_opts.inputs_sorted = false;
-  EXPECT_TRUE(out == core::spkadd(inputs, hash_opts));
-}
-
-TEST(CalibratedDispatch, UnusableTableFallsBackToAnalytic) {
-  const auto inputs = random_collection(8, 512, 16, 600, 47);
-  MissCostTable broken = table_favoring(ColumnKernel::SlidingHash);
-  broken.costs[0].clear();  // shape mismatch -> !usable()
-  ASSERT_FALSE(broken.usable());
-
-  Options analytic;
-  analytic.method = Method::Hybrid;
-  OpCounters a_counters;
-  analytic.counters = &a_counters;
-  const Csc a = core::spkadd(inputs, analytic);
-
-  Options calibrated = analytic;
-  OpCounters c_counters;
-  calibrated.counters = &c_counters;
-  calibrated.calibration = &broken;
-  const Csc c = core::spkadd(inputs, calibrated);
-
-  EXPECT_TRUE(a == c);
-  EXPECT_EQ(a_counters.chunk_mix(), c_counters.chunk_mix())
-      << "an unusable table must leave the analytic plan untouched";
-}
 
 TEST(HybridCounters, ChunkCountsMatchThePlan) {
   const auto inputs = random_collection(8, 512, 32, 800, 51);
