@@ -176,9 +176,14 @@ int main(int argc, char** argv) {
       spec.rows = *rows;
       spec.cols = *cols;
       spec.avg_nnz_per_col = *d;
-      spec.k = static_cast<int>(P * *updates);
+      // make_workload wants a power-of-two k; generate enough and keep
+      // the first P x --updates.
+      const auto set_size = static_cast<std::size_t>(P * *updates);
+      spec.k = 1;
+      while (static_cast<std::size_t>(spec.k) < set_size) spec.k *= 2;
       spec.seed = 9000 + static_cast<std::uint64_t>(P);
       auto all_updates = gen::make_workload(spec);
+      all_updates.resize(set_size);
       for (auto& u : all_updates) quantize_values(u);
       std::cerr << "generated " << spec.describe() << "\n";
       const Csc expected = core::spkadd(all_updates);
@@ -286,7 +291,7 @@ int main(int argc, char** argv) {
 
           char avg_bst[32];
           std::snprintf(avg_bst, sizeof(avg_bst), "%.1f",
-                        st.ingest.avg_burst());
+                        st.avg_burst());
           const std::string config =
               "pattern=" + std::string(pname) + " shards=" +
               std::to_string(S) + " producers=" + std::to_string(P) +
@@ -299,7 +304,7 @@ int main(int argc, char** argv) {
                          std::to_string(W), std::to_string(B),
                          rate_str(upd_s), rate_str(nnz_s / 1e6),
                          ms(st.latency.p50), ms(st.latency.p99), avg_bst,
-                         ms(st.ingest.throttle_seconds),
+                         ms(st.throttle_seconds),
                          *rate > 0 ? std::to_string(drops.load()) : "-",
                          std::to_string(st.queue_high_water), mix,
                          exact ? "yes" : "NO"});

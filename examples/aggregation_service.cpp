@@ -140,12 +140,12 @@ int main(int argc, char** argv) {
   std::cout << "service: " << st.applied << " updates applied, p99 "
             << st.latency.p99 * 1e3 << " ms, queue high-water "
             << st.queue_high_water << "/" << cfg.queue_capacity << "\n";
-  std::cout << "ingest: " << st.ingest.bursts << " bursts, avg "
-            << st.ingest.avg_burst() << " updates/burst (full/deadline/"
+  std::cout << "ingest: " << st.bursts << " bursts, avg "
+            << st.avg_burst() << " updates/burst (full/deadline/"
             << "drain flushes " << st.ingest.flushes_full << "/"
             << st.ingest.flushes_deadline << "/" << st.ingest.flushes_drain
-            << "), throttled " << st.ingest.throttle_events << "x for "
-            << st.ingest.throttle_seconds * 1e3 << " ms\n";
+            << "), throttled " << st.throttle_events << "x for "
+            << st.throttle_seconds * 1e3 << " ms\n";
   svc.stop();
   return ok ? 0 : 1;
 }

@@ -125,6 +125,11 @@ echo "=== bench_service (small sweep) ==="
   --rows 4096 --cols 16 --d 4 --updates 8 --duration-ms 150 \
   --shards 1,2,4 --producers 2 --burst 1,8 \
   --json "$tmp/service.json" > "$tmp/service.txt"
+# The same loadgen with every flag but the duration at its default, so
+# a default that makes it abort fails CI instead of its first user.
+echo "=== bench_service (defaults) ==="
+"$BUILD_DIR/bench/bench_service" --duration-ms 100 \
+  > "$tmp/service_defaults.txt"
 # Hybrid skew sweep: exits nonzero when any method result is not
 # bit-identical to Hash, so correctness gates the run like the others.
 # The shape is big enough (~seconds, not sub-ms laps) that the recorded

@@ -359,7 +359,8 @@ class Accumulator {
             static_cast<std::size_t>(dense_slot_[static_cast<std::size_t>(j)]);
         ValueT* vals = dense_vals_.data() + slot * m;
         std::uint64_t* mask = dense_mask_.data() + slot * words;
-        const auto lo = static_cast<std::size_t>(cp[static_cast<std::size_t>(j)]);
+        const auto lo =
+            static_cast<std::size_t>(cp[static_cast<std::size_t>(j)]);
         const auto hi =
             static_cast<std::size_t>(cp[static_cast<std::size_t>(j) + 1]);
         for (std::size_t p = lo; p < hi; ++p) {
@@ -444,7 +445,8 @@ class Accumulator {
       if (resident_[static_cast<std::size_t>(j)] == 0)
         counts[static_cast<std::size_t>(j)] = acc_.col_nnz(j);
     Matrix stripped(rows_, cols_);
-    stripped.set_structure(util::counts_to_offsets(std::span<const IndexT>(counts)));
+    stripped.set_structure(
+        util::counts_to_offsets(std::span<const IndexT>(counts)));
     auto* orow = stripped.mutable_row_idx().data();
     auto* oval = stripped.mutable_values().data();
     const auto ocp = stripped.col_ptr();
@@ -488,7 +490,8 @@ class Accumulator {
       }
     }
     Matrix merged(rows_, cols_);
-    merged.set_structure(util::counts_to_offsets(std::span<const IndexT>(counts)));
+    merged.set_structure(
+        util::counts_to_offsets(std::span<const IndexT>(counts)));
     auto* orow = merged.mutable_row_idx().data();
     auto* oval = merged.mutable_values().data();
     const auto ocp = merged.col_ptr();

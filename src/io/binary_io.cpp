@@ -2,7 +2,8 @@
 
 #include <array>
 #include <cstring>
-#include <fstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -86,19 +87,6 @@ CscMatrix<std::int32_t, double> read_binary(std::istream& in) {
   if (const auto check = validate(m, /*require_sorted=*/false); !check)
     throw std::runtime_error("binary matrix: " + check.reason);
   return m;
-}
-
-void write_binary_file(const std::string& path,
-                       const CscMatrix<std::int32_t, double>& m) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  write_binary(out, m);
-}
-
-CscMatrix<std::int32_t, double> read_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return read_binary(in);
 }
 
 }  // namespace spkadd::io

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "matrix/csc.hpp"
 
@@ -20,12 +19,9 @@ namespace spkadd::io {
 /// Serialize a CSC matrix. Throws std::runtime_error on stream failure.
 void write_binary(std::ostream& out,
                   const CscMatrix<std::int32_t, double>& m);
-void write_binary_file(const std::string& path,
-                       const CscMatrix<std::int32_t, double>& m);
 
 /// Deserialize; validates the header (magic, version, element widths) and
 /// the structural invariants of the arrays. Throws on any mismatch.
 CscMatrix<std::int32_t, double> read_binary(std::istream& in);
-CscMatrix<std::int32_t, double> read_binary_file(const std::string& path);
 
 }  // namespace spkadd::io

@@ -289,9 +289,8 @@ void DaemonServer::handle(Conn& conn, Request&& req,
         record_error(conn, Status::kBadTenant);
         return;
       }
-      obs::Tracer* const tracer = config_.service.tracer;
-      obs::OpTrace trace;
-      if (tracer != nullptr) trace = tracer->begin_op();
+      obs::Tracer& tracer = obs::Tracer::global();
+      obs::OpTrace trace = tracer.begin_op();
       CscMatrix<std::int32_t, double> update;
       try {
         update = decode_matrix(req.payload);
@@ -308,8 +307,8 @@ void DaemonServer::handle(Conn& conn, Request&& req,
         return;
       }
       if (trace.active())
-        tracer->record(trace, obs::Stage::kWireDecode, t0,
-                       "tenant=" + req.tenant);
+        tracer.record(trace, obs::Stage::kWireDecode, t0,
+                      "tenant=" + req.tenant);
       burst.push_back(TimedUpdate{std::move(req.tenant), req.arg,
                                   std::move(update), std::move(trace)});
       Response resp;

@@ -22,15 +22,14 @@
 //                                         core::Accumulator folding
 //                                         every batch_window slices
 //
-// Ingest is burst-batched (the FlexiCAS transaction-queue pattern):
-// producers stage updates into a thread-local burst buffer and pay one
-// queue-lock acquisition per burst instead of one MPMC round-trip per
-// submit; a background flusher guarantees a lone update never waits
-// longer than flush_deadline_us; workers pop up to a burst at a time
-// and fold its slices grouped per shard, so the shard mutex too is
-// taken once per burst. The queue throttles producers at the high
-// watermark and releases them at the low watermark (hysteresis), not
-// hard blocking at capacity.
+// The queue, the worker pool, tickets and drain()/stop() are the
+// IngestSpine both services share (service/ingest_spine.hpp). This
+// class adds the producer side and the fold policy: producers stage
+// updates into a thread-local burst buffer and pay one queue-lock
+// acquisition per burst instead of one MPMC round-trip per submit; a
+// background flusher guarantees a lone update never waits longer than
+// flush_deadline_us; workers fold a popped burst's slices grouped per
+// shard, so the shard mutex too is taken once per burst.
 //
 // Guarantees:
 //   * Backpressure, not OOM: at most queue_capacity updates (plus one
@@ -68,24 +67,23 @@
 // bullet above is the bit-identity guarantee snapshot() honors.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "service/ingest_spine.hpp"
 #include "service/service_config.hpp"
 #include "service/service_stats.hpp"
 #include "service/shard.hpp"
-#include "util/mpmc_queue.hpp"
 
 namespace spkadd::service {
 
@@ -134,17 +132,6 @@ class AggService {
   /// for an unknown tenant.
   Snapshot snapshot(const std::string& tenant);
 
-  /// Take a snapshot and persist its sum via io::binary_io. Returns the
-  /// snapshot so callers know the epoch they persisted.
-  Snapshot save_snapshot(const std::string& tenant,
-                         const std::string& path);
-
-  /// Replace `tenant`'s running sum with a previously saved snapshot
-  /// (creating the tenant if needed — the shard layout follows THIS
-  /// service's config, so a dump taken with 4 shards restores cleanly
-  /// into 2). Throws on header/shape mismatch.
-  void restore(const std::string& tenant, const std::string& path);
-
   /// Flush every producer's staged burst, then block until every update
   /// accepted by then has been folded into its shards (or dropped by a
   /// throwing fold — see ServiceStats::apply_errors).
@@ -165,11 +152,11 @@ class AggService {
     std::string tenant;
     Matrix update;
     std::chrono::steady_clock::time_point submitted;
-    std::uint64_t ticket = 0;  ///< acceptance order; drives drain()
+    std::uint64_t ticket = 0;  ///< issued by the spine; drives drain()
   };
 
   /// One producer thread's staging area: tasks accumulate here and are
-  /// flushed into the MPMC queue as a single burst. `mutex` serializes
+  /// flushed into the ingest queue as a single burst. `mutex` serializes
   /// the owning producer with the deadline flusher and drain/stop
   /// sweeps; flushes happen entirely under it so per-producer FIFO
   /// order survives every flush path.
@@ -185,11 +172,9 @@ class AggService {
     Tenant(std::int32_t rows, std::int32_t cols,
            const ServiceConfig& cfg);
 
-    std::int32_t rows;
-    std::int32_t cols;
     RowPartition partition;
-    /// shared: workers applying an update's slices; unique: snapshot /
-    /// restore. This is what makes updates all-or-nothing vs. readers.
+    /// shared: workers applying an update's slices; unique: snapshot.
+    /// This is what makes updates all-or-nothing vs. readers.
     std::shared_mutex apply_mutex;
     std::deque<TenantShard> shards;  ///< deque: TenantShard is pinned
     std::atomic<std::uint64_t> updates_applied{0};
@@ -197,38 +182,30 @@ class AggService {
     std::atomic<std::uint64_t> epoch{0};
   };
 
-  /// Look up a tenant (nullptr when absent).
-  [[nodiscard]] Tenant* find_tenant(const std::string& name) const;
-  /// Look up or create; throws when an existing tenant's shape differs.
-  Tenant& tenant_for(const std::string& name, std::int32_t rows,
-                     std::int32_t cols);
+  /// Look up or create `name`; throws when its shape differs.
+  Tenant& tenant_for(const std::string& name, const Matrix& update);
   /// This thread's burst buffer for THIS service instance (created and
   /// registered on first use).
   BurstBuffer& local_buffer();
   /// Flush `buf`'s staged tasks into the queue as one burst. The caller
   /// holds buf.mutex. Blocking flushes push everything unless the queue
-  /// closes mid-burst (the leftover is dropped: tickets retired,
-  /// counted rejected). Non-blocking flushes are all-or-nothing and
-  /// leave the tasks staged on a saturated queue. Returns true iff the
-  /// buffer is empty afterwards because everything was pushed.
+  /// closes mid-burst (the spine retires the leftover as rejected).
+  /// Non-blocking flushes are all-or-nothing and leave the tasks staged
+  /// on a saturated queue. Returns true iff the buffer is empty
+  /// afterwards.
   bool flush_locked(BurstBuffer& buf, FlushReason reason, bool blocking);
   void flush_all_buffers(FlushReason reason);
   void flusher_loop();
-  void worker_loop(std::size_t worker_index);
-  /// Fold one popped burst: group tasks by tenant, apply each group
-  /// with one shard-lock acquisition per shard, then retire the whole
-  /// burst's tickets under one progress-lock acquisition.
-  void apply_burst(std::vector<Task>& burst);
+  /// The fold policy the spine's workers run on each popped burst:
+  /// apply every tenant group with one shard-lock acquisition per
+  /// shard, then record submit -> applied latency.
+  FoldCounts fold_burst(std::vector<Task>& burst);
   void apply_group(std::vector<Task>& burst,
                    const std::vector<std::size_t>& group,
                    std::vector<unsigned char>& ok);
-  Snapshot snapshot_locked(Tenant& t);
 
   ServiceConfig config_;
-  util::BoundedMpmcQueue<Task> queue_;
-
-  mutable std::shared_mutex tenants_mutex_;
-  std::map<std::string, std::unique_ptr<Tenant>> tenants_;
+  TenantRegistry<Tenant> tenants_{"AggService"};
 
   // Burst buffers of every producer thread that ever submitted here;
   // the flusher and drain/stop sweep them. shared_ptr so a producer's
@@ -237,46 +214,22 @@ class AggService {
   mutable std::mutex buffers_mutex_;
   std::vector<std::shared_ptr<BurstBuffer>> buffers_;
 
-  std::vector<std::thread> workers_;
-  std::thread flusher_;
   std::mutex flusher_mutex_;
   std::condition_variable flusher_cv_;
   bool flusher_stop_ = false;  ///< guarded by flusher_mutex_
-  std::atomic<bool> stopped_{false};
-  std::once_flag stop_once_;
 
-  // Progress accounting, all guarded by progress_mutex_ so a drainer
-  // can wait on the condition variable without lost wakeups. Tickets
-  // are issued per burst at flush time (one lock acquisition per burst
-  // on both the producer and worker side); drain() flushes the buffers
-  // first, so everything staged before it gets a ticket below its
-  // cutoff and completions of later tasks can never satisfy it.
-  mutable std::mutex progress_mutex_;
-  std::condition_variable progress_cv_;
-  std::uint64_t next_ticket_ = 1;
-  std::set<std::uint64_t> pending_tickets_;  ///< accepted, not done
-  std::uint64_t submitted_ = 0;  ///< handed to the queue
-  std::uint64_t applied_ = 0;    ///< folded successfully
-  std::uint64_t apply_errors_ = 0;  ///< dropped by a failing apply
-  std::atomic<std::uint64_t> rejected_{0};
+  /// Pushed flushes per FlushReason (IngestStats), relaxed: statistics.
+  std::array<std::atomic<std::uint64_t>, 3> flushes_{};
 
-  // Burst-flush counters (IngestStats), relaxed: they are statistics.
-  std::atomic<std::uint64_t> bursts_{0};
-  std::atomic<std::uint64_t> burst_updates_{0};
-  std::atomic<std::size_t> max_burst_{0};
-  std::atomic<std::uint64_t> flushes_full_{0};
-  std::atomic<std::uint64_t> flushes_deadline_{0};
-  std::atomic<std::uint64_t> flushes_drain_{0};
+  /// submit -> applied, nanoseconds (lock-free recording).
+  LatencyHistogram latency_;
 
-  // Per-instance histograms (lock-free recording). The registry sees
-  // them only through the scrape-time collector below, so sibling
-  // instances never mix samples and stats() stays exact per service.
-  LatencyHistogram latency_;        ///< submit -> applied, nanoseconds
-  LatencyHistogram fold_hist_;      ///< per-burst fold wall time, ns
-  LatencyHistogram burst_hist_;     ///< updates per flushed burst
+  // Queue, workers, tickets and burst counters. Declared after
+  // everything fold_burst reads, so its workers start last.
+  IngestSpine<Task> spine_;
+  std::thread flusher_;  ///< deadline flushes; joined in stop()
 
-  /// Exports every counter above into a CollectorSink (shared by the
-  /// registry collector and any diagnostics caller).
+  /// Exports the spine's families plus the shard and tenant counters.
   void export_metrics(obs::CollectorSink& sink) const;
 
   // LAST member: destroyed first, and its dtor blocks until no render

@@ -9,7 +9,6 @@
 // yields snapshots bit-identical to one-shot spkadd on exact values.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 
@@ -97,44 +96,24 @@ struct ServiceConfig {
     return workers != 0 ? workers : shards;
   }
 
-  /// Watermarks after defaulting (high = capacity, low = 3/4 high).
-  [[nodiscard]] std::size_t effective_high_watermark() const {
-    return queue_high_watermark != 0 ? queue_high_watermark
-                                     : queue_capacity;
-  }
-  [[nodiscard]] std::size_t effective_low_watermark() const {
-    if (queue_low_watermark != 0) return queue_low_watermark;
-    const std::size_t high = effective_high_watermark();
-    return std::max<std::size_t>(1, high - high / 4);
-  }
-
   /// Whether the configured fold method refuses unsorted columns (the
   /// free method_requires_sorted() above, applied to options.method).
   [[nodiscard]] bool method_requires_sorted() const {
     return service::method_requires_sorted(options.method);
   }
 
-  /// Throws std::invalid_argument on an unusable configuration.
+  /// Throws std::invalid_argument on an unusable configuration. The
+  /// queue knobs (queue_capacity, burst_size, the watermarks) are
+  /// checked by the ingest spine when the service builds it.
   void validate() const {
     if (shards < 1)
       throw std::invalid_argument("ServiceConfig: shards must be >= 1");
-    if (queue_capacity < 1)
-      throw std::invalid_argument(
-          "ServiceConfig: queue_capacity must be >= 1");
     if (batch_window < 1)
       throw std::invalid_argument(
           "ServiceConfig: batch_window must be >= 1");
-    if (burst_size < 1)
-      throw std::invalid_argument("ServiceConfig: burst_size must be >= 1");
     if (flush_deadline_us < 1)
       throw std::invalid_argument(
           "ServiceConfig: flush_deadline_us must be >= 1");
-    if (effective_high_watermark() > queue_capacity)
-      throw std::invalid_argument(
-          "ServiceConfig: queue_high_watermark exceeds queue_capacity");
-    if (effective_low_watermark() > effective_high_watermark())
-      throw std::invalid_argument(
-          "ServiceConfig: queue_low_watermark exceeds the high watermark");
     // A merge-family method with inputs declared unsorted would throw
     // on every single fold; refuse the config instead of the traffic.
     if (method_requires_sorted() && !options.inputs_sorted)

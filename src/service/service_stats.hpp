@@ -1,5 +1,6 @@
-// Observability for the aggregation service: the plain snapshot structs
-// AggService::stats() hands to benches and operators. The latency
+// Observability for the aggregation services: the plain snapshot structs
+// AggService::stats() hands to benches and operators, and SpineStats,
+// the ingest-spine part WindowedServiceStats shares. The latency
 // histogram itself lives in obs/histogram.hpp (LatencyHistogram below
 // is an alias), and every counter in these structs is also exported
 // through obs::MetricsRegistry at scrape time — stats() and the
@@ -49,25 +50,39 @@ struct ShardStats {
   std::size_t dense_resident_cols = 0;
 };
 
-/// Producer-side burst/watermark counters for the batched ingest path.
-struct IngestStats {
-  std::uint64_t bursts = 0;         ///< burst flushes into the queue
-  std::uint64_t burst_updates = 0;  ///< updates across those bursts
-  std::size_t max_burst = 0;        ///< largest single burst flushed
-  std::uint64_t flushes_full = 0;   ///< buffer reached burst_size
-  std::uint64_t flushes_deadline = 0;  ///< background deadline sweeps
-  std::uint64_t flushes_drain = 0;     ///< drain()/stop() sweeps
-  std::uint64_t throttle_events = 0;   ///< pushes blocked at high watermark
+/// The ingest spine's counters (service/ingest_spine.hpp), the part
+/// both services' stats structs share.
+struct SpineStats {
+  std::uint64_t submitted = 0;  ///< updates accepted into the queue
+  std::uint64_t applied = 0;    ///< updates fully folded
+  std::uint64_t rejected = 0;   ///< updates refused (service stopped)
+  /// Updates dropped because their fold threw (e.g. a merge-family
+  /// method fed unsorted columns); the service survives and keeps
+  /// serving — drain() counts these as progressed.
+  std::uint64_t apply_errors = 0;
+  std::size_t queue_depth = 0;
+  std::size_t queue_high_water = 0;  ///< deepest ingest backlog seen
+  std::uint64_t bursts = 0;          ///< burst pushes into the queue
+  std::uint64_t burst_updates = 0;   ///< updates across those bursts
+  std::size_t max_burst = 0;         ///< largest single burst pushed
+  std::uint64_t throttle_events = 0;  ///< pushes blocked at high watermark
   double throttle_seconds = 0;  ///< total producer time spent throttled
 
-  /// Mean updates per flushed burst (the amortization factor actually
-  /// realized: every queue-lock acquisition covered this many updates).
+  /// Mean updates per burst (the amortization factor actually realized:
+  /// every queue-lock acquisition covered this many updates).
   [[nodiscard]] double avg_burst() const {
     return bursts != 0
                ? static_cast<double>(burst_updates) /
                      static_cast<double>(bursts)
                : 0.0;
   }
+};
+
+/// Why AggService's producer burst buffers were flushed.
+struct IngestStats {
+  std::uint64_t flushes_full = 0;      ///< buffer reached burst_size
+  std::uint64_t flushes_deadline = 0;  ///< background deadline sweeps
+  std::uint64_t flushes_drain = 0;     ///< drain()/stop() sweeps
 };
 
 /// Per-tenant counters.
@@ -79,19 +94,10 @@ struct TenantStats {
   std::uint64_t epoch = 0;  ///< epoch of the latest snapshot
 };
 
-/// One consistent-enough read of every service counter.
-struct ServiceStats {
-  std::uint64_t submitted = 0;  ///< updates accepted by submit()
-  std::uint64_t applied = 0;    ///< updates fully folded into shards
-  std::uint64_t rejected = 0;   ///< updates refused (service stopped)
-  /// Updates dropped because their fold threw (e.g. a merge-family
-  /// method fed unsorted columns); the service survives and keeps
-  /// serving — drain() counts these as progressed.
-  std::uint64_t apply_errors = 0;
-  std::size_t queue_depth = 0;
-  std::size_t queue_high_water = 0;  ///< deepest ingest backlog seen
-  IngestStats ingest;                ///< burst/watermark ingest counters
-  LatencySummary latency;            ///< submit -> applied
+/// One consistent-enough read of every AggService counter.
+struct ServiceStats : SpineStats {
+  IngestStats ingest;      ///< burst-buffer flush reasons
+  LatencySummary latency;  ///< submit -> applied
   std::vector<ShardStats> shards;
   std::vector<TenantStats> tenants;
 };

@@ -7,29 +7,10 @@
 
 namespace spkadd::service {
 
-void WindowedAggService::Config::validate() const {
-  window.validate();
-  if (workers < 1)
-    throw std::invalid_argument(
-        "WindowedAggService: workers must be >= 1");
-  if (queue_capacity < 1)
-    throw std::invalid_argument(
-        "WindowedAggService: queue_capacity must be >= 1");
-  if (burst_size < 1)
-    throw std::invalid_argument(
-        "WindowedAggService: burst_size must be >= 1");
-  if (effective_high_watermark() > queue_capacity)
-    throw std::invalid_argument(
-        "WindowedAggService: high watermark exceeds queue_capacity");
-  if (effective_low_watermark() > effective_high_watermark())
-    throw std::invalid_argument(
-        "WindowedAggService: low watermark exceeds the high watermark");
-}
-
 namespace {
 
 WindowedAggService::Config validated(WindowedAggService::Config cfg) {
-  cfg.validate();
+  cfg.window.validate();
   return cfg;
 }
 
@@ -37,11 +18,9 @@ WindowedAggService::Config validated(WindowedAggService::Config cfg) {
 
 WindowedAggService::WindowedAggService(Config config)
     : config_(validated(std::move(config))),
-      queue_(config_.queue_capacity, config_.effective_high_watermark(),
-             config_.effective_low_watermark()) {
-  workers_.reserve(config_.workers);
-  for (std::size_t i = 0; i < config_.workers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+      spine_("WindowedAggService", config_, config_.workers,
+             /*pin_threads=*/false,
+             [this](std::vector<Task>& burst) { return fold_burst(burst); }) {
   if (config_.metrics != nullptr) {
     collector_ = config_.metrics->add_collector(
         [this](obs::CollectorSink& sink) { export_metrics(sink); });
@@ -49,34 +28,6 @@ WindowedAggService::WindowedAggService(Config config)
 }
 
 WindowedAggService::~WindowedAggService() { stop(); }
-
-WindowedAggService::Tenant* WindowedAggService::find_tenant(
-    const std::string& name) const {
-  std::shared_lock lock(tenants_mutex_);
-  auto it = tenants_.find(name);
-  return it == tenants_.end() ? nullptr : it->second.get();
-}
-
-WindowedAggService::Tenant& WindowedAggService::tenant_for(
-    const std::string& name, std::int32_t rows, std::int32_t cols) {
-  const auto check = [&](Tenant& t) -> Tenant& {
-    if (t.window.rows() != rows || t.window.cols() != cols)
-      throw std::invalid_argument(
-          "WindowedAggService: update shape does not match tenant '" +
-          name + "'");
-    return t;
-  };
-  {
-    std::shared_lock lock(tenants_mutex_);
-    auto it = tenants_.find(name);
-    if (it != tenants_.end()) return check(*it->second);
-  }
-  std::unique_lock lock(tenants_mutex_);
-  auto it = tenants_.find(name);
-  if (it != tenants_.end()) return check(*it->second);
-  auto t = std::make_unique<Tenant>(rows, cols, config_.window);
-  return *tenants_.emplace(name, std::move(t)).first->second;
-}
 
 bool WindowedAggService::submit(const std::string& tenant,
                                 std::uint64_t ts, Matrix&& update) {
@@ -87,19 +38,20 @@ bool WindowedAggService::submit(const std::string& tenant,
 
 std::size_t WindowedAggService::submit_burst(
     std::vector<TimedUpdate>& burst) {
-  if (burst.empty()) return 0;
-  if (stopped_.load(std::memory_order_seq_cst)) {
-    rejected_.fetch_add(burst.size(), std::memory_order_relaxed);
-    return 0;
-  }
+  if (burst.empty() || !spine_.admit(burst.size())) return 0;
   // Create/validate every tenant BEFORE anything is ticketed or
   // enqueued: a shape mismatch throws here with the burst untouched.
-  for (const auto& u : burst)
-    tenant_for(u.tenant, u.update.rows(), u.update.cols());
+  for (const auto& u : burst) {
+    const std::int32_t rows = u.update.rows();
+    const std::int32_t cols = u.update.cols();
+    tenants_.get_or_create(u.tenant, rows, cols, [&] {
+      return std::make_unique<Tenant>(rows, cols, config_.window);
+    });
+  }
 
-  obs::Tracer* const tracer = config_.tracer;
+  obs::Tracer& tracer = obs::Tracer::global();
   const std::uint64_t enqueue_start =
-      tracer != nullptr && tracer->enabled() ? obs::Tracer::now_ns() : 0;
+      tracer.enabled() ? obs::Tracer::now_ns() : 0;
   std::vector<Task> tasks;
   tasks.reserve(burst.size());
   for (auto& u : burst) tasks.push_back(Task{std::move(u), 0, 0});
@@ -108,116 +60,57 @@ std::size_t WindowedAggService::submit_burst(
     // Close the burst-enqueue span before the tasks are moved into the
     // queue; enqueue_ns marks where the queue-wait span begins.
     for (auto& task : tasks) {
-      tracer->record(task.item.trace, obs::Stage::kBurstEnqueue,
-                     enqueue_start, "tenant=" + task.item.tenant);
+      tracer.record(task.trace, obs::Stage::kBurstEnqueue, enqueue_start,
+                    "tenant=" + task.tenant);
       task.enqueue_ns = obs::Tracer::now_ns();
     }
   }
-  const std::size_t n = tasks.size();
-  {
-    std::lock_guard<std::mutex> lock(progress_mutex_);
-    for (auto& task : tasks) {
-      task.ticket = next_ticket_++;
-      pending_tickets_.insert(task.ticket);
-    }
-    submitted_ += n;
-  }
-  const std::size_t pushed = queue_.push_burst(tasks);
-  if (!tasks.empty()) {
-    // Queue closed mid-burst; retire the handed-back tail as rejected.
-    {
-      std::lock_guard<std::mutex> lock(progress_mutex_);
-      for (const auto& task : tasks) pending_tickets_.erase(task.ticket);
-      submitted_ -= tasks.size();
-    }
-    progress_cv_.notify_all();
-    rejected_.fetch_add(tasks.size(), std::memory_order_relaxed);
-  }
-  if (pushed != 0) {
-    bursts_.fetch_add(1, std::memory_order_relaxed);
-    burst_updates_.fetch_add(pushed, std::memory_order_relaxed);
-    burst_hist_.record(pushed);
-  }
-  return pushed;
+  return spine_.push_burst(tasks);
 }
 
-void WindowedAggService::worker_loop() {
-  std::vector<Task> burst;
-  burst.reserve(config_.burst_size);
-  // pop_burst returns 0 only once the queue is closed AND drained, so
-  // shutdown folds the whole backlog before the workers exit.
-  while (queue_.pop_burst(burst, config_.burst_size) != 0) {
-    apply_burst(burst);
-    burst.clear();
-  }
-}
-
-void WindowedAggService::apply_burst(std::vector<Task>& burst) {
-  // Group task indices per tenant, preserving burst order, then take
-  // each tenant's lock once for the whole group.
-  std::vector<std::pair<const std::string*, std::vector<std::size_t>>>
-      groups;
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
-      return *g.first == burst[i].item.tenant;
-    });
-    if (it == groups.end())
-      groups.emplace_back(&burst[i].item.tenant,
-                          std::vector<std::size_t>{i});
-    else
-      it->second.push_back(i);
-  }
-  std::uint64_t n_applied = 0;
+FoldCounts WindowedAggService::fold_burst(std::vector<Task>& burst) {
+  FoldCounts counts;
   std::uint64_t n_expired = 0;
-  std::uint64_t n_errors = 0;
-  obs::Tracer* const tracer = config_.tracer;
-  const std::uint64_t fold_start = obs::Tracer::now_ns();
-  for (auto& g : groups) {
-    Tenant* t = find_tenant(*g.first);
+  obs::Tracer& tracer = obs::Tracer::global();
+  for_each_tenant_group(burst, [&](const std::string& name,
+                                   const std::vector<std::size_t>& group) {
+    Tenant* t = tenants_.find(name);
     if (t == nullptr) {  // unreachable: submit_burst creates tenants
-      n_errors += g.second.size();
-      continue;
+      counts.errors += group.size();
+      return;
     }
     std::lock_guard<std::mutex> lock(t->mutex);
-    for (auto i : g.second) {
-      obs::OpTrace& trace = burst[i].item.trace;
-      if (tracer != nullptr && trace.active())
-        tracer->record(trace, obs::Stage::kQueueWait,
-                       burst[i].enqueue_ns);
+    for (auto i : group) {
+      Task& task = burst[i];
+      if (task.trace.active())
+        tracer.record(task.trace, obs::Stage::kQueueWait, task.enqueue_ns);
       const std::uint64_t submit_start =
-          trace.active() ? obs::Tracer::now_ns() : 0;
+          task.trace.active() ? obs::Tracer::now_ns() : 0;
       try {
-        if (t->window.submit(burst[i].item.timestamp,
-                             std::move(burst[i].item.update)))
-          ++n_applied;
+        if (t->window.submit(task.timestamp, std::move(task.update)))
+          ++counts.applied;
         else
           ++n_expired;  // counted in the window too, never folded
       } catch (const std::exception& e) {
-        ++n_errors;
+        ++counts.errors;
         std::cerr << "WindowedAggService: dropped update for tenant '"
-                  << *g.first << "': " << e.what() << "\n";
+                  << name << "': " << e.what() << "\n";
       }
-      if (tracer != nullptr && trace.active()) {
-        tracer->record(trace, obs::Stage::kShardFold, submit_start,
-                       "tenant=" + *g.first);
-        tracer->finish_op(trace);
+      if (task.trace.active()) {
+        tracer.record(task.trace, obs::Stage::kShardFold, submit_start,
+                      "tenant=" + name);
+        tracer.finish_op(task.trace);
       }
     }
-  }
-  fold_hist_.record(obs::Tracer::now_ns() - fold_start);
-  {
-    std::lock_guard<std::mutex> lock(progress_mutex_);
-    for (const auto& task : burst) pending_tickets_.erase(task.ticket);
-    applied_ += n_applied;
-    expired_ += n_expired;
-    apply_errors_ += n_errors;
-  }
-  progress_cv_.notify_all();
+  });
+  // Before the spine retires the burst, so a drain sees the count.
+  expired_.fetch_add(n_expired, std::memory_order_relaxed);
+  return counts;
 }
 
 WindowedAggService::Snapshot WindowedAggService::snapshot(
     const std::string& tenant, std::size_t window_buckets) {
-  Tenant* t = find_tenant(tenant);
+  Tenant* t = tenants_.find(tenant);
   if (t == nullptr)
     throw std::invalid_argument("WindowedAggService: unknown tenant '" +
                                 tenant + "'");
@@ -227,52 +120,25 @@ WindowedAggService::Snapshot WindowedAggService::snapshot(
   snap.sum = t->window.snapshot(window_buckets);
   snap.epoch = ++t->epoch;
   snap.updates_applied = t->window.stats().accepted;
-  ++t->snapshots;
   snapshots_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.tracer != nullptr)
-    config_.tracer->record_span(obs::Stage::kSnapshot, start,
-                                "tenant=" + tenant);
+  obs::Tracer::global().record_span(obs::Stage::kSnapshot, start,
+                                    "tenant=" + tenant);
   return snap;
 }
 
-void WindowedAggService::drain() {
-  std::unique_lock<std::mutex> lock(progress_mutex_);
-  // Wait for exactly the tickets issued before this call: completions
-  // of later-submitted tasks can never satisfy an earlier drain.
-  const std::uint64_t cutoff = next_ticket_;
-  progress_cv_.wait(lock, [&] {
-    return pending_tickets_.empty() || *pending_tickets_.begin() >= cutoff;
-  });
-}
+void WindowedAggService::drain() { spine_.drain(); }
 
-void WindowedAggService::stop() {
-  std::call_once(stop_once_, [this] {
-    stopped_.store(true, std::memory_order_seq_cst);
-    queue_.close();  // workers fold the backlog, then see 0
-    for (auto& w : workers_) w.join();
-  });
-}
+void WindowedAggService::stop() { spine_.stop(); }
 
 WindowedServiceStats WindowedAggService::stats() const {
   WindowedServiceStats out;
-  {
-    std::lock_guard<std::mutex> lock(progress_mutex_);
-    out.submitted = submitted_;
-    out.applied = applied_;
-    out.expired = expired_;
-    out.apply_errors = apply_errors_;
-  }
-  out.rejected = rejected_.load(std::memory_order_relaxed);
+  static_cast<SpineStats&>(out) = spine_.stats();
+  out.expired = expired_.load(std::memory_order_relaxed);
   out.snapshots = snapshots_.load(std::memory_order_relaxed);
-  out.queue_depth = queue_.size();
-  out.queue_high_water = queue_.high_water();
-  out.bursts = bursts_.load(std::memory_order_relaxed);
-  out.burst_updates = burst_updates_.load(std::memory_order_relaxed);
-  std::shared_lock tenants_lock(tenants_mutex_);
-  for (const auto& [name, t] : tenants_) {
-    std::lock_guard<std::mutex> g(t->mutex);
-    out.tenants.emplace_back(name, t->window.stats());
-  }
+  tenants_.for_each([&](const std::string& name, Tenant& t) {
+    std::lock_guard<std::mutex> g(t.mutex);
+    out.tenants.emplace_back(name, t.window.stats());
+  });
   return out;
 }
 
@@ -282,42 +148,13 @@ void WindowedAggService::export_metrics(obs::CollectorSink& sink) const {
   // locks inside stats() cannot cycle.
   const WindowedServiceStats st = stats();
   const obs::Labels svc{{"service", "windowed"}};
+  spine_.export_metrics(sink, svc, st);
   const auto d = [](std::uint64_t v) { return static_cast<double>(v); };
-  sink.counter("spkadd_service_submitted_total",
-               "Updates accepted by submit() and handed to the queue",
-               svc, d(st.submitted));
-  sink.counter("spkadd_service_applied_total",
-               "Updates fully folded into their shards", svc,
-               d(st.applied));
   sink.counter("spkadd_service_expired_total",
                "Updates rejected as expired at fold time", svc,
                d(st.expired));
-  sink.counter("spkadd_service_rejected_total",
-               "Updates refused (service stopped or queue closed)", svc,
-               d(st.rejected));
-  sink.counter("spkadd_service_apply_errors_total",
-               "Updates dropped by a throwing fold", svc,
-               d(st.apply_errors));
   sink.counter("spkadd_service_snapshots_total",
                "Windowed snapshots assembled", svc, d(st.snapshots));
-  sink.gauge("spkadd_queue_depth", "Current ingest queue backlog", svc,
-             d(st.queue_depth));
-  sink.gauge("spkadd_queue_high_water", "Deepest ingest backlog seen",
-             svc, d(st.queue_high_water));
-  sink.counter("spkadd_ingest_bursts_total",
-               "Burst flushes into the ingest queue", svc, d(st.bursts));
-  sink.counter("spkadd_queue_throttle_events_total",
-               "Producer pushes blocked at the high watermark", svc,
-               d(queue_.throttle_events()));
-  sink.counter("spkadd_queue_throttle_seconds_total",
-               "Total producer time spent throttled", svc,
-               queue_.throttle_seconds());
-  sink.histogram("spkadd_fold_seconds",
-                 "Wall time folding one popped burst into windows", svc,
-                 fold_hist_, obs::Unit::kSeconds);
-  sink.histogram("spkadd_ingest_burst_updates",
-                 "Updates per accepted burst", svc, burst_hist_,
-                 obs::Unit::kCount);
   WindowStats totals;
   for (const auto& [name, ws] : st.tenants) {
     const obs::Labels tl{{"service", "windowed"}, {"tenant", name}};

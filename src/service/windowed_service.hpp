@@ -14,20 +14,21 @@
 //                                     (mutex + one Accumulator
 //                                      epoch per live time bucket)
 //
-// Ingest reuses the burst-batched MPMC spine of AggService
-// (util::BoundedMpmcQueue push_burst/pop_burst with watermark
-// hysteresis): producers — the daemon's poll loop above all — enqueue a
-// whole burst of timestamped updates with one queue-lock acquisition,
-// and workers fold a popped burst's updates grouped per tenant with one
-// tenant-lock acquisition per (burst, tenant).
+// Ingest runs on the IngestSpine AggService also uses
+// (service/ingest_spine.hpp: the burst-batched MPMC queue with
+// watermark hysteresis, the worker pool, per-burst tickets behind
+// drain(), close-and-join in stop()): producers — the daemon's poll
+// loop above all — enqueue a whole burst of timestamped updates with
+// one queue-lock acquisition. This class is the fold policy on top:
+// workers fold a popped burst's updates grouped per tenant with one
+// tenant-lock acquisition per (burst, tenant), count expiries, and
+// record trace spans into obs::Tracer::global().
 //
 // Thread-safety contract: every public method is safe to call from any
 // thread, concurrently with every other. Internally each tenant's
 // TenantWindow is guarded by its own mutex (folds and snapshots of
-// different tenants never contend) and the tenant registry by a
-// shared_mutex. drain()/stop() use the same per-burst ticket accounting
-// as AggService, so a drain covers exactly the updates accepted before
-// it.
+// different tenants never contend); a drain covers exactly the updates
+// accepted before it.
 //
 // Bit-identity guarantee: worker folds and snapshot assembly go through
 // the same strict-left-fold SpKAdd paths as TenantWindow documents, so
@@ -38,38 +39,25 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <set>
-#include <shared_mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "service/ingest_spine.hpp"
 #include "service/service_stats.hpp"
 #include "service/window.hpp"
-#include "util/mpmc_queue.hpp"
 
 namespace spkadd::service {
 
-/// Aggregate counters for the windowed service (see also WindowStats).
-struct WindowedServiceStats {
-  std::uint64_t submitted = 0;  ///< updates accepted into the queue
-  std::uint64_t applied = 0;    ///< updates folded into a bucket
-  std::uint64_t expired = 0;    ///< updates rejected as expired at fold
-  std::uint64_t rejected = 0;   ///< updates refused (service stopped)
-  std::uint64_t apply_errors = 0;  ///< updates dropped by a failing fold
+/// Aggregate counters for the windowed service (see also WindowStats);
+/// `applied` counts updates folded into a bucket.
+struct WindowedServiceStats : SpineStats {
+  std::uint64_t expired = 0;  ///< updates rejected as expired at fold
   std::uint64_t snapshots = 0;
-  std::size_t queue_depth = 0;
-  std::size_t queue_high_water = 0;
-  std::uint64_t bursts = 0;         ///< burst enqueues into the queue
-  std::uint64_t burst_updates = 0;  ///< updates across those bursts
   /// Per-tenant window counters, keyed by tenant name.
   std::vector<std::pair<std::string, WindowStats>> tenants;
 };
@@ -86,29 +74,10 @@ class WindowedAggService {
     /// Watermark hysteresis (0 defaults: high = capacity, low = 3/4).
     std::size_t queue_high_watermark = 0;
     std::size_t queue_low_watermark = 0;
-
-    [[nodiscard]] std::size_t effective_high_watermark() const {
-      return queue_high_watermark != 0 ? queue_high_watermark
-                                       : queue_capacity;
-    }
-    [[nodiscard]] std::size_t effective_low_watermark() const {
-      if (queue_low_watermark != 0) return queue_low_watermark;
-      const std::size_t high = effective_high_watermark();
-      return high > 1 ? high - high / 4 : 1;
-    }
     /// Registry this service exports its counters and per-tenant
     /// window gauges into (a scrape-time collector — hot paths never
     /// touch it). nullptr disables the export; stats() is unaffected.
     obs::MetricsRegistry* metrics = &obs::default_registry();
-
-    /// Tracer submit/snapshot spans are recorded into. Never nullptr
-    /// in practice (the global tracer is disabled by default, and a
-    /// disabled tracer's record calls are branch-only); nullptr is
-    /// honored as fully off.
-    obs::Tracer* tracer = &obs::Tracer::global();
-
-    /// Throws std::invalid_argument on an unusable configuration.
-    void validate() const;
   };
 
   /// One timestamped update, the unit the ingest queue carries. The
@@ -176,9 +145,8 @@ class WindowedAggService {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  struct Task {
-    TimedUpdate item;
-    std::uint64_t ticket = 0;   ///< acceptance order; drives drain()
+  struct Task : TimedUpdate {
+    std::uint64_t ticket = 0;      ///< issued by the spine; drives drain()
     std::uint64_t enqueue_ns = 0;  ///< queue-wait span start (tracing)
   };
 
@@ -187,48 +155,22 @@ class WindowedAggService {
         : window(rows, cols, cfg) {}
     std::mutex mutex;  ///< guards window (fold + snapshot + stats)
     TenantWindow window;
-    std::uint64_t epoch = 0;      ///< guarded by mutex
-    std::uint64_t snapshots = 0;  ///< guarded by mutex
+    std::uint64_t epoch = 0;  ///< guarded by mutex
   };
 
-  [[nodiscard]] Tenant* find_tenant(const std::string& name) const;
-  Tenant& tenant_for(const std::string& name, std::int32_t rows,
-                     std::int32_t cols);
-  void worker_loop();
-  void apply_burst(std::vector<Task>& burst);
+  /// The fold policy the spine's workers run on each popped burst.
+  FoldCounts fold_burst(std::vector<Task>& burst);
 
   Config config_;
-  util::BoundedMpmcQueue<Task> queue_;
-
-  mutable std::shared_mutex tenants_mutex_;
-  std::map<std::string, std::unique_ptr<Tenant>> tenants_;
-
-  std::vector<std::thread> workers_;
-  std::atomic<bool> stopped_{false};
-  std::once_flag stop_once_;
-
-  // Progress accounting (the AggService ticket pattern): tickets are
-  // issued per accepted burst and retired per folded burst, all under
-  // progress_mutex_, so drain() waits on exactly its cutoff.
-  mutable std::mutex progress_mutex_;
-  std::condition_variable progress_cv_;
-  std::uint64_t next_ticket_ = 1;
-  std::set<std::uint64_t> pending_tickets_;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t applied_ = 0;
-  std::uint64_t expired_ = 0;
-  std::uint64_t apply_errors_ = 0;
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> bursts_{0};
-  std::atomic<std::uint64_t> burst_updates_{0};
+  TenantRegistry<Tenant> tenants_{"WindowedAggService"};
+  std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> snapshots_{0};
 
-  // Per-instance histograms (lock-free recording), exported through the
-  // scrape-time collector below.
-  LatencyHistogram fold_hist_;   ///< per-burst fold wall time, ns
-  LatencyHistogram burst_hist_;  ///< updates per accepted burst
+  // Queue, workers, tickets and burst counters. Declared after
+  // everything fold_burst reads, so its workers start last.
+  IngestSpine<Task> spine_;
 
-  /// Exports every counter above plus per-tenant window stats.
+  /// Exports the spine's families plus per-tenant window stats.
   void export_metrics(obs::CollectorSink& sink) const;
 
   // LAST member: destroyed first, and its dtor blocks until no render

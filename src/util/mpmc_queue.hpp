@@ -1,19 +1,20 @@
-// Bounded multi-producer/multi-consumer queue — the ingest spine of the
-// aggregation service (src/service/).
+// Bounded multi-producer/multi-consumer burst queue — the queue inside
+// the aggregation services' ingest spine (service/ingest_spine.hpp).
 //
 // Design goals, in order: correctness under ThreadSanitizer, bounded
 // memory (backpressure instead of unbounded buffering), and clean
 // shutdown semantics. A mutex + two condition variables is the simplest
 // structure that delivers all three; the service's unit of work is a
 // whole sparse matrix, so per-element queue overhead is noise next to
-// the fold it triggers — and the burst API below amortizes even that
-// one lock acquisition across a whole producer burst.
+// the fold it triggers — and every push and pop moves a whole burst
+// under one lock acquisition.
 //
 // Semantics:
-//   * push()/push_burst() block while the queue is throttled
-//     (backpressure) and hand the item(s) back once the queue is
-//     closed — a failed push never silently destroys the caller's
-//     item (the caller can count or retry the drop).
+//   * push_burst() blocks while the queue is throttled (backpressure)
+//     and hands the unpushed items back once the queue is closed — a
+//     failed push never silently destroys the caller's items (the
+//     caller can count or retry the drop). try_push_burst() is its
+//     non-blocking, all-or-nothing form.
 //   * Watermark hysteresis (the FlexiCAS transaction-queue pattern):
 //     producers throttle when the depth reaches `high_watermark` and
 //     are released only once consumers drain it to `low_watermark`,
@@ -22,11 +23,9 @@
 //     to `capacity`, the hard memory bound); the producers then stay
 //     throttled until the low watermark. Defaults (high = capacity,
 //     low = high) reproduce plain bounded-queue blocking.
-//   * pop()/pop_burst() block while the queue is empty and return
-//     nullopt / 0 only when the queue is closed AND drained, so
-//     close() lets consumers finish the backlog before they exit.
-//     try_pop() distinguishes "momentarily empty" from "closed and
-//     drained" so non-blocking consumers never spin after shutdown.
+//   * pop_burst() blocks while the queue is empty and returns 0 only
+//     when the queue is closed AND drained, so close() lets consumers
+//     finish the backlog before they exit.
 //   * high_water() reports the deepest the queue has ever been, and
 //     throttle_events()/throttle_seconds() how often and how long
 //     producers sat blocked on the watermark — the stats the service
@@ -40,7 +39,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -50,11 +48,6 @@ namespace spkadd::util {
 template <class T>
 class BoundedMpmcQueue {
  public:
-  /// Outcome of a non-blocking pop: the two no-item states are distinct
-  /// so consumers polling with try_pop() can tell a momentary gap
-  /// (retry later) from shutdown (exit the loop).
-  enum class PopStatus { kItem, kEmpty, kClosed };
-
   /// `high_watermark` 0 defaults to `capacity`; `low_watermark` 0
   /// defaults to `high_watermark` (no hysteresis). Requires
   /// 1 <= low <= high <= capacity.
@@ -76,28 +69,6 @@ class BoundedMpmcQueue {
 
   BoundedMpmcQueue(const BoundedMpmcQueue&) = delete;
   BoundedMpmcQueue& operator=(const BoundedMpmcQueue&) = delete;
-
-  /// Enqueue, blocking while throttled. Returns false iff the queue was
-  /// closed before space opened up — the item is then left untouched so
-  /// the caller can account the drop (never silently destroyed).
-  [[nodiscard]] bool push(T&& item) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wait_admissible(lock);
-      if (closed_) return false;  // item intact in the caller's hands
-      items_.push_back(std::move(item));
-      after_push_locked();
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Copying convenience overload (tests push ints; the service always
-  /// moves). The caller's item is never observably modified.
-  [[nodiscard]] bool push(const T& item) {
-    T copy(item);
-    return push(std::move(copy));
-  }
 
   /// Enqueue a whole burst with ONE lock acquisition per admitted chunk
   /// (one, in the common burst <= free-space case), blocking while
@@ -129,20 +100,6 @@ class BoundedMpmcQueue {
     return pushed;
   }
 
-  /// Enqueue without blocking. On failure (throttled, full or closed)
-  /// the argument is left untouched so the caller can retry or count
-  /// the drop.
-  [[nodiscard]] bool try_push(T&& item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || !admissible_locked()) return false;
-      items_.push_back(std::move(item));
-      after_push_locked();
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Non-blocking all-or-nothing burst enqueue: either every item is
   /// admitted (items comes back empty) or none is (items untouched).
   [[nodiscard]] bool try_push_burst(std::vector<T>& items) {
@@ -158,23 +115,6 @@ class BoundedMpmcQueue {
     not_empty_.notify_all();
     items.clear();
     return true;
-  }
-
-  /// Dequeue, blocking while empty. Returns nullopt only once the queue
-  /// is closed and fully drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    std::optional<T> out(std::move(items_.front()));
-    items_.pop_front();
-    const bool released = after_pop_locked();
-    lock.unlock();
-    if (released)
-      not_full_.notify_all();
-    else
-      not_full_.notify_one();
-    return out;
   }
 
   /// Dequeue up to `max_items` in one lock acquisition, blocking while
@@ -199,23 +139,6 @@ class BoundedMpmcQueue {
     return take;
   }
 
-  /// Dequeue without blocking; kEmpty means "nothing right now, retry",
-  /// kClosed means "closed and drained, stop polling". `out` is
-  /// assigned only on kItem.
-  PopStatus try_pop(T& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (items_.empty()) return closed_ ? PopStatus::kClosed : PopStatus::kEmpty;
-    out = std::move(items_.front());
-    items_.pop_front();
-    const bool released = after_pop_locked();
-    lock.unlock();
-    if (released)
-      not_full_.notify_all();
-    else
-      not_full_.notify_one();
-    return PopStatus::kItem;
-  }
-
   /// Reject all future pushes and wake every waiter. Items already
   /// queued remain poppable (shutdown drains the backlog). Idempotent.
   void close() {
@@ -236,10 +159,6 @@ class BoundedMpmcQueue {
     std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();
   }
-
-  [[nodiscard]] std::size_t capacity() const { return cap_; }
-  [[nodiscard]] std::size_t high_watermark() const { return high_; }
-  [[nodiscard]] std::size_t low_watermark() const { return low_; }
 
   /// Deepest the queue has ever been (never exceeds capacity).
   [[nodiscard]] std::size_t high_water() const {

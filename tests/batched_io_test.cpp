@@ -34,14 +34,6 @@ TEST(BinaryIo, RoundTripsEmptyMatrix) {
   EXPECT_EQ(back.nnz(), 0u);
 }
 
-TEST(BinaryIo, FileRoundTrip) {
-  const auto m = random_matrix(64, 8, 200, 7);
-  const std::string path = ::testing::TempDir() + "/spkadd_bin_test.spkb";
-  io::write_binary_file(path, m);
-  EXPECT_TRUE(io::read_binary_file(path) == m);
-  EXPECT_THROW(io::read_binary_file(path + ".missing"), std::runtime_error);
-}
-
 TEST(BinaryIo, RejectsCorruptedStreams) {
   const auto m = random_matrix(32, 4, 60, 8);
   std::stringstream good(std::ios::in | std::ios::out | std::ios::binary);

@@ -19,6 +19,7 @@
 #include "core/spkadd.hpp"
 #include "net/client.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -335,6 +336,42 @@ TEST(Daemon, HttpGetMetricsOnTheSamePort) {
 
   server.stop();
   EXPECT_EQ(server.stats().requests_metrics, 2u);
+}
+
+TEST(Daemon, TracedSubmitCarriesItsSpanChain) {
+  using spkadd::obs::Span;
+  using spkadd::obs::Stage;
+  spkadd::obs::Tracer& tracer = spkadd::obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  {
+    DaemonServer server(test_config());
+    Client client("127.0.0.1", server.port());
+    EXPECT_EQ(client.submit("t", 15, integer_matrix(1)), Status::kOk);
+    EXPECT_EQ(client.drain(), Status::kOk);
+    EXPECT_EQ(client.snapshot("t").status, Status::kOk);
+    server.stop();
+  }
+  tracer.set_enabled(false);
+  // recent() is ordered by span start, so one op's chain reads in
+  // pipeline order: decoded on the poll thread, folded on a worker.
+  const std::vector<Span> spans = tracer.recent();
+  std::uint64_t op = 0;
+  for (const Span& s : spans)
+    if (s.stage == Stage::kWireDecode) op = s.op_id;
+  ASSERT_NE(op, 0u);
+  std::vector<Stage> chain;
+  bool snapshot_span = false;
+  for (const Span& s : spans) {
+    if (s.op_id == op) chain.push_back(s.stage);
+    snapshot_span = snapshot_span || s.stage == Stage::kSnapshot;
+  }
+  EXPECT_EQ(chain, (std::vector<Stage>{Stage::kWireDecode,
+                                       Stage::kBurstEnqueue,
+                                       Stage::kQueueWait,
+                                       Stage::kShardFold}));
+  EXPECT_TRUE(snapshot_span);
+  tracer.clear();
 }
 
 TEST(Daemon, StatsJsonEscapesTenantNames) {

@@ -1,6 +1,7 @@
 // BoundedMpmcQueue: FIFO order, capacity/backpressure, shutdown
-// semantics, and a multi-producer/multi-consumer stress run. These are
-// the tests the TSAN CI leg exercises (label: concurrency).
+// semantics, and a multi-producer/multi-consumer stress run, all through
+// the burst API. These are the tests the TSAN CI leg exercises (label:
+// concurrency).
 #include "util/mpmc_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,11 +19,33 @@ namespace {
 
 using spkadd::util::BoundedMpmcQueue;
 
+/// Blocking one-item push_burst; true iff the item was admitted.
+template <class T>
+bool push1(BoundedMpmcQueue<T>& q, T item) {
+  std::vector<T> burst{std::move(item)};
+  return q.push_burst(burst) == 1;
+}
+
+/// Non-blocking one-item try_push_burst; true iff the item was admitted.
+template <class T>
+bool try_push1(BoundedMpmcQueue<T>& q, T item) {
+  std::vector<T> burst{std::move(item)};
+  return q.try_push_burst(burst);
+}
+
+/// Blocking one-item pop_burst; nullopt once closed and drained.
+template <class T>
+std::optional<T> pop1(BoundedMpmcQueue<T>& q) {
+  std::vector<T> out;
+  if (q.pop_burst(out, 1) == 0) return std::nullopt;
+  return std::move(out.front());
+}
+
 TEST(MpmcQueue, FifoSingleThreaded) {
   BoundedMpmcQueue<int> q(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.push(i));
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(push1(q, i));
   for (int i = 0; i < 8; ++i) {
-    auto v = q.pop();
+    auto v = pop1(q);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
@@ -34,87 +58,55 @@ TEST(MpmcQueue, RejectsZeroCapacity) {
 
 TEST(MpmcQueue, TryPushRespectsCapacity) {
   BoundedMpmcQueue<int> q(2);
-  int a = 1, b = 2, c = 3;
-  EXPECT_TRUE(q.try_push(std::move(a)));
-  EXPECT_TRUE(q.try_push(std::move(b)));
-  EXPECT_FALSE(q.try_push(std::move(c)));  // full
-  EXPECT_EQ(c, 3);                         // untouched on failure
-  ASSERT_TRUE(q.pop().has_value());
-  EXPECT_TRUE(q.try_push(std::move(c)));
+  EXPECT_TRUE(try_push1(q, 1));
+  EXPECT_TRUE(try_push1(q, 2));
+  std::vector<int> c{3};
+  EXPECT_FALSE(q.try_push_burst(c));     // full
+  EXPECT_EQ(c, (std::vector<int>{3}));  // untouched on failure
+  ASSERT_TRUE(pop1(q).has_value());
+  EXPECT_TRUE(q.try_push_burst(c));
 }
 
-TEST(MpmcQueue, TryPopNeverBlocks) {
-  using Status = BoundedMpmcQueue<int>::PopStatus;
-  BoundedMpmcQueue<int> q(2);
-  int out = -1;
-  EXPECT_EQ(q.try_pop(out), Status::kEmpty);  // empty: no blocking
-  EXPECT_EQ(out, -1);                         // untouched without an item
-  EXPECT_TRUE(q.push(7));
-  EXPECT_EQ(q.try_pop(out), Status::kItem);
-  EXPECT_EQ(out, 7);
-  q.close();
-  EXPECT_EQ(q.try_pop(out), Status::kClosed);  // closed and drained
-}
-
-// "Momentarily empty" and "closed and drained" must be distinguishable,
-// or a non-blocking consumer cannot tell "retry later" from "shut down"
-// — and a closed queue with a backlog must still hand out the items.
-TEST(MpmcQueue, TryPopDistinguishesEmptyFromClosed) {
-  using Status = BoundedMpmcQueue<int>::PopStatus;
-  BoundedMpmcQueue<int> q(4);
-  int out = 0;
-  EXPECT_EQ(q.try_pop(out), Status::kEmpty);  // open + empty: retry
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  EXPECT_EQ(q.try_pop(out), Status::kItem);  // closed but NOT drained
-  EXPECT_EQ(out, 1);
-  EXPECT_EQ(q.try_pop(out), Status::kItem);
-  EXPECT_EQ(out, 2);
-  EXPECT_EQ(q.try_pop(out), Status::kClosed);  // now drained: stop
-}
-
-// A rejected blocking push must leave the item in the caller's hands —
-// the old by-value signature destroyed the moved-from payload on a
-// closed queue while try_push promised the opposite.
+// A rejected blocking push must leave the items in the caller's hands,
+// so the caller can account or retry exactly what it offered.
 TEST(MpmcQueue, PushHandsItemBackWhenClosed) {
   BoundedMpmcQueue<std::vector<int>> q(2);
   q.close();
-  std::vector<int> payload{1, 2, 3};
-  EXPECT_FALSE(q.push(std::move(payload)));
-  // The caller can still account or retry the exact item it offered.
-  EXPECT_EQ(payload, (std::vector<int>{1, 2, 3}));
+  std::vector<std::vector<int>> burst{{1, 2, 3}};
+  EXPECT_EQ(q.push_burst(burst), 0u);
+  ASSERT_EQ(burst.size(), 1u);
+  EXPECT_EQ(burst.front(), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(MpmcQueue, HighWaterTracksDeepestBacklog) {
   BoundedMpmcQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  (void)q.pop();
-  (void)q.pop();
-  (void)q.pop();
-  EXPECT_TRUE(q.push(4));
+  EXPECT_TRUE(push1(q, 1));
+  EXPECT_TRUE(push1(q, 2));
+  EXPECT_TRUE(push1(q, 3));
+  (void)pop1(q);
+  (void)pop1(q);
+  (void)pop1(q);
+  EXPECT_TRUE(push1(q, 4));
   EXPECT_EQ(q.high_water(), 3u);
 }
 
 TEST(MpmcQueue, BlockingPushUnblocksWhenSpaceOpens) {
   BoundedMpmcQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(push1(q, 1));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(q.push(2));  // blocks until the consumer pops
+    EXPECT_TRUE(push1(q, 2));  // blocks until the consumer pops
     pushed.store(true);
   });
   // The producer cannot complete while the queue is full.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());
-  auto v = q.pop();
+  auto v = pop1(q);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 1);
   producer.join();
   EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop().value(), 2);
+  EXPECT_EQ(pop1(q).value(), 2);
 }
 
 TEST(MpmcQueue, CloseWakesBlockedConsumers) {
@@ -123,8 +115,8 @@ TEST(MpmcQueue, CloseWakesBlockedConsumers) {
   std::atomic<int> drained{0};
   for (int i = 0; i < 3; ++i)
     consumers.emplace_back([&] {
-      while (q.pop().has_value()) {
-      }
+      std::vector<int> out;
+      while (q.pop_burst(out, 4) != 0) out.clear();
       drained.fetch_add(1);
     });
   q.close();
@@ -134,22 +126,23 @@ TEST(MpmcQueue, CloseWakesBlockedConsumers) {
 
 TEST(MpmcQueue, CloseDrainsBacklogThenRejects) {
   BoundedMpmcQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
+  EXPECT_TRUE(push1(q, 1));
+  EXPECT_TRUE(push1(q, 2));
   q.close();
-  EXPECT_FALSE(q.push(3));  // rejected after close
-  EXPECT_EQ(q.pop().value(), 1);  // backlog still poppable
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value());  // closed and drained
+  EXPECT_FALSE(push1(q, 3));       // rejected after close
+  EXPECT_FALSE(try_push1(q, 3));
+  EXPECT_EQ(pop1(q).value(), 1);  // backlog still poppable
+  EXPECT_EQ(pop1(q).value(), 2);
+  EXPECT_FALSE(pop1(q).has_value());  // closed and drained
   EXPECT_TRUE(q.closed());
 }
 
 TEST(MpmcQueue, CloseWakesBlockedProducer) {
   BoundedMpmcQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(push1(q, 1));
   std::atomic<bool> rejected{false};
   std::thread producer([&] {
-    rejected.store(!q.push(2));  // blocked on full, then closed
+    rejected.store(!push1(q, 2));  // blocked on full, then closed
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.close();
@@ -162,7 +155,7 @@ TEST(MpmcQueue, PushBurstPreservesFifo) {
   std::vector<int> burst{0, 1, 2, 3, 4};
   EXPECT_EQ(q.push_burst(burst), 5u);
   EXPECT_TRUE(burst.empty());  // fully admitted
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop().value(), i);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(pop1(q).value(), i);
 }
 
 // A burst larger than the queue's free space is admitted in chunks: the
@@ -173,7 +166,7 @@ TEST(MpmcQueue, PushBurstChunksThroughConsumer) {
   std::vector<int> burst(16);
   for (int i = 0; i < 16; ++i) burst[static_cast<std::size_t>(i)] = i;
   std::thread producer([&] { EXPECT_EQ(q.push_burst(burst), 16u); });
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(q.pop().value(), i);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(pop1(q).value(), i);
   producer.join();
   EXPECT_TRUE(burst.empty());
 }
@@ -191,9 +184,9 @@ TEST(MpmcQueue, PushBurstHandsBackRemainderOnClose) {
   producer.join();
   EXPECT_EQ(pushed.load(), 2u);
   EXPECT_EQ(burst, (std::vector<int>{12, 13, 14}));  // the unpushed tail
-  EXPECT_EQ(q.pop().value(), 10);  // prefix still drains after close
-  EXPECT_EQ(q.pop().value(), 11);
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_EQ(pop1(q).value(), 10);  // prefix still drains after close
+  EXPECT_EQ(pop1(q).value(), 11);
+  EXPECT_FALSE(pop1(q).has_value());
 }
 
 TEST(MpmcQueue, TryPushBurstAllOrNothing) {
@@ -205,12 +198,12 @@ TEST(MpmcQueue, TryPushBurstAllOrNothing) {
   EXPECT_FALSE(q.try_push_burst(second));
   EXPECT_EQ(second, (std::vector<int>{4, 5}));  // untouched on failure
   EXPECT_EQ(q.size(), 3u);
-  (void)q.pop();
+  (void)pop1(q);
   EXPECT_TRUE(q.try_push_burst(second));  // two slots free now
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_EQ(q.pop().value(), 4);
-  EXPECT_EQ(q.pop().value(), 5);
+  EXPECT_EQ(pop1(q).value(), 2);
+  EXPECT_EQ(pop1(q).value(), 3);
+  EXPECT_EQ(pop1(q).value(), 4);
+  EXPECT_EQ(pop1(q).value(), 5);
 }
 
 // Hysteresis: admission shuts off at the high watermark and does NOT
@@ -218,34 +211,33 @@ TEST(MpmcQueue, TryPushBurstAllOrNothing) {
 // hovering between the two stays closed to producers.
 TEST(MpmcQueue, WatermarkHysteresisGatesAdmission) {
   BoundedMpmcQueue<int> q(8, /*high_watermark=*/6, /*low_watermark=*/3);
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.try_push(std::move(i)));
-  int extra = 100;
-  EXPECT_FALSE(q.try_push(std::move(extra)));  // throttled at high
-  (void)q.pop();
-  (void)q.pop();
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(try_push1(q, i));
+  EXPECT_FALSE(try_push1(q, 100));  // throttled at high
+  (void)pop1(q);
+  (void)pop1(q);
   EXPECT_EQ(q.size(), 4u);  // above low: still throttled
-  EXPECT_FALSE(q.try_push(std::move(extra)));
-  (void)q.pop();
+  EXPECT_FALSE(try_push1(q, 100));
+  (void)pop1(q);
   EXPECT_EQ(q.size(), 3u);  // at low: released
-  EXPECT_TRUE(q.try_push(std::move(extra)));
+  EXPECT_TRUE(try_push1(q, 100));
 }
 
 // A blocking producer throttled at the high watermark is released only
 // by the drain to the low watermark, and the throttle is counted.
 TEST(MpmcQueue, WatermarkReleaseWakesBlockedProducer) {
   BoundedMpmcQueue<int> q(8, /*high_watermark=*/4, /*low_watermark=*/2);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(i));
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(push1(q, i));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(q.push(99));
+    EXPECT_TRUE(push1(q, 99));
     pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());  // throttled at the high watermark
-  (void)q.pop();
+  (void)pop1(q);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());  // size 3 > low: hysteresis holds
-  (void)q.pop();                // size 2 == low: released
+  (void)pop1(q);                // size 2 == low: released
   producer.join();
   EXPECT_TRUE(pushed.load());
   EXPECT_GE(q.throttle_events(), 1u);
@@ -265,8 +257,9 @@ TEST(MpmcQueue, PopBurstDrainsUpToMax) {
   EXPECT_EQ(q.pop_burst(out, 8), 0u);  // closed and drained: exit signal
 }
 
-// P producers x C consumers; every pushed value is popped exactly once
-// and each producer's own sequence arrives in order (per-producer FIFO).
+// P producers pushing bursts of 1..5 items x C consumers popping up to 4
+// at a time; every pushed value is popped exactly once and each
+// producer's own sequence arrives in order (per-producer FIFO).
 TEST(MpmcQueue, MpmcStressPreservesItemsAndPerProducerOrder) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
@@ -276,8 +269,13 @@ TEST(MpmcQueue, MpmcStressPreservesItemsAndPerProducerOrder) {
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p)
     producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i)
-        ASSERT_TRUE(q.push({p, i}));
+      std::vector<std::pair<int, int>> burst;
+      for (int i = 0; i < kPerProducer;) {
+        const int n = std::min(1 + (i + p) % 5, kPerProducer - i);
+        for (int j = 0; j < n; ++j) burst.emplace_back(p, i + j);
+        ASSERT_EQ(q.push_burst(burst), static_cast<std::size_t>(n));
+        i += n;
+      }
     });
 
   std::mutex sink_mutex;
@@ -286,10 +284,12 @@ TEST(MpmcQueue, MpmcStressPreservesItemsAndPerProducerOrder) {
   for (int c = 0; c < kConsumers; ++c)
     consumers.emplace_back([&] {
       std::vector<std::vector<int>> local(kProducers);
-      while (auto v = q.pop()) local[v->first].push_back(v->second);
+      std::vector<std::pair<int, int>> out;
+      while (q.pop_burst(out, 4) != 0) {
+        for (const auto& [p, i] : out) local[p].push_back(i);
+        out.clear();
+      }
       std::lock_guard<std::mutex> lock(sink_mutex);
-      // Splice each consumer's per-producer subsequence; order within a
-      // consumer is checked below after a merge by value.
       for (int p = 0; p < kProducers; ++p) {
         // A single consumer must see producer p's items in order.
         for (std::size_t i = 1; i < local[p].size(); ++i)

@@ -147,7 +147,7 @@ TEST(WindowedService, BurstSubmitMatchesPerUpdateSubmit) {
   WindowedAggService burst_svc(cfg);
   std::vector<WindowedAggService::TimedUpdate> burst;
   for (const auto& u : updates)
-    burst.push_back(WindowedAggService::TimedUpdate{"t", 15, Csc(u)});
+    burst.push_back(WindowedAggService::TimedUpdate{"t", 15, Csc(u), {}});
   EXPECT_EQ(burst_svc.submit_burst(burst), updates.size());
   EXPECT_TRUE(burst.empty());
   burst_svc.drain();
@@ -185,7 +185,8 @@ TEST(WindowedService, ShapeMismatchThrowsAndLeavesBurstUntouched) {
   EXPECT_TRUE(svc.submit("t", 0, integer_matrix(1)));
   std::vector<WindowedAggService::TimedUpdate> burst;
   burst.push_back(WindowedAggService::TimedUpdate{
-      "t", 1, spkadd::testing::random_matrix(kRows + 1, kCols, 10, 2)});
+      "t", 1, spkadd::testing::random_matrix(kRows + 1, kCols, 10, 2),
+      {}});
   EXPECT_THROW(svc.submit_burst(burst), std::invalid_argument);
   EXPECT_EQ(burst.size(), 1u);  // untouched: nothing partially queued
   svc.drain();
