@@ -285,9 +285,9 @@ int main(int argc, char** argv) {
             chunk_totals.chunks_dense += sh.chunks_dense;
           }
           const double nnz_s = static_cast<double>(folded) / elapsed;
-          const std::string mix = fold_method == core::Method::Hybrid
-                                      ? chunk_totals.chunk_mix()
-                                      : "-";
+          const bool planned = fold_method == core::Method::Auto ||
+                               fold_method == core::Method::Hybrid;
+          const std::string mix = planned ? chunk_totals.chunk_mix() : "-";
 
           char avg_bst[32];
           std::snprintf(avg_bst, sizeof(avg_bst), "%.1f",

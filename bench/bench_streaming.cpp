@@ -105,15 +105,18 @@ int main(int argc, char** argv) {
 
       core::Options opts = base_opts;
 
-      // One-shot: all k inputs live at once, single reduction. One extra
-      // counted run surfaces the hybrid per-chunk kernel mix
+      // One-shot: all k inputs live at once, single reduction. An untimed
+      // warm-up call first, so the first measured lap does not pay for
+      // the OpenMP team start and first-touch page faults. One extra
+      // counted run surfaces the per-chunk kernel mix
       // (heap/spa/hash/sliding/dense) without polluting the timed laps.
-      Csc one_shot;
+      Csc one_shot = core::spkadd(inputs, opts);
       const double t_one = bench::time_median(static_cast<int>(*repeats), [&] {
         one_shot = core::spkadd(inputs, opts);
       });
       std::string mix = "-";
-      if (opts.method == core::Method::Hybrid) {
+      if (opts.method == core::Method::Auto ||
+          opts.method == core::Method::Hybrid) {
         core::OpCounters counters;
         core::Options copts = opts;
         copts.counters = &counters;
@@ -132,7 +135,8 @@ int main(int argc, char** argv) {
       // addends + persistent scratch).
       core::Accumulator<> acc(one_shot.rows(), one_shot.cols(), opts,
                               static_cast<std::size_t>(*batch));
-      Csc streamed;
+      for (const auto& m : inputs) acc.add(m);
+      Csc streamed = acc.finalize();  // untimed warm-up pass
       const double t_stream =
           bench::time_median(static_cast<int>(*repeats), [&] {
             for (const auto& m : inputs) acc.add(m);
@@ -145,7 +149,9 @@ int main(int argc, char** argv) {
       log.add(std::string(pname) + "/k=" + std::to_string(k) +
                   "/accumulator",
               shape, t_stream, acc.stats().peak_staged_nnz);
-      if (streamed.nnz() != one_shot.nnz()) {
+      // Every fold is a strict left fold, so streaming must reproduce the
+      // one-shot sum bit for bit, not just its structure.
+      if (!(streamed == one_shot)) {
         std::cerr << "MISMATCH: streaming result disagrees with one-shot\n";
         return 1;
       }

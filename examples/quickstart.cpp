@@ -27,8 +27,8 @@ int main() {
       build({{5, 0, 2.0}, {7, 0, 1.0}, {1, 1, 4.0}}),
   };
 
-  // 2. Add the whole collection: B = A1 + A2 + A3. Method::Auto picks
-  //    hash or sliding hash from the cache budget (Fig. 2's policy).
+  // 2. Add the whole collection: B = A1 + A2 + A3. Method::Auto picks a
+  //    kernel per column chunk from Fig. 2's decision surface.
   const Csc sum = spkadd::core::spkadd(inputs);
 
   std::cout << "B = A1 + A2 + A3 is " << sum.rows() << "x" << sum.cols()

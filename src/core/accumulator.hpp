@@ -16,11 +16,10 @@
 //     fed straight to the pointer-span drivers;
 //   * persistent per-thread workspaces — the hash/SPA/heap scratch in the
 //     owned Runtime only ever grows, so no batch re-allocates tables;
-//   * the per-column cost scan feeding Method::Auto, Method::Hybrid's
-//     per-chunk kernel plan and the nnz-balanced schedule lives in the
-//     same Runtime and is recomputed in parallel once per fold, not per
-//     consumer. Hybrid folds (Options::method = Method::Hybrid) work
-//     unchanged: every fold is a strict left fold whatever kernel mix the
+//   * the per-column cost scan feeding the per-chunk kernel plan of
+//     Method::Auto/Hybrid and the nnz-balanced schedule lives in the same
+//     Runtime and is recomputed in parallel once per fold, not per
+//     consumer. Every fold is a strict left fold whatever kernel mix the
 //     plan picks, so streaming stays bit-identical to one-shot.
 //
 // Representation adaptivity (Options::dense): a running-sum column whose

@@ -13,10 +13,12 @@
 //   dense_symbolic_column     occupancy-bitmap distinct-row count
 //   dense_add_column   dense bitmap accumulation with SIMD dense adds
 //
-// The ColumnKernel layer at the bottom exposes all of them behind one
-// uniform symbolic/numeric per-column interface — the dispatch unit of
-// Method::Hybrid, whose driver picks a kernel per nnz-balanced column
-// chunk instead of per call. Every kernel accumulates equal-row values
+// The ColumnKernel layer at the bottom exposes the four kernels the
+// per-chunk planner picks from (heap, hash, sliding hash, dense) behind
+// one uniform symbolic/numeric per-column interface — the dispatch unit
+// of Method::Auto/Hybrid, whose driver picks a kernel per nnz-balanced
+// column chunk instead of per call. The SPA runs only as the paper's
+// Alg. 4 through Method::Spa. Every kernel accumulates equal-row values
 // strictly left to right over the inputs, so any per-chunk mix of them
 // is bit-identical to any single kernel run over the whole matrix.
 //
@@ -215,22 +217,6 @@ std::size_t spa_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
   }
   if (counters) counters->spa_touches += touches + ws.touched.size();
   return out;
-}
-
-/// Symbolic SPA: count distinct row indices (used when the SPA driver needs
-/// exact output sizes without a hash table).
-template <class IndexT, class ValueT>
-std::size_t spa_symbolic_column(
-    std::span<const ColumnView<IndexT, ValueT>> cols,
-    SpaWorkspace<IndexT, ValueT>& ws, OpCounters* counters = nullptr) {
-  ws.new_column();
-  std::uint64_t touches = 0;
-  for (const auto& col : cols) {
-    for (std::size_t i = 0; i < col.nnz(); ++i) ws.add(col.rows[i], ValueT{});
-    touches += col.nnz();
-  }
-  if (counters) counters->spa_touches += touches;
-  return ws.touched.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -642,18 +628,17 @@ std::size_t dense_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
 // ColumnKernel — the uniform per-column dispatch layer
 // ---------------------------------------------------------------------------
 
-/// The five column-loop kernels behind one dispatch tag. This is the unit
-/// Method::Hybrid selects per nnz-balanced column chunk (the whole-matrix
-/// methods Heap/Spa/Hash/SlidingHash/DenseAcc are the degenerate "same
-/// kernel for every chunk" points of the same surface).
-enum class ColumnKernel : std::uint8_t { Heap, Spa, Hash, SlidingHash,
-                                         DenseAcc };
+/// The four column-loop kernels of the per-chunk planner behind one
+/// dispatch tag. This is the unit Method::Auto/Hybrid selects per
+/// nnz-balanced column chunk (the whole-matrix methods Heap/Hash/
+/// SlidingHash/DenseAcc are the degenerate "same kernel for every chunk"
+/// points of the same surface).
+enum class ColumnKernel : std::uint8_t { Heap, Hash, SlidingHash, DenseAcc };
 
 /// Record one chunk dispatched to kernel `k` (hybrid observability).
 inline void count_chunk(OpCounters& counters, ColumnKernel k) {
   switch (k) {
     case ColumnKernel::Heap: ++counters.chunks_heap; break;
-    case ColumnKernel::Spa: ++counters.chunks_spa; break;
     case ColumnKernel::Hash: ++counters.chunks_hash; break;
     case ColumnKernel::SlidingHash: ++counters.chunks_sliding; break;
     case ColumnKernel::DenseAcc: ++counters.chunks_dense; break;
@@ -661,8 +646,8 @@ inline void count_chunk(OpCounters& counters, ColumnKernel k) {
 }
 
 /// Per-call constants the uniform kernel interface needs beyond the views
-/// themselves: the matrix row count (SPA sizing, sliding partitions), the
-/// cache-derived sliding table budgets, and the sortedness contract.
+/// themselves: the matrix row count (dense sizing, sliding partitions),
+/// the cache-derived sliding table budgets, and the sortedness contract.
 template <class IndexT>
 struct KernelEnv {
   IndexT rows = 0;
@@ -673,7 +658,7 @@ struct KernelEnv {
 };
 
 /// Uniform symbolic phase: nnz of the added column under kernel `k`.
-/// Heap/SPA/Hash chunks count with the plain hash symbolic (Alg. 6);
+/// Heap/Hash chunks count with the plain hash symbolic (Alg. 6);
 /// sliding chunks use the cache-capped partition (Alg. 7); dense chunks
 /// count through the occupancy bitmap.
 template <class IndexT, class ValueT>
@@ -702,10 +687,6 @@ std::size_t kernel_numeric_column(
     case ColumnKernel::Heap:
       return heap_add_column(views, scratch.heap, out_rows, out_vals,
                              counters);
-    case ColumnKernel::Spa:
-      scratch.spa.ensure_rows(static_cast<std::size_t>(env.rows));
-      return spa_add_column(views, scratch.spa, out_rows, out_vals,
-                            env.sorted_output, counters);
     case ColumnKernel::Hash:
       return hash_add_column(views, expected_nnz, scratch.table, out_rows,
                              out_vals, env.sorted_output, counters);

@@ -1,6 +1,6 @@
 // Shared plumbing for the SpKAdd drivers: input checking, the column-
 // parallel loop with per-thread counter reduction, view gathering, and the
-// per-column cost scan feeding the Auto prescan and nnz-balanced schedule.
+// per-column cost scan feeding the per-chunk plan and nnz-balanced schedule.
 //
 // The drivers' primary signatures take *pointer* spans
 // (span<const CscMatrix* const>) so callers that stream or batch addends —
@@ -104,50 +104,29 @@ std::size_t total_nnz(std::span<Element> inputs) {
   return t;
 }
 
-/// One parallel O(k*n) pass over the per-column summed input nnz — the
-/// cost model shared by the Auto prescan (max over columns decides hash vs
-/// sliding hash), the symbolic phase and the nnz-balanced schedule. Stores
-/// the per-column totals when `costs` is non-null; returns the maximum.
+/// One parallel O(k*n) pass filling `costs` with the per-column summed
+/// input nnz — the cost model shared by the per-chunk plan, the symbolic
+/// phase and the nnz-balanced schedule.
 template <class Element>
-std::uint64_t scan_column_input_nnz(std::span<Element> inputs,
-                                    const Options& opts,
-                                    std::vector<std::uint64_t>* costs) {
+void column_input_nnz(std::span<Element> inputs, const Options& opts,
+                      std::vector<std::uint64_t>& costs) {
   using IndexT = std::decay_t<decltype(deref(inputs.front()).cols())>;
   const IndexT cols = inputs.empty() ? IndexT{0} : deref(inputs.front()).cols();
-  if (costs) costs->assign(static_cast<std::size_t>(cols), 0);
+  costs.assign(static_cast<std::size_t>(cols), 0);
   const int nthreads =
       opts.threads > 0 ? opts.threads : omp_get_max_threads();
   const std::uint8_t* skip = opts.skip_cols;
-  std::uint64_t max_cost = 0;
-#pragma omp parallel for num_threads(nthreads) schedule(static) \
-    reduction(max : max_cost)
+#pragma omp parallel for num_threads(nthreads) schedule(static)
   for (IndexT j = 0; j < cols; ++j) {
     // Skipped (dense-resident) columns cost nothing: the fold never
-    // gathers their views, so neither the schedule nor the Auto prescan
-    // should weigh them.
+    // gathers their views, so neither the schedule nor the plan should
+    // weigh them.
     if (skip && skip[static_cast<std::size_t>(j)] != 0) continue;
     std::uint64_t t = 0;
     for (const auto& e : inputs)
       t += static_cast<std::uint64_t>(deref(e).col_nnz(j));
-    if (costs) (*costs)[static_cast<std::size_t>(j)] = t;
-    max_cost = std::max(max_cost, t);
+    costs[static_cast<std::size_t>(j)] = t;
   }
-  return max_cost;
-}
-
-/// Fill `costs` with the per-column totals (scheduling + symbolic reuse).
-template <class Element>
-std::uint64_t column_input_nnz(std::span<Element> inputs, const Options& opts,
-                               std::vector<std::uint64_t>& costs) {
-  return scan_column_input_nnz(inputs, opts, &costs);
-}
-
-/// Max-only variant for callers that just need the heaviest column (the
-/// standalone Auto prescan entry points): O(1) extra memory.
-template <class Element>
-std::uint64_t max_column_input_nnz(std::span<Element> inputs,
-                                   const Options& opts) {
-  return scan_column_input_nnz(inputs, opts, nullptr);
 }
 
 /// Greedily cut [0, n) into chunks of roughly equal summed cost, about

@@ -7,8 +7,9 @@
 //      method's kernel on thread-private scratch.
 // The loop is synchronization-free because output slices are disjoint.
 // The five single-kernel drivers run one kernel for every column;
-// spkadd_hybrid evaluates the Fig. 2 surface per nnz-balanced column
-// chunk and mixes kernels through the uniform ColumnKernel interface.
+// spkadd_hybrid (behind Method::Auto and Method::Hybrid) evaluates the
+// Fig. 2 surface per nnz-balanced column chunk and mixes kernels through
+// the uniform ColumnKernel interface.
 //
 // Primary signatures take borrowed matrix pointers (MatrixPtrs) plus an
 // optional Runtime: the streaming accumulator folds batches through these
@@ -242,9 +243,10 @@ template <class IndexT, class ValueT>
   return out;
 }
 
-/// Method::Hybrid driver: evaluate the Fig. 2 decision surface per
-/// nnz-balanced column chunk instead of per call. The per-column input-nnz
-/// totals (computed once by the caller's cost scan, or here when absent)
+/// Per-chunk planner driver behind Method::Auto and Method::Hybrid:
+/// evaluate the Fig. 2 decision surface per nnz-balanced column chunk
+/// instead of per call. The per-column input-nnz totals (reused from the
+/// Runtime when already sized for these columns, scanned here otherwise)
 /// are cut into cost-balanced chunks; each chunk is classified
 /// (plan_hybrid) and both phases then run chunk-parallel, every chunk
 /// under its own kernel through the uniform ColumnKernel interface. A

@@ -18,7 +18,7 @@ enum class Method {
   SlidingHash,        ///< Alg. 7/8: cache-capped hash slid over row ranges
   ReferenceIncremental,  ///< MKL-substitute pairwise add, folded
   ReferenceTree,         ///< MKL-substitute pairwise add, tree
-  Auto,               ///< pick ONE kernel per Fig. 2's decision surface
+  Auto,               ///< 2-way tree for a sorted pair, else Hybrid
   Hybrid,             ///< pick a kernel PER nnz-balanced column chunk
   DenseAcc,           ///< dense bitmap accumulator with SIMD dense adds
 };
@@ -36,9 +36,8 @@ enum class Method {
 /// scheduling keyed on per-column nnz to balance skewed (RMAT) workloads;
 /// Static is kept for the ablation bench. NnzBalanced pre-partitions the
 /// columns into cost-balanced chunks from the per-column input-nnz totals
-/// (computed once, in parallel, and shared with the Auto prescan and the
-/// symbolic phase) so skewed columns no longer serialize behind a fixed
-/// chunk width.
+/// (computed once, in parallel, and shared with the symbolic phase) so
+/// skewed columns no longer serialize behind a fixed chunk width.
 enum class Schedule { Dynamic, Static, NnzBalanced };
 
 [[nodiscard]] std::string schedule_name(Schedule s);
@@ -59,12 +58,15 @@ struct OpCounters {
   std::uint64_t bytes_moved = 0;  ///< streamed matrix bytes (I/O model)
   std::uint64_t table_inits = 0;  ///< hash-table slots initialized
 
-  // Per-kernel chunk-dispatch counts of Method::Hybrid: how many
-  // nnz-balanced column chunks each kernel was chosen for (the observable
-  // decision mix of the per-chunk Fig. 2 surface). Zero under every
-  // single-kernel method.
+  // Per-kernel chunk-dispatch counts of the per-chunk planner
+  // (Method::Auto and Method::Hybrid): how many nnz-balanced column
+  // chunks each kernel was chosen for (the observable decision mix of the
+  // per-chunk Fig. 2 surface). Zero under every single-kernel method and
+  // under Auto's 2-way corner. The planner never picks the SPA, so
+  // chunks_spa always reads 0; it stays for readers of the counter set
+  // (the perfbench ledger).
   std::uint64_t chunks_heap = 0;     ///< chunks dispatched to the heap merge
-  std::uint64_t chunks_spa = 0;      ///< chunks dispatched to the SPA
+  std::uint64_t chunks_spa = 0;      ///< always 0: the SPA is not planned
   std::uint64_t chunks_hash = 0;     ///< chunks dispatched to plain hash
   std::uint64_t chunks_sliding = 0;  ///< chunks dispatched to sliding hash
   std::uint64_t chunks_dense = 0;    ///< chunks dispatched to the dense acc
@@ -90,13 +92,13 @@ struct OpCounters {
     return merge_ops + heap_ops + hash_probes + spa_touches + dense_touches;
   }
 
-  /// Total hybrid chunks dispatched (0 under single-kernel methods).
+  /// Total planned chunks dispatched (0 under single-kernel methods).
   [[nodiscard]] std::uint64_t chunks_total() const {
     return chunks_heap + chunks_spa + chunks_hash + chunks_sliding +
            chunks_dense;
   }
 
-  /// Compact "heap/spa/hash/sliding/dense" rendering of the hybrid
+  /// Compact "heap/spa/hash/sliding/dense" rendering of the planner's
   /// decision mix for bench tables, e.g. "2/0/29/1/4".
   [[nodiscard]] std::string chunk_mix() const {
     return std::to_string(chunks_heap) + "/" + std::to_string(chunks_spa) +

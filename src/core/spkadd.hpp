@@ -3,21 +3,12 @@
 //   CscMatrix<> B = core::spkadd(inputs);                    // Auto policy
 //   CscMatrix<> B = core::spkadd(inputs, {.method = Method::SlidingHash});
 //
-// Method::Auto implements the decision surface of the paper's Fig. 2:
-// hash-family methods win everywhere at k >= 8; the only question is plain
-// hash vs sliding hash, decided by whether all threads' numeric-phase hash
-// tables fit in the last-level cache. For tiny k on skewed inputs the 2-way
-// tree/heap corner of Fig. 2 is honored.
-//
-// Method::Hybrid evaluates the same surface PER nnz-balanced column chunk
-// (spkadd_hybrid in kway.hpp): one dense hub column no longer drags every
-// sparse column onto sliding hash — each chunk runs its own Fig. 2-optimal
-// kernel, bit-identically to any single-kernel run.
-//
-// The Auto prescan (max per-column input nnz) runs as one parallel pass
-// whose per-column totals land in the call's Runtime, where the symbolic
-// phase and the nnz-balanced schedule reuse them — the scan is paid once
-// per call, not once per consumer.
+// Method::Auto, the default, is the paper's Fig. 2 decision surface
+// evaluated per nnz-balanced column chunk rather than once per call: a
+// sorted pair of inputs takes the 2-way tree (Fig. 2's small-k corner),
+// and every other call runs the per-chunk planner of Method::Hybrid
+// (spkadd_hybrid in kway.hpp). Each chunk then runs the kernel its own
+// heaviest column calls for, bit-identically to any single-kernel run.
 #pragma once
 
 #include <span>
@@ -26,58 +17,24 @@
 #include "core/options.hpp"
 #include "core/reference_add.hpp"
 #include "core/twoway.hpp"
-#include "util/cache_info.hpp"
-#include "util/thread_control.hpp"
 
 namespace spkadd::core {
 
-/// The Fig. 2 cache-residency test on a precomputed heaviest-column input
-/// nnz: b * T * max-column nnz > M. Output nnz is approximated by the
-/// per-column *input* nnz upper bound (overestimates by at most the
-/// compression factor, which only moves the boundary toward sliding hash —
-/// the safe direction).
-template <class IndexT, class ValueT>
-[[nodiscard]] bool tables_overflow_llc(std::uint64_t max_col_nnz,
-                                       const Options& opts) {
-  const std::size_t b = sizeof(IndexT) + sizeof(ValueT);
-  const int threads =
-      opts.threads > 0 ? opts.threads : util::current_max_threads();
-  const std::size_t llc =
-      opts.llc_bytes != 0 ? opts.llc_bytes : util::effective_llc_bytes();
-  return b * static_cast<std::size_t>(threads) *
-             static_cast<std::size_t>(max_col_nnz) >
-         llc;
+/// The method Method::Auto dispatches to for k addends: the 2-way tree
+/// for a sorted pair, the per-chunk planner otherwise. Pairwise folds
+/// cannot honor a skip mask, so a masked call always plans per chunk.
+/// Needs no column scan.
+[[nodiscard]] inline Method auto_select(std::size_t k, const Options& opts) {
+  return k <= 2 && opts.inputs_sorted && opts.skip_cols == nullptr
+             ? Method::TwoWayTree
+             : Method::Hybrid;
 }
 
-/// Estimate whether the numeric-phase hash tables of all threads overflow
-/// the LLC budget. The per-column scan runs in parallel (it used to be a
-/// serial O(k*n) prepended to every Auto call).
-template <class IndexT, class ValueT>
-[[nodiscard]] bool auto_prefers_sliding(
-    std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts) {
-  return tables_overflow_llc<IndexT, ValueT>(
-      detail::max_column_input_nnz(inputs, opts), opts);
-}
-
-/// Pick a concrete method for Method::Auto from a precomputed heaviest
-/// column (internal fast path: the caller already owns the cost scan).
-template <class IndexT, class ValueT>
-[[nodiscard]] Method auto_select_from_max(std::size_t k, bool inputs_sorted,
-                                          std::uint64_t max_col_nnz,
-                                          const Options& opts) {
-  if (k <= 2 && inputs_sorted) return Method::TwoWayTree;
-  return tables_overflow_llc<IndexT, ValueT>(max_col_nnz, opts)
-             ? Method::SlidingHash
-             : Method::Hash;
-}
-
-/// Pick a concrete method for Method::Auto (exposed for tests/benches).
+/// Value-span form of auto_select (tests/benches).
 template <class IndexT, class ValueT>
 [[nodiscard]] Method auto_select(
     std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts) {
-  return auto_select_from_max<IndexT, ValueT>(
-      inputs.size(), opts.inputs_sorted,
-      detail::max_column_input_nnz(inputs, opts), opts);
+  return auto_select(inputs.size(), opts);
 }
 
 /// Add a collection of borrowed conformant sparse matrices:
@@ -106,41 +63,12 @@ template <class IndexT, class ValueT>
   }
   Runtime<IndexT, ValueT> local;
   Runtime<IndexT, ValueT>& R = rt ? *rt : local;
-  R.col_costs.clear();  // never let a previous call's totals leak downstream
-  Method method = opts.method;
-  // Fig. 2's 2-way corner needs no column scan; resolve it first so tiny-k
-  // Auto calls (e.g. pairwise accumulator folds) stay O(1) in dispatch.
-  if (method == Method::Auto && inputs.size() <= 2 && opts.inputs_sorted &&
-      opts.skip_cols == nullptr)
-    method = Method::TwoWayTree;
-  // Only the column-loop drivers consume costs; TwoWay*/Reference* never
-  // schedule by them, so skip the scan for those even under NnzBalanced.
-  // Hybrid always needs the totals: its chunking AND per-chunk kernel
-  // classification feed from them regardless of schedule.
-  const bool kway_driver =
-      method == Method::Auto || method == Method::Heap ||
-      method == Method::Spa || method == Method::Hash ||
-      method == Method::SlidingHash || method == Method::DenseAcc;
-  const bool want_costs =
-      (opts.schedule == Schedule::NnzBalanced && kway_driver) ||
-      method == Method::Hybrid;
-  if (method == Method::Auto || want_costs) {
-    // One parallel scan: the per-column totals are kept only when the
-    // balanced schedule (and through it the symbolic phase) will read
-    // them; the Auto decision alone needs just the max. Always recomputed
-    // here: a persistent Runtime may hold the previous call's totals.
-    const std::uint64_t max_col_nnz =
-        want_costs ? detail::column_input_nnz(inputs, opts, R.col_costs)
-                   : detail::max_column_input_nnz(inputs, opts);
-    if (method == Method::Auto) {
-      method = auto_select_from_max<IndexT, ValueT>(
-          inputs.size(), opts.inputs_sorted, max_col_nnz, opts);
-      // Under a skip mask the 2-way corner is off-limits (pairwise folds
-      // can't skip columns); hash is the nearest column-loop kernel.
-      if (opts.skip_cols != nullptr && method == Method::TwoWayTree)
-        method = Method::Hash;
-    }
-  }
+  // Never let a previous call's totals leak downstream: each driver
+  // rescans the per-column costs it needs into R.
+  R.col_costs.clear();
+  const Method method = opts.method == Method::Auto
+                            ? auto_select(inputs.size(), opts)
+                            : opts.method;
   switch (method) {
     case Method::TwoWayIncremental:
       return spkadd_twoway_incremental(inputs, opts);
@@ -163,7 +91,7 @@ template <class IndexT, class ValueT>
     case Method::ReferenceTree:
       return spkadd_reference_tree(inputs);
     case Method::Auto:
-      break;  // unreachable: resolved above
+      break;  // unreachable: resolved by auto_select
   }
   throw std::logic_error("spkadd: unresolved method");
 }

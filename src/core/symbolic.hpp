@@ -6,8 +6,8 @@
 // Alg. 7 so symbolic tables stay inside the last-level cache. The symbolic
 // table stores keys only (b = sizeof(IndexT) bytes per entry).
 //
-// It is also where Method::Hybrid plans its per-chunk dispatch: the
-// per-column input-nnz totals already computed for the Auto prescan and the
+// It is also where the per-chunk planner behind Method::Auto and
+// Method::Hybrid lives: the per-column input-nnz totals that also feed the
 // nnz-balanced schedule are cut into cost-balanced column chunks and each
 // chunk is classified on the paper's Fig. 2 decision surface
 // (plan_hybrid/hybrid_kernel_for) — no new prescan. The hybrid symbolic
@@ -111,11 +111,14 @@ std::vector<IndexT> symbolic_nnz_per_column(
 inline constexpr std::size_t kHybridHeapMaxK = 4;
 inline constexpr std::uint64_t kHybridHeapMaxColNnz = 64;
 
-/// Dense-chunk gate: a chunk is dense enough for the bitmap accumulator
-/// when its heaviest column's summed input nnz is at least rows / this
-/// divisor — enough scatter work to amortize the O(rows/64) bitmap sweep
-/// and beat the SPA's radix sort.
-inline constexpr std::uint64_t kHybridDenseMinFillDivisor = 8;
+/// Dense-chunk gate: a chunk goes to the bitmap accumulator when its
+/// heaviest column's summed input nnz is at least rows / this divisor.
+/// Fit from bench_hybrid on 65,536 rows at 1 and 4 threads (4-vCPU Xeon,
+/// 2 MiB L2 per core): DenseAcc beat hash by 4-50% on uniform columns
+/// averaging 64 or more input nnz (1/1024 of the rows and up) and lost
+/// by 8-90% at 32 and 16, because below that its O(rows/64) bitmap sweep
+/// per column outweighs the hash table's init, probes and radix sort.
+inline constexpr std::uint64_t kHybridDenseMinFillDivisor = 1024;
 
 /// The dense eligibility test of the per-chunk surface: the chunk must
 /// be dense enough (see kHybridDenseMinFillDivisor) and the T per-thread
@@ -132,29 +135,22 @@ template <class IndexT>
 
 /// Classify one nnz-balanced column chunk from its heaviest column's
 /// summed input nnz. `llc_fit_nnz` is the largest per-column input nnz
-/// whose numeric tables (all T threads') still fit the LLC — the same
-/// surface as the whole-matrix Auto test b*T*max > M, just evaluated on
-/// the chunk's own maximum instead of the global one. `spa_fit_rows` is
-/// the largest row count whose T dense SPA arrays (value + generation
-/// stamp per row) stay LLC-resident — the Fig. 3 effect: SPA's direct
-/// indexing beats hashing (no probes, no per-column table init) right up
-/// until its O(T*m) scratch falls out of cache, which is exactly where
-/// the paper's large-m multithreaded runs see it collapse.
-/// `dense_fit_rows` is the same test for the dense accumulator's
-/// value-plus-mask-bit per-row footprint.
+/// whose numeric tables (all T threads') still fit the LLC: the paper's
+/// b*T*max > M test, evaluated on the chunk's own maximum.
+/// `dense_fit_rows` is the largest row count whose T dense accumulator
+/// arrays (value plus mask bit per row) stay LLC-resident. Four rules,
+/// checked in order:
 ///   1. dense chunks w/ resident arrays -> DenseAcc (bounded by rows, so
 ///      it absorbs the hub columns whose *input* nnz overflows the LLC)
 ///   2. tables overflow the cache      -> SlidingHash
 ///   3. tiny-k sorted sparse chunks    -> Heap
-///   4. SPA arrays stay cache-resident -> Spa
-///   5. everything else                -> Hash
+///   4. everything else                -> Hash
 /// Empty chunks dispatch to Hash (a no-op kernel invocation).
 template <class IndexT>
 [[nodiscard]] ColumnKernel hybrid_kernel_for(std::uint64_t chunk_max_col_nnz,
                                              std::size_t k, IndexT rows,
                                              bool inputs_sorted,
                                              std::uint64_t llc_fit_nnz,
-                                             std::uint64_t spa_fit_rows,
                                              std::uint64_t dense_fit_rows) {
   if (chunk_max_col_nnz == 0) return ColumnKernel::Hash;
   if (dense_chunk_eligible(chunk_max_col_nnz, rows, dense_fit_rows))
@@ -163,13 +159,11 @@ template <class IndexT>
   if (inputs_sorted && k <= kHybridHeapMaxK &&
       chunk_max_col_nnz <= kHybridHeapMaxColNnz)
     return ColumnKernel::Heap;
-  if (rows > 0 && static_cast<std::uint64_t>(rows) <= spa_fit_rows)
-    return ColumnKernel::Spa;
   return ColumnKernel::Hash;
 }
 
-/// The per-chunk execution plan of Method::Hybrid: nnz-balanced column
-/// ranges plus the kernel classified for each.
+/// The per-chunk execution plan of Method::Auto/Hybrid: nnz-balanced
+/// column ranges plus the kernel classified for each.
 template <class IndexT>
 struct HybridPlan {
   std::vector<std::pair<IndexT, IndexT>> chunks;  ///< [first, second) cols
@@ -184,9 +178,10 @@ struct HybridPlan {
 };
 
 /// Build the hybrid plan from the per-column input-nnz totals the call
-/// already computed (the Auto-prescan/NnzBalanced cost vector — no new
-/// scan): cut the columns into cost-balanced chunks, then classify each
-/// chunk from its heaviest column on the hybrid_kernel_for surface.
+/// already computed (the cost vector the NnzBalanced schedule also reads
+/// — no new scan): cut the columns into cost-balanced chunks, then
+/// classify each chunk from its heaviest column on the hybrid_kernel_for
+/// surface.
 /// ValueT fixes the numeric table entry size of the cache-residency test.
 template <class IndexT, class ValueT>
 void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
@@ -203,9 +198,6 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
   const auto T = static_cast<std::size_t>(std::max(1, threads));
   // max fitting nnz: chunk_max > llc/(b*T)  <=>  b*T*chunk_max > llc.
   const std::uint64_t fit = llc / (b * T);
-  // SPA footprint per row: one ValueT plus one generation stamp.
-  const std::uint64_t spa_fit =
-      llc / ((sizeof(ValueT) + sizeof(std::uint32_t)) * T);
   // Dense-accumulator footprint per row: one ValueT plus one mask bit
   // (rounded up to a byte for the residency test).
   const std::uint64_t dense_fit = llc / ((sizeof(ValueT) + 1) * T);
@@ -214,12 +206,13 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
     for (IndexT j = c0; j < c1; ++j)
       mx = std::max(mx, costs[static_cast<std::size_t>(j)]);
     plan.kernels.push_back(hybrid_kernel_for(mx, k, rows, opts.inputs_sorted,
-                                             fit, spa_fit, dense_fit));
+                                             fit, dense_fit));
   }
 }
 
 /// Hybrid symbolic phase: count every column with its chunk's kernel
-/// (sliding symbolic on sliding chunks, plain hash symbolic elsewhere).
+/// (sliding symbolic on sliding chunks, the occupancy bitmap on dense
+/// chunks, plain hash symbolic elsewhere).
 /// Chunks are the parallel work unit, drained dynamically — they are
 /// already cost-balanced, so this is the NnzBalanced schedule by
 /// construction.

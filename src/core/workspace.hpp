@@ -204,7 +204,7 @@ struct ThreadScratch {
 
 /// Per-call execution context that is *reusable across calls*: the
 /// per-thread scratch pool and the per-column input-nnz totals driving both
-/// the Auto prescan and nnz-balanced scheduling. Drivers accept an optional
+/// the per-chunk plan and nnz-balanced scheduling. Drivers accept an optional
 /// Runtime; when none is given they fall back to a call-local one (the
 /// pre-accumulator behavior). The Accumulator owns one so hash/SPA/heap
 /// scratch survives across batches instead of being re-grown per call.
@@ -213,8 +213,8 @@ struct Runtime {
   std::vector<ThreadScratch<IndexT, ValueT>> scratch;
 
   /// Per-column sum of input nnz for the *current* call's inputs. Filled by
-  /// spkadd()/the drivers when the Auto policy or Schedule::NnzBalanced
-  /// needs it; sized to the column count or empty.
+  /// the drivers when the per-chunk plan or Schedule::NnzBalanced needs
+  /// it; sized to the column count or empty.
   std::vector<std::uint64_t> col_costs;
 
   void ensure_threads(int nthreads) {

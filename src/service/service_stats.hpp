@@ -34,9 +34,9 @@ struct ShardStats {
   std::uint64_t folded_nnz = 0;      ///< total nonzeros folded here
   std::uint64_t flushes = 0;         ///< Accumulator folds performed
   std::size_t peak_staged_nnz = 0;   ///< max nnz awaiting a fold at once
-  // Hybrid chunk-dispatch mix of this shard's folds (how many
-  // nnz-balanced column chunks each kernel was chosen for). All zero
-  // unless ServiceConfig::options.method == core::Method::Hybrid.
+  // Chunk-dispatch mix of this shard's folds (how many nnz-balanced
+  // column chunks the per-chunk planner of Method::Auto/Hybrid chose each
+  // kernel for). chunks_spa always reads 0: the planner never picks SPA.
   std::uint64_t chunks_heap = 0;
   std::uint64_t chunks_spa = 0;
   std::uint64_t chunks_hash = 0;

@@ -80,9 +80,9 @@ struct WindowStats {
   /// Max nonzeros awaiting a fold in any one bucket, live or retired —
   /// the window's staging-memory high-water mark.
   std::size_t peak_staged_nnz = 0;
-  // Hybrid chunk-dispatch mix of this window's folds (how many
-  // nnz-balanced column chunks each kernel was chosen for). All zero
-  // unless WindowConfig::options.method == core::Method::Hybrid.
+  // Chunk-dispatch mix of this window's folds (how many nnz-balanced
+  // column chunks the per-chunk planner of Method::Auto/Hybrid chose each
+  // kernel for). chunks_spa always reads 0: the planner never picks SPA.
   std::uint64_t chunks_heap = 0;
   std::uint64_t chunks_spa = 0;
   std::uint64_t chunks_hash = 0;

@@ -41,9 +41,9 @@ struct MachineInfo {
 [[nodiscard]] MachineInfo detect_machine();
 
 /// detect_machine() probed exactly once per process. The hot dispatch paths
-/// (auto_select, plan_hybrid, table_entry_cap) consult the machine topology
-/// on every fold; this accessor makes that a static read instead of a
-/// repeated sysfs walk.
+/// (plan_hybrid, table_entry_cap) consult the machine topology on every
+/// fold; this accessor makes that a static read instead of a repeated
+/// sysfs walk.
 [[nodiscard]] const MachineInfo& cached_machine();
 
 /// Process-wide LLC-size override (0 = use detected). Benches use this to

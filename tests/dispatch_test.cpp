@@ -54,12 +54,36 @@ TEST(Dispatch, EmptyCollectionThrows) {
   EXPECT_THROW(core::spkadd(empty), std::invalid_argument);
 }
 
-TEST(AutoPolicy, SmallTablesPickPlainHash) {
+/// The kernels plan_hybrid assigns to `inputs` under `opts`.
+std::vector<ColumnKernel> planned_kernels(const std::vector<Csc>& inputs,
+                                          const Options& opts) {
+  std::vector<const Csc*> ptrs;
+  detail::borrow_all(std::span<const Csc>(inputs), ptrs);
+  std::vector<std::uint64_t> costs;
+  detail::column_input_nnz(MatrixPtrs<std::int32_t, double>(ptrs), opts,
+                           costs);
+  HybridPlan<std::int32_t> plan;
+  plan_hybrid<std::int32_t, double>(costs, inputs[0].rows(), inputs.size(),
+                                    opts, plan);
+  return plan.kernels;
+}
+
+TEST(AutoPolicy, ResolvesToThePerChunkPlanner) {
   const auto inputs = random_collection(4, 256, 16, 200, 7);
   Options opts;
   opts.llc_bytes = 32u << 20;  // plenty of cache
   opts.threads = 1;
-  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), opts), Method::Hash);
+  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), opts), Method::Hybrid);
+  OpCounters auto_counts;
+  opts.counters = &auto_counts;
+  const Csc by_auto = core::spkadd(inputs, opts);
+  Options hybrid = opts;
+  hybrid.method = Method::Hybrid;
+  OpCounters hybrid_counts;
+  hybrid.counters = &hybrid_counts;
+  EXPECT_TRUE(by_auto == core::spkadd(inputs, hybrid));
+  EXPECT_GT(auto_counts.chunks_total(), 0u);
+  EXPECT_EQ(auto_counts.chunk_mix(), hybrid_counts.chunk_mix());
 }
 
 TEST(AutoPolicy, CacheOverflowPicksSlidingHash) {
@@ -67,14 +91,31 @@ TEST(AutoPolicy, CacheOverflowPicksSlidingHash) {
   Options opts;
   opts.llc_bytes = 1 << 10;  // 1KB "LLC": tables cannot fit
   opts.threads = 4;
-  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), opts),
-            Method::SlidingHash);
+  OpCounters counters;
+  opts.counters = &counters;
+  const Csc out = core::spkadd(inputs, opts);
+  EXPECT_GT(counters.chunks_sliding, 0u);
+  EXPECT_EQ(counters.chunks_sliding, counters.chunks_total())
+      << counters.chunk_mix();
+  Options hash_opts;
+  hash_opts.method = Method::Hash;
+  EXPECT_TRUE(out == core::spkadd(inputs, hash_opts));
 }
 
 TEST(AutoPolicy, PairOfSortedInputsUsesTree) {
   const auto inputs = random_collection(2, 64, 8, 100, 9);
   EXPECT_EQ(auto_select(std::span<const Csc>(inputs), Options{}),
             Method::TwoWayTree);
+  // Unsorted pairs and masked folds cannot take the pairwise corner.
+  Options unsorted;
+  unsorted.inputs_sorted = false;
+  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), unsorted),
+            Method::Hybrid);
+  const std::vector<std::uint8_t> mask(8, 0);
+  Options masked;
+  masked.skip_cols = mask.data();
+  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), masked),
+            Method::Hybrid);
 }
 
 TEST(AutoPolicy, RespectsGlobalLlcOverride) {
@@ -82,22 +123,27 @@ TEST(AutoPolicy, RespectsGlobalLlcOverride) {
   Options opts;
   opts.threads = 4;
   util::set_llc_override(1 << 10);
-  const auto with_small = auto_select(std::span<const Csc>(inputs), opts);
+  const auto with_small = planned_kernels(inputs, opts);
   util::set_llc_override(1u << 30);
-  const auto with_large = auto_select(std::span<const Csc>(inputs), opts);
+  const auto with_large = planned_kernels(inputs, opts);
   util::set_llc_override(0);
-  EXPECT_EQ(with_small, Method::SlidingHash);
-  EXPECT_EQ(with_large, Method::Hash);
+  ASSERT_FALSE(with_small.empty());
+  for (const ColumnKernel k : with_small)
+    EXPECT_EQ(k, ColumnKernel::SlidingHash);
+  for (const ColumnKernel k : with_large)
+    EXPECT_NE(k, ColumnKernel::SlidingHash);
 }
 
 TEST(AutoPolicy, DeterministicLlcBoundaryRegression) {
   // 4 addends, each contributing 10 distinct rows to column 0, so the
   // heaviest summed column has exactly 40 entries. With entry bytes
   // b = sizeof(int32) + sizeof(double) = 12 and threads pinned to 3, the
-  // numeric-phase tables need 12 * 3 * 40 = 1440 bytes. The Fig. 2 surface
-  // is "tables overflow LLC", so an exactly-fitting budget stays Hash and
-  // one byte less tips to SlidingHash — independent of the host's real LLC
-  // because opts.llc_bytes is pinned.
+  // numeric-phase tables need 12 * 3 * 40 = 1440 bytes. The sliding rule
+  // is "tables overflow LLC", so an exactly-fitting budget stays off
+  // sliding hash and one byte less tips column 0's chunk onto it —
+  // independent of the host's real LLC because opts.llc_bytes is pinned.
+  // At that budget the three 64-row dense arrays (9 bytes per row each)
+  // do not fit, so the dense rule cannot claim the chunk first.
   std::vector<Csc> inputs;
   for (int i = 0; i < 4; ++i) {
     Coo coo(64, 2);
@@ -111,10 +157,13 @@ TEST(AutoPolicy, DeterministicLlcBoundaryRegression) {
   Options opts;
   opts.threads = 3;
   opts.llc_bytes = kTableBytes;
-  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), opts), Method::Hash);
+  const auto fits = planned_kernels(inputs, opts);
+  ASSERT_FALSE(fits.empty());
+  EXPECT_NE(fits.front(), ColumnKernel::SlidingHash);
+  EXPECT_NE(fits.front(), ColumnKernel::DenseAcc);
   opts.llc_bytes = kTableBytes - 1;
-  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), opts),
-            Method::SlidingHash);
+  EXPECT_EQ(planned_kernels(inputs, opts).front(),
+            ColumnKernel::SlidingHash);
 }
 
 namespace {

@@ -1,7 +1,8 @@
-// Method::Hybrid — per-chunk kernel dispatch: classification of the
-// per-chunk Fig. 2 surface, bit-identity of the mixed-kernel result to
-// every single-kernel method and the reference folds, and the chunk
-// counters/consumer integrations (accumulator, SUMMA).
+// The per-chunk planner behind Method::Auto and Method::Hybrid:
+// classification of the per-chunk Fig. 2 surface, bit-identity of the
+// mixed-kernel result to every single-kernel method and the reference
+// folds, and the chunk counters/consumer integrations (accumulator,
+// SUMMA).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -51,49 +52,61 @@ void quantize(std::vector<Csc>& inputs) {
     for (auto& v : m.mutable_values()) v = std::round(v * 8.0);
 }
 
+/// The per-chunk plan the planner builds for `inputs` under `opts`.
+HybridPlan<std::int32_t> plan_for(const std::vector<Csc>& inputs,
+                                  const Options& opts) {
+  std::vector<const Csc*> ptrs;
+  core::detail::borrow_all(std::span<const Csc>(inputs), ptrs);
+  std::vector<std::uint64_t> costs;
+  core::detail::column_input_nnz(MatrixPtrs<std::int32_t, double>(ptrs),
+                                 opts, costs);
+  HybridPlan<std::int32_t> plan;
+  plan_hybrid<std::int32_t, double>(costs, inputs[0].rows(), inputs.size(),
+                                    opts, plan);
+  return plan;
+}
+
 // ---------------------------------------------------------------------------
 // Classification (hybrid_kernel_for / plan_hybrid)
 // ---------------------------------------------------------------------------
 
 TEST(HybridClassify, EmptyChunkIsAHashNoop) {
-  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(0, 16, 1 << 20, true, 100, 0, 0),
+  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(0, 16, 1 << 20, true, 100, 0),
             ColumnKernel::Hash);
 }
 
 TEST(HybridClassify, CacheOverflowPicksSliding) {
-  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(101, 16, 1 << 20, true, 100, 0, 0),
+  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(101, 16, 1 << 20, true, 100, 0),
             ColumnKernel::SlidingHash);
   // Boundary: exactly fitting stays off sliding (b*T*max > M is strict).
-  EXPECT_NE(hybrid_kernel_for<std::int32_t>(100, 16, 1 << 20, true, 100, 0, 0),
+  EXPECT_NE(hybrid_kernel_for<std::int32_t>(100, 16, 1 << 20, true, 100, 0),
             ColumnKernel::SlidingHash);
 }
 
-TEST(HybridClassify, CacheResidentSpaArraysPickSpa) {
-  // rows <= spa_fit_rows (the T dense arrays stay LLC-resident) -> SPA;
-  // one row past the budget falls back to hash (the Fig. 3 collapse).
-  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(256, 16, 1024, true, 1 << 20,
-                                            1024, 0),
-            ColumnKernel::Spa);
-  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(256, 16, 1025, true, 1 << 20,
-                                            1024, 0),
+TEST(HybridClassify, SparseChunkOffEveryCornerPicksHash) {
+  // Not dense (no resident dense arrays), tables fit, k above the heap
+  // corner: plain hash. The SPA is never a planner candidate.
+  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(256, 16, 1024, true, 1 << 20, 0),
+            ColumnKernel::Hash);
+  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(256, 16, 1025, true, 1 << 20, 0),
             ColumnKernel::Hash);
 }
 
 TEST(HybridClassify, TinyKSortedSparseChunkPicksHeap) {
   EXPECT_EQ(hybrid_kernel_for<std::int32_t>(kHybridHeapMaxColNnz,
                                             kHybridHeapMaxK, 1 << 20, true,
-                                            1 << 20, 0, 0),
+                                            1 << 20, 0),
             ColumnKernel::Heap);
   // k above the corner, nnz above the corner, or unsorted inputs -> hash.
   EXPECT_EQ(hybrid_kernel_for<std::int32_t>(64, kHybridHeapMaxK + 1, 1 << 20,
-                                            true, 1 << 20, 0, 0),
+                                            true, 1 << 20, 0),
             ColumnKernel::Hash);
   EXPECT_EQ(hybrid_kernel_for<std::int32_t>(kHybridHeapMaxColNnz + 1,
                                             kHybridHeapMaxK, 1 << 20, true,
-                                            1 << 20, 0, 0),
+                                            1 << 20, 0),
             ColumnKernel::Hash);
   EXPECT_EQ(hybrid_kernel_for<std::int32_t>(64, kHybridHeapMaxK, 1 << 20,
-                                            false, 1 << 20, 0, 0),
+                                            false, 1 << 20, 0),
             ColumnKernel::Hash);
 }
 
@@ -101,16 +114,20 @@ TEST(HybridClassify, DenseChunkPicksDenseAccBeforeSliding) {
   // A hub chunk whose *input* nnz overflows the LLC but whose rows fit
   // the dense arrays goes dense, not sliding: dense storage is bounded by
   // rows, so the overflow test on input nnz is moot.
-  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(4096, 16, 1024, true, 100, 0,
-                                            2048),
+  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(4096, 16, 1024, true, 100, 2048),
             ColumnKernel::DenseAcc);
-  // Fill fraction below rows/kHybridDenseMinFillDivisor: not dense.
-  EXPECT_NE(hybrid_kernel_for<std::int32_t>(64, 16, 1024, true, 1 << 20, 0,
-                                            2048),
+  // The fill gate: a heaviest column of rows/kHybridDenseMinFillDivisor
+  // input nnz is dense, one entry less is not.
+  constexpr std::int32_t rows = 1 << 20;
+  constexpr std::uint64_t gate = rows / kHybridDenseMinFillDivisor;
+  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(gate, 16, rows, true, 1 << 30,
+                                            1 << 30),
+            ColumnKernel::DenseAcc);
+  EXPECT_NE(hybrid_kernel_for<std::int32_t>(gate - 1, 16, rows, true,
+                                            1 << 30, 1 << 30),
             ColumnKernel::DenseAcc);
   // Rows past the dense budget: falls through to the sliding test.
-  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(4096, 16, 4096, true, 100, 0,
-                                            1024),
+  EXPECT_EQ(hybrid_kernel_for<std::int32_t>(4096, 16, 4096, true, 100, 1024),
             ColumnKernel::SlidingHash);
 }
 
@@ -309,6 +326,55 @@ TEST(HybridBitIdentity, UnsortedInputsMatchHash) {
   EXPECT_TRUE(hybrid == core::spkadd(inputs, hash_opts));
 }
 
+TEST(HybridBitIdentity, DefaultOptionsMixKernelsOnRmatHub) {
+  // Default Options (Method::Auto) on skewed RMAT addends plus a hub
+  // column: the hub's chunk and the heavy RMAT chunks go dense while the
+  // light chunks stay on hash, and the mix is bit-identical to a single
+  // heap merge on raw float values at one thread and at every core. The
+  // hub holds every 64th row so it does not swallow the whole chunk
+  // budget: the light columns still split into chunks of their own.
+  gen::WorkloadSpec spec;
+  spec.pattern = gen::Pattern::RMAT;
+  spec.rows = 1 << 16;
+  spec.cols = 256;
+  spec.avg_nnz_per_col = 2;
+  spec.k = 8;
+  spec.seed = 1104;
+  std::vector<Csc> inputs;
+  for (const Csc& m : gen::make_workload(spec)) {
+    Coo coo(m.rows(), m.cols());
+    for (std::int32_t r = 0; r < m.rows(); r += 64)
+      coo.push(r, 0, 1.0 / static_cast<double>(r + 3));
+    for (std::int32_t j = 1; j < m.cols(); ++j) {
+      const auto col = m.column(j);
+      for (std::size_t i = 0; i < col.nnz(); ++i)
+        coo.push(col.rows[i], j, col.vals[i]);
+    }
+    coo.compress();
+    inputs.push_back(coo.to_csc());
+  }
+  Options heap_opts;
+  heap_opts.method = Method::Heap;
+  const Csc heap = core::spkadd(inputs, heap_opts);
+  for (const int threads :
+       {1, static_cast<int>(std::max<std::size_t>(1,
+                                                  util::online_cpu_count()))}) {
+    Options opts;
+    opts.threads = threads;
+    OpCounters counters;
+    opts.counters = &counters;
+    EXPECT_TRUE(core::spkadd(inputs, opts) == heap) << "T=" << threads;
+    const int kernels = (counters.chunks_heap > 0) +
+                        (counters.chunks_hash > 0) +
+                        (counters.chunks_sliding > 0) +
+                        (counters.chunks_dense > 0);
+    EXPECT_GE(kernels, 2) << "T=" << threads << " mix "
+                          << counters.chunk_mix();
+    EXPECT_GT(counters.chunks_dense, 0u) << counters.chunk_mix();
+    EXPECT_EQ(counters.chunks_spa, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Observability + dispatch plumbing
 // ---------------------------------------------------------------------------
@@ -322,14 +388,7 @@ TEST(HybridCounters, ChunkCountsMatchThePlan) {
   opts.counters = &counters;
   (void)core::spkadd(inputs, opts);
 
-  std::vector<const Csc*> ptrs;
-  core::detail::borrow_all(std::span<const Csc>(inputs), ptrs);
-  std::vector<std::uint64_t> costs;
-  core::detail::column_input_nnz(MatrixPtrs<std::int32_t, double>(ptrs),
-                                 opts, costs);
-  HybridPlan<std::int32_t> plan;
-  plan_hybrid<std::int32_t, double>(costs, inputs[0].rows(), inputs.size(),
-                                    opts, plan);
+  const HybridPlan<std::int32_t> plan = plan_for(inputs, opts);
   EXPECT_EQ(counters.chunks_total(), plan.size());
   EXPECT_GT(counters.chunks_total(), 0u);
 }
@@ -337,7 +396,7 @@ TEST(HybridCounters, ChunkCountsMatchThePlan) {
 TEST(HybridCounters, SingleKernelMethodsCountNoChunks) {
   const auto inputs = random_collection(8, 256, 8, 300, 61);
   for (const Method m : {Method::Hash, Method::Heap, Method::Spa,
-                         Method::SlidingHash, Method::Auto}) {
+                         Method::SlidingHash}) {
     Options opts;
     opts.method = m;
     OpCounters counters;
@@ -356,14 +415,15 @@ TEST(HybridDispatch, OptionsMethodRoutesToTheDriver) {
 }
 
 TEST(HybridDispatch, HeapChunksRequireActuallySortedInputs) {
-  // Tiny k + sparse columns classify into the heap corner; declaring
-  // inputs sorted while they are not must throw (like spkadd_heap), not
-  // silently mis-merge.
-  auto inputs = random_collection(3, 512, 8, 60, 81);
+  // Tiny k + sparse columns far under the dense gate classify into the
+  // heap corner; declaring inputs sorted while they are not must throw
+  // (like spkadd_heap), not silently mis-merge.
+  auto inputs = random_collection(3, 1 << 16, 8, 60, 81);
   for (auto& m : inputs) gen::shuffle_columns(m, 5);
   Options opts;
   opts.method = Method::Hybrid;
   opts.inputs_sorted = true;  // a lie
+  ASSERT_TRUE(plan_for(inputs, opts).uses(ColumnKernel::Heap));
   EXPECT_THROW((void)core::spkadd(inputs, opts), std::invalid_argument);
 }
 

@@ -521,7 +521,7 @@ TEST(AggService, HybridFoldsMatchOneShotAndReportChunkMix) {
   std::uint64_t chunks = 0;
   for (const auto& sh : st.shards)
     chunks += sh.chunks_heap + sh.chunks_spa + sh.chunks_hash +
-              sh.chunks_sliding;
+              sh.chunks_sliding + sh.chunks_dense;
   EXPECT_GT(chunks, 0u);
 }
 
