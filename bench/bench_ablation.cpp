@@ -113,14 +113,15 @@ int main(int argc, char** argv) {
       } else {
         inputs = workload(gen::Pattern::ER, *rows, 64, 256, cfg.k, cfg.seed);
       }
-      const auto out = core::spkadd_hash(
-          std::span<const CscMatrix<std::int32_t, double>>(inputs));
+      core::Options hash_opts;
+      hash_opts.method = core::Method::Hash;
+      const auto out = core::spkadd(inputs, hash_opts);
       const double cf = compression_factor(
           std::span<const CscMatrix<std::int32_t, double>>(inputs), out);
       double sym_t = bench::time_best(reps, [&] {
         auto counts = core::symbolic_nnz_per_column(
             std::span<const CscMatrix<std::int32_t, double>>(inputs),
-            core::Options{}, false);
+            core::Options{}, core::ColumnKernel::Hash);
         static std::size_t sink = 0;
         sink += counts.size();
       });

@@ -63,6 +63,13 @@ std::string cell(double seconds) {
   return seconds < 0 ? "n/a" : util::TablePrinter::fmt_seconds(seconds);
 }
 
+std::string gnnz_per_s(std::size_t nnz, double seconds) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%#.3g",
+                static_cast<double>(nnz) / seconds / 1e9);
+  return buf;
+}
+
 namespace {
 
 /// Densify column 0 of `m` to ~rows/2 entries (the hub): every even row,

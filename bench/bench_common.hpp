@@ -50,6 +50,11 @@ std::vector<SkewPreset> make_skew_presets(std::int64_t rows,
 /// Shorthand: "0.0083" or "n/a" when seconds < 0 (method skipped).
 std::string cell(double seconds);
 
+/// Throughput cell: `nnz` input nonzeros over `seconds`, in Gnnz/s to 3
+/// significant digits ("0.00234", "0.0512", "1.20"), so small shapes
+/// print more than one digit.
+std::string gnnz_per_s(std::size_t nnz, double seconds);
+
 /// Median-of-`repeats` wall time of `fn` in seconds — the statistic logged
 /// to the JSON perf trajectory (robust to one-off outliers, unlike min).
 double time_median(int repeats, const std::function<void()>& fn);

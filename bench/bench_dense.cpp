@@ -35,13 +35,6 @@ using Csc = CscMatrix<std::int32_t, double>;
 
 namespace {
 
-std::string gnnzps(std::size_t nnz, double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(nnz) / seconds / 1e9);
-  return buf;
-}
-
 std::string ratio_cell(double ratio) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2fx", ratio);
@@ -129,7 +122,7 @@ int main(int argc, char** argv) {
         dense_wins_densest = t < t_spa;
       char dens[16];
       std::snprintf(dens, sizeof(dens), "%.2f", density);
-      table.add_row({dens, core::method_name(m), gnnzps(in_nnz, t),
+      table.add_row({dens, core::method_name(m), bench::gnnz_per_s(in_nnz, t),
                      m == core::Method::Spa ? "1.00x" : ratio_cell(vs_spa)});
       log.add("density=" + std::string(dens) + "/" + core::method_name(m),
               shape + " density=" + dens, t, in_nnz);

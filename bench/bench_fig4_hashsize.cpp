@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/kway.hpp"
+#include "core/spkadd.hpp"
 #include "matrix/validate.hpp"
 #include "core/symbolic.hpp"
 #include "gen/workload.hpp"
@@ -40,8 +40,9 @@ void run_case(const Case& c, int repeats) {
 
   // Compression factor for the header (drives how much larger symbolic
   // tables are than numeric ones — the paper's Eukarya discussion).
-  const auto out = core::spkadd_hash(
-      std::span<const CscMatrix<std::int32_t, double>>(inputs));
+  core::Options hash_opts;
+  hash_opts.method = core::Method::Hash;
+  const auto out = core::spkadd(inputs, hash_opts);
   const double cf = compression_factor(
       std::span<const CscMatrix<std::int32_t, double>>(inputs), out);
 
@@ -53,6 +54,7 @@ void run_case(const Case& c, int repeats) {
   util::TablePrinter table({"table size", "symbolic", "computation", "total"});
   for (std::size_t cap = 1u << 7; cap <= (1u << 20); cap <<= 2) {
     core::Options opts;
+    opts.method = core::Method::SlidingHash;
     opts.max_table_entries = cap;
     if (c.llc_override != 0) opts.llc_bytes = c.llc_override;
 
@@ -61,14 +63,13 @@ void run_case(const Case& c, int repeats) {
       util::WallTimer t;
       const auto counts = core::symbolic_nnz_per_column(
           std::span<const CscMatrix<std::int32_t, double>>(inputs), opts,
-          /*sliding=*/true);
+          core::ColumnKernel::SlidingHash);
       const double sym = t.seconds();
       t.reset();
-      auto result = core::spkadd_sliding_hash(
-          std::span<const CscMatrix<std::int32_t, double>>(inputs), opts);
+      auto result = core::spkadd(inputs, opts);
       const double total_run = t.seconds();
-      // spkadd_sliding_hash re-runs its own symbolic internally; charge the
-      // remainder to computation.
+      // The full add re-runs its own symbolic phase; charge the remainder
+      // to computation.
       const double num = std::max(0.0, total_run - sym);
       if (best_sym < 0 || sym < best_sym) best_sym = sym;
       if (best_num < 0 || num < best_num) best_num = num;

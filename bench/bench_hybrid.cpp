@@ -27,13 +27,6 @@ using Csc = CscMatrix<std::int32_t, double>;
 
 namespace {
 
-std::string gnnzps(std::size_t nnz, double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(nnz) / seconds / 1e9);
-  return buf;
-}
-
 std::string pct(double ratio) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%+.1f%%", (ratio - 1.0) * 100.0);
@@ -135,7 +128,7 @@ int main(int argc, char** argv) {
         mix = counters.chunk_mix();
       }
       table.add_row(
-          {p.name, core::method_name(m), gnnzps(in_nnz, t), mix});
+          {p.name, core::method_name(m), bench::gnnz_per_s(in_nnz, t), mix});
       log.add(p.name + "/" + core::method_name(m),
               shape + (mix == "-" ? "" : " chunks=" + mix), t, in_nnz);
       if (m == core::Method::Auto) {

@@ -38,13 +38,6 @@ std::string mib(std::size_t bytes) {
   return std::string(buf) + " MiB";
 }
 
-std::string gnnzps(std::size_t nnz, double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(nnz) / seconds / 1e9);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -124,7 +117,7 @@ int main(int argc, char** argv) {
         mix = counters.chunk_mix();
       }
       table.add_row({pname, std::to_string(k), "one-shot",
-                     gnnzps(in_nnz, t_one),
+                     bench::gnnz_per_s(in_nnz, t_one),
                      mib(inputs_bytes(inputs) + one_shot.storage_bytes()),
                      std::to_string(one_shot.nnz()), mix});
       log.add(std::string(pname) + "/k=" + std::to_string(k) + "/one-shot",
@@ -143,7 +136,7 @@ int main(int argc, char** argv) {
             streamed = acc.finalize();
           });
       table.add_row({pname, std::to_string(k), "accumulator",
-                     gnnzps(in_nnz, t_stream),
+                     bench::gnnz_per_s(in_nnz, t_stream),
                      mib(acc.stats().peak_intermediate_bytes),
                      std::to_string(streamed.nnz()), "-"});
       log.add(std::string(pname) + "/k=" + std::to_string(k) +
@@ -179,7 +172,7 @@ int main(int argc, char** argv) {
       const double t = bench::time_median(static_cast<int>(*repeats), [&] {
         (void)core::spkadd(inputs, opts);
       });
-      sched.add_row({core::schedule_name(s), gnnzps(in_nnz, t)});
+      sched.add_row({core::schedule_name(s), bench::gnnz_per_s(in_nnz, t)});
       log.add("RMAT/k=64/schedule=" + core::schedule_name(s), shape, t,
               in_nnz);
     }

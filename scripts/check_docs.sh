@@ -19,6 +19,14 @@
 # are allowlisted below, and every doc line naming one must say it is an
 # artifact, so no doc can list one as committed.
 #
+# Fourth gate: every backticked code identifier the docs mention — a
+# `::`-qualified name (checked by its last component), a snake_case name
+# or a kConstant, with a trailing `()` stripped — must occur as a whole
+# word in the code: src/, bench/, tests/, examples/, scripts/, perfbench/
+# or the root CMakeLists.txt (which alone defines the SPKADD_* build
+# options). `spkadd_*` names are left to the metric gate. Renaming a
+# function or type while a doc still names it fails here.
+#
 # Scope: README.md and docs/*.md (CHANGES.md / ISSUE.md are history,
 # not documentation — old flag names there are fine).
 set -euo pipefail
@@ -128,6 +136,26 @@ done < <(grep -ohE '`[^`]+`' $docs |
          grep -oE '[A-Za-z0-9_./*-]+\.(json|sh|hpp|cpp|py|yml|md)\b' |
          sed 's|^\./||' | sort -u)
 
+# Code-identifier drift.
+# shellcheck disable=SC2207
+code_files=($(git ls-files -co --exclude-standard src bench tests examples \
+                scripts perfbench CMakeLists.txt))
+ident_count=0
+while IFS= read -r ident; do
+  ident_count=$((ident_count + 1))
+  if ! grep -qwF -- "${ident##*::}" "${code_files[@]}"; then
+    # shellcheck disable=SC2086
+    where="$(grep -lF -- "\`$ident" $docs | tr '\n' ' ')"
+    echo "STALE IDENTIFIER: $ident documented in ${where}but found" \
+         "nowhere in the code"
+    fail=1
+  fi
+done < <(grep -ohE '`[^`]+`' $docs | tr -d '`' | sed -E 's/\(\)$//' |
+         grep -xE -e '([A-Za-z_][A-Za-z0-9_]*::)+[A-Za-z_][A-Za-z0-9_]*' \
+                  -e '[A-Za-z][A-Za-z0-9]*(_[A-Za-z0-9]+)+' \
+                  -e 'k[A-Z][A-Za-z0-9]*' |
+         grep -vE '(^|::)spkadd_' | sort -u)
+
 if [ "$fail" -eq 0 ]; then
   echo "OK: every documented flag is registered ($(wc -l < "$tmp")" \
        "registered, docs: $docs)"
@@ -135,5 +163,7 @@ if [ "$fail" -eq 0 ]; then
        "($metric_count documented, $(wc -l < "$metrics_src") in src/)"
   echo "OK: every documented file name is tracked or a CI artifact" \
        "($path_count documented)"
+  echo "OK: every documented code identifier occurs in the code" \
+       "($ident_count documented)"
 fi
 exit "$fail"

@@ -294,8 +294,8 @@ TraceResult trace_through(std::span<const Csc> inputs,
       std::size_t part_in = 0;
       for (const auto& v : part.views) part_in += v.nnz();
       if (part_in == 0) continue;
-      // Mirror spkadd_sliding_hash: keys-only symbolic over the part, then an
-      // output-sized numeric table (see kway.hpp).
+      // Mirror sliding_hash_add_column: keys-only symbolic over the part,
+      // then an output-sized numeric table (see core/column_kernels.hpp).
       const std::size_t part_onz =
           trace_symbolic_part(cache, part.views, part.matrix_ids,
                               part.entry_offsets, table);

@@ -1,7 +1,7 @@
 // Sequential per-column kernels — the building blocks of every SpKAdd
 // algorithm. Each kernel adds the jth columns of all k inputs into the jth
-// output column; the drivers in this module's siblings run them inside a
-// column-parallel OpenMP loop on thread-private workspaces (paper §III-A).
+// output column; the column-kernel driver (kway.hpp) runs them inside one
+// chunk-parallel OpenMP loop on thread-private workspaces (paper §III-A).
 //
 //   merge2_*           ColAdd of Alg. 1 (2-way merge of sorted columns)
 //   heap_add_column    Alg. 3 (k-way min-heap merge)
@@ -13,14 +13,14 @@
 //   dense_symbolic_column     occupancy-bitmap distinct-row count
 //   dense_add_column   dense bitmap accumulation with SIMD dense adds
 //
-// The ColumnKernel layer at the bottom exposes the four kernels the
-// per-chunk planner picks from (heap, hash, sliding hash, dense) behind
-// one uniform symbolic/numeric per-column interface — the dispatch unit
-// of Method::Auto/Hybrid, whose driver picks a kernel per nnz-balanced
-// column chunk instead of per call. The SPA runs only as the paper's
-// Alg. 4 through Method::Spa. Every kernel accumulates equal-row values
-// strictly left to right over the inputs, so any per-chunk mix of them
-// is bit-identical to any single kernel run over the whole matrix.
+// The ColumnKernel layer at the bottom puts the five k-way kernels (heap,
+// hash, sliding hash, dense, SPA) behind one uniform symbolic/numeric
+// per-column interface, the unit a ColumnPlan assigns to each column
+// chunk. The per-chunk planner of Method::Auto/Hybrid picks among the
+// first four; the SPA runs only as the paper's Alg. 4 through
+// Method::Spa. Every kernel accumulates equal-row values strictly left
+// to right over the inputs, so any per-chunk mix of them is
+// bit-identical to any single kernel run over the whole matrix.
 //
 // All kernels optionally count operations into an OpCounters for the
 // Table I complexity bench.
@@ -30,6 +30,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "core/dense_simd.hpp"
 #include "core/options.hpp"
@@ -628,26 +629,55 @@ std::size_t dense_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
 // ColumnKernel — the uniform per-column dispatch layer
 // ---------------------------------------------------------------------------
 
-/// The four column-loop kernels of the per-chunk planner behind one
-/// dispatch tag. This is the unit Method::Auto/Hybrid selects per
-/// nnz-balanced column chunk (the whole-matrix methods Heap/Hash/
-/// SlidingHash/DenseAcc are the degenerate "same kernel for every chunk"
-/// points of the same surface).
-enum class ColumnKernel : std::uint8_t { Heap, Hash, SlidingHash, DenseAcc };
+/// The five column kernels behind one dispatch tag: the unit a ColumnPlan
+/// assigns to each column chunk. The per-chunk planner of Method::Auto/
+/// Hybrid picks among the first four; a single-kernel method puts its
+/// own kernel on every chunk, and only Method::Spa runs the SPA.
+enum class ColumnKernel : std::uint8_t {
+  Heap,
+  Hash,
+  SlidingHash,
+  DenseAcc,
+  Spa,
+};
 
-/// Record one chunk dispatched to kernel `k` (hybrid observability).
+/// Compile-time form of a ColumnKernel (see with_kernel).
+template <ColumnKernel K>
+using KernelTag = std::integral_constant<ColumnKernel, K>;
+
+/// Call f(KernelTag<k>{}): the driver switches once per chunk, so every
+/// kernel's column loop compiles on its own and no kernel's body bloats
+/// another's loop.
+template <class F>
+void with_kernel(ColumnKernel k, F&& f) {
+  switch (k) {
+    case ColumnKernel::Heap: f(KernelTag<ColumnKernel::Heap>{}); return;
+    case ColumnKernel::Hash: f(KernelTag<ColumnKernel::Hash>{}); return;
+    case ColumnKernel::SlidingHash:
+      f(KernelTag<ColumnKernel::SlidingHash>{});
+      return;
+    case ColumnKernel::DenseAcc:
+      f(KernelTag<ColumnKernel::DenseAcc>{});
+      return;
+    case ColumnKernel::Spa: f(KernelTag<ColumnKernel::Spa>{}); return;
+  }
+}
+
+/// Record one planned chunk dispatched to kernel `k`.
 inline void count_chunk(OpCounters& counters, ColumnKernel k) {
   switch (k) {
     case ColumnKernel::Heap: ++counters.chunks_heap; break;
     case ColumnKernel::Hash: ++counters.chunks_hash; break;
     case ColumnKernel::SlidingHash: ++counters.chunks_sliding; break;
     case ColumnKernel::DenseAcc: ++counters.chunks_dense; break;
+    case ColumnKernel::Spa: ++counters.chunks_spa; break;
   }
 }
 
 /// Per-call constants the uniform kernel interface needs beyond the views
-/// themselves: the matrix row count (dense sizing, sliding partitions),
-/// the cache-derived sliding table budgets, and the sortedness contract.
+/// themselves: the matrix row count (dense and SPA sizing, sliding
+/// partitions), the cache-derived sliding table budgets, and the
+/// sortedness contract.
 template <class IndexT>
 struct KernelEnv {
   IndexT rows = 0;
@@ -657,49 +687,52 @@ struct KernelEnv {
   bool sorted_output = true;
 };
 
-/// Uniform symbolic phase: nnz of the added column under kernel `k`.
-/// Heap/Hash chunks count with the plain hash symbolic (Alg. 6);
-/// sliding chunks use the cache-capped partition (Alg. 7); dense chunks
-/// count through the occupancy bitmap.
-template <class IndexT, class ValueT>
+/// Uniform symbolic phase: nnz of the added column under kernel K.
+/// Heap, Hash and SPA count with the plain hash symbolic (Alg. 6);
+/// sliding hash uses the cache-capped partition (Alg. 7); DenseAcc counts
+/// through the occupancy bitmap.
+template <ColumnKernel K, class IndexT, class ValueT>
 std::size_t kernel_symbolic_column(
-    ColumnKernel k, std::span<const ColumnView<IndexT, ValueT>> views,
+    KernelTag<K>, std::span<const ColumnView<IndexT, ValueT>> views,
     const KernelEnv<IndexT>& env, ThreadScratch<IndexT, ValueT>& scratch,
     OpCounters* counters = nullptr) {
-  if (k == ColumnKernel::SlidingHash)
+  if constexpr (K == ColumnKernel::SlidingHash)
     return sliding_symbolic_column(views, env.rows, env.sym_cap,
                                    env.inputs_sorted, scratch, counters);
-  if (k == ColumnKernel::DenseAcc)
+  else if constexpr (K == ColumnKernel::DenseAcc)
     return dense_symbolic_column(views, env.rows, scratch.dense, counters);
-  return hash_symbolic_column(views, scratch.sym_table, counters);
+  else
+    return hash_symbolic_column(views, scratch.sym_table, counters);
 }
 
-/// Uniform numeric phase: add the column under kernel `k` into
+/// Uniform numeric phase: add the column under kernel K into
 /// (out_rows, out_vals), which must hold `expected_nnz` entries (the
 /// symbolic result). Returns entries written (== expected_nnz).
-template <class IndexT, class ValueT>
+template <ColumnKernel K, class IndexT, class ValueT>
 std::size_t kernel_numeric_column(
-    ColumnKernel k, std::span<const ColumnView<IndexT, ValueT>> views,
+    KernelTag<K>, std::span<const ColumnView<IndexT, ValueT>> views,
     std::size_t expected_nnz, const KernelEnv<IndexT>& env,
     ThreadScratch<IndexT, ValueT>& scratch, IndexT* out_rows,
     ValueT* out_vals, OpCounters* counters = nullptr) {
-  switch (k) {
-    case ColumnKernel::Heap:
-      return heap_add_column(views, scratch.heap, out_rows, out_vals,
-                             counters);
-    case ColumnKernel::Hash:
-      return hash_add_column(views, expected_nnz, scratch.table, out_rows,
-                             out_vals, env.sorted_output, counters);
-    case ColumnKernel::SlidingHash:
-      return sliding_hash_add_column(views, expected_nnz, env.rows,
-                                     env.num_cap, env.inputs_sorted,
-                                     env.sorted_output, scratch, out_rows,
-                                     out_vals, counters);
-    case ColumnKernel::DenseAcc:
-      return dense_add_column(views, env.rows, scratch.dense, out_rows,
-                              out_vals, counters);
+  if constexpr (K == ColumnKernel::Heap) {
+    return heap_add_column(views, scratch.heap, out_rows, out_vals,
+                           counters);
+  } else if constexpr (K == ColumnKernel::Hash) {
+    return hash_add_column(views, expected_nnz, scratch.table, out_rows,
+                           out_vals, env.sorted_output, counters);
+  } else if constexpr (K == ColumnKernel::SlidingHash) {
+    return sliding_hash_add_column(views, expected_nnz, env.rows,
+                                   env.num_cap, env.inputs_sorted,
+                                   env.sorted_output, scratch, out_rows,
+                                   out_vals, counters);
+  } else if constexpr (K == ColumnKernel::DenseAcc) {
+    return dense_add_column(views, env.rows, scratch.dense, out_rows,
+                            out_vals, counters);
+  } else {
+    scratch.spa.ensure_rows(static_cast<std::size_t>(env.rows));
+    return spa_add_column(views, scratch.spa, out_rows, out_vals,
+                          env.sorted_output, counters);
   }
-  return 0;  // unreachable
 }
 
 }  // namespace spkadd::core

@@ -1,6 +1,7 @@
-// Shared plumbing for the SpKAdd drivers: input checking, the column-
-// parallel loop with per-thread counter reduction, view gathering, and the
-// per-column cost scan feeding the per-chunk plan and nnz-balanced schedule.
+// Shared plumbing for the SpKAdd drivers: input checking, the team size,
+// the per-column cost scan, the chunk cutter and the one column-parallel
+// loop (for_each_chunk, with per-thread counter reduction), and view
+// gathering.
 //
 // The drivers' primary signatures take *pointer* spans
 // (span<const CscMatrix* const>) so callers that stream or batch addends —
@@ -104,17 +105,22 @@ std::size_t total_nnz(std::span<Element> inputs) {
   return t;
 }
 
+/// The OpenMP team size of a call: Options::threads, or
+/// omp_get_max_threads() when it is 0.
+[[nodiscard]] inline int team_size(const Options& opts) {
+  return opts.threads > 0 ? opts.threads : omp_get_max_threads();
+}
+
 /// One parallel O(k*n) pass filling `costs` with the per-column summed
-/// input nnz — the cost model shared by the per-chunk plan, the symbolic
-/// phase and the nnz-balanced schedule.
+/// input nnz — the cost model shared by the per-chunk plan and the
+/// nnz-balanced schedule.
 template <class Element>
 void column_input_nnz(std::span<Element> inputs, const Options& opts,
                       std::vector<std::uint64_t>& costs) {
   using IndexT = std::decay_t<decltype(deref(inputs.front()).cols())>;
   const IndexT cols = inputs.empty() ? IndexT{0} : deref(inputs.front()).cols();
   costs.assign(static_cast<std::size_t>(cols), 0);
-  const int nthreads =
-      opts.threads > 0 ? opts.threads : omp_get_max_threads();
+  const int nthreads = team_size(opts);
   const std::uint8_t* skip = opts.skip_cols;
 #pragma omp parallel for num_threads(nthreads) schedule(static)
   for (IndexT j = 0; j < cols; ++j) {
@@ -156,75 +162,51 @@ void balance_chunks(std::span<const std::uint64_t> costs, int nthreads,
   if (begin < n) chunks.push_back({begin, n});
 }
 
-/// Column-parallel loop honoring Options::{threads, schedule}; `body` is
-/// called as body(j, OpCounters*) where the counter pointer is thread-
-/// private (or null when opts.counters is null) and reduced afterwards.
-/// With Schedule::NnzBalanced and a cost vector sized to n, the columns are
-/// pre-partitioned into cost-balanced chunks; otherwise NnzBalanced
-/// degrades to the dynamic schedule.
-template <class IndexT, class Body>
-void for_each_column(IndexT n, const Options& opts,
-                     std::span<const std::uint64_t> costs, Body&& body) {
-  const int nthreads =
-      opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  std::vector<OpCounters> per(static_cast<std::size_t>(nthreads));
-
-  const bool balanced = opts.schedule == Schedule::NnzBalanced &&
-                        costs.size() == static_cast<std::size_t>(n) && n > 0;
-  if (balanced) {
-    std::vector<std::pair<IndexT, IndexT>> chunks;
-    balance_chunks(costs, nthreads, chunks);
-    const auto nchunks = static_cast<std::int64_t>(chunks.size());
-#pragma omp parallel num_threads(nthreads)
-    {
-      OpCounters* c =
-          opts.counters
-              ? &per[static_cast<std::size_t>(omp_get_thread_num())]
-              : nullptr;
-#pragma omp for schedule(dynamic, 1) nowait
-      for (std::int64_t i = 0; i < nchunks; ++i)
-        for (IndexT j = chunks[static_cast<std::size_t>(i)].first;
-             j < chunks[static_cast<std::size_t>(i)].second; ++j)
-          body(j, c);
-    }
-  } else {
-    const bool dynamic = opts.schedule != Schedule::Static;
-#pragma omp parallel num_threads(nthreads)
-    {
-      OpCounters* c =
-          opts.counters
-              ? &per[static_cast<std::size_t>(omp_get_thread_num())]
-              : nullptr;
-      if (dynamic) {
-#pragma omp for schedule(dynamic, 8) nowait
-        for (IndexT j = 0; j < n; ++j) body(j, c);
-      } else {
-#pragma omp for schedule(static) nowait
-        for (IndexT j = 0; j < n; ++j) body(j, c);
-      }
-    }
+/// The chunk cutter: the one place Options::schedule shapes the work
+/// split of a column loop. `costs` covers the n columns exactly when the
+/// caller scanned them (a planned call, or Schedule::NnzBalanced), and
+/// then the columns are cut into cost-balanced chunks. Without costs,
+/// Static gives one contiguous block per thread (sizes within one column
+/// of each other) and Dynamic gives 8-column blocks; NnzBalanced without
+/// costs (the 2-way merge) degrades to Dynamic. for_each_chunk drains
+/// the chunks statically under Static and `dynamic,1` otherwise, so
+/// these cuts reproduce OpenMP's `schedule(static)` and `dynamic,8`.
+template <class IndexT>
+void cut_chunks(IndexT n, std::span<const std::uint64_t> costs,
+                const Options& opts,
+                std::vector<std::pair<IndexT, IndexT>>& chunks) {
+  if (costs.size() == static_cast<std::size_t>(n)) {
+    balance_chunks(costs, team_size(opts), chunks);
+    return;
   }
-  if (opts.counters)
-    for (const auto& c : per) *opts.counters += c;
+  chunks.clear();
+  if (opts.schedule == Schedule::Static) {
+    const auto teams = static_cast<IndexT>(team_size(opts));
+    const IndexT q = n / teams;
+    const IndexT r = n % teams;
+    IndexT begin = 0;
+    for (IndexT t = 0; t < teams && begin < n; ++t) {
+      const auto end = static_cast<IndexT>(begin + q + (t < r ? 1 : 0));
+      chunks.push_back({begin, end});
+      begin = end;
+    }
+    return;
+  }
+  constexpr IndexT kBlock = 8;
+  for (IndexT j = 0; j < n; j += kBlock)
+    chunks.push_back(
+        {j, n - j > kBlock ? static_cast<IndexT>(j + kBlock) : n});
 }
 
-template <class IndexT, class Body>
-void for_each_column(IndexT n, const Options& opts, Body&& body) {
-  for_each_column(n, opts, std::span<const std::uint64_t>{},
-                  std::forward<Body>(body));
-}
-
-/// Chunk-parallel loop over pre-partitioned column ranges — the dispatch
-/// unit of Method::Hybrid, whose chunks are already cost-balanced, so the
-/// chunk queue is drained `dynamic,1` exactly like the NnzBalanced
-/// schedule (Schedule::Static keeps a static split for the ablation
-/// bench). `body` is called as body(chunk_index, OpCounters*) with the
-/// same thread-private counter contract as for_each_column.
+/// The column-parallel loop: drain `chunks` on a team of team_size(opts)
+/// threads, statically under Schedule::Static and `dynamic,1` otherwise
+/// (see cut_chunks). `body` is called as body(chunk_index, OpCounters*)
+/// where the counter pointer is thread-private (or null when
+/// opts.counters is null) and reduced afterwards.
 template <class IndexT, class Body>
 void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
                     const Options& opts, Body&& body) {
-  const int nthreads =
-      opts.threads > 0 ? opts.threads : omp_get_max_threads();
+  const int nthreads = team_size(opts);
   std::vector<OpCounters> per(static_cast<std::size_t>(nthreads));
   const auto nchunks = static_cast<std::int64_t>(chunks.size());
   const bool dynamic = opts.schedule != Schedule::Static;

@@ -32,12 +32,16 @@ enum class Method {
 /// method_from_name(method_name(m)) == m for every Method.
 [[nodiscard]] Method method_from_name(const std::string& name);
 
-/// Loop schedule for the column-parallel outer loop. The paper uses dynamic
-/// scheduling keyed on per-column nnz to balance skewed (RMAT) workloads;
-/// Static is kept for the ablation bench. NnzBalanced pre-partitions the
-/// columns into cost-balanced chunks from the per-column input-nnz totals
-/// (computed once, in parallel, and shared with the symbolic phase) so
-/// skewed columns no longer serialize behind a fixed chunk width.
+/// How the column loop cuts and drains its chunks (detail::cut_chunks).
+/// A planned call (Method::Auto/Hybrid) always runs cost-balanced chunks;
+/// for it, Static drains them statically and the others `dynamic,1`.
+/// For a single-kernel method: Dynamic, the paper's choice, drains
+/// 8-column blocks `dynamic,1` (OpenMP's `dynamic,8`); Static runs one
+/// contiguous block per thread (`schedule(static)`, kept for the ablation
+/// bench); NnzBalanced cuts ~8 cost-balanced chunks per thread from the
+/// per-column input-nnz totals, so skewed (RMAT) columns no longer
+/// serialize behind a fixed chunk width. Results are bit-identical
+/// across schedules.
 enum class Schedule { Dynamic, Static, NnzBalanced };
 
 [[nodiscard]] std::string schedule_name(Schedule s);

@@ -3,12 +3,15 @@
 //   CscMatrix<> B = core::spkadd(inputs);                    // Auto policy
 //   CscMatrix<> B = core::spkadd(inputs, {.method = Method::SlidingHash});
 //
-// Method::Auto, the default, is the paper's Fig. 2 decision surface
-// evaluated per nnz-balanced column chunk rather than once per call: a
-// sorted pair of inputs takes the 2-way tree (Fig. 2's small-k corner),
-// and every other call runs the per-chunk planner of Method::Hybrid
-// (spkadd_hybrid in kway.hpp). Each chunk then runs the kernel its own
-// heaviest column calls for, bit-identically to any single-kernel run.
+// The 2-way and reference methods fold pairwise; every other method runs
+// the one column-kernel driver (kway_add in kway.hpp) with a plan.
+// Method::Heap, Spa, Hash, SlidingHash and DenseAcc put their kernel on
+// every column chunk. Method::Auto, the default, is the paper's Fig. 2
+// decision surface evaluated per nnz-balanced column chunk rather than
+// once per call: a sorted pair of inputs takes the 2-way tree (Fig. 2's
+// small-k corner), and every other call runs the per-chunk planner of
+// Method::Hybrid. Each chunk then runs the kernel its own heaviest column
+// calls for, bit-identically to any single-kernel run.
 #pragma once
 
 #include <span>
@@ -54,8 +57,8 @@ template <class IndexT, class ValueT>
        opts.method == Method::ReferenceTree))
     throw std::invalid_argument(
         "spkadd: skip_cols requires a column-kernel method");
-  // A skip mask must reach a column-loop driver: the whole-matrix copy
-  // shortcut and the pairwise folds cannot honor it.
+  // A skip mask must reach the column-kernel driver: the whole-matrix
+  // copy shortcut and the pairwise folds cannot honor it.
   if (inputs.size() == 1 && opts.skip_cols == nullptr) {
     CscMatrix<IndexT, ValueT> out = *inputs[0];
     if (opts.sorted_output && !out.is_sorted()) out.sort_columns();
@@ -63,9 +66,6 @@ template <class IndexT, class ValueT>
   }
   Runtime<IndexT, ValueT> local;
   Runtime<IndexT, ValueT>& R = rt ? *rt : local;
-  // Never let a previous call's totals leak downstream: each driver
-  // rescans the per-column costs it needs into R.
-  R.col_costs.clear();
   const Method method = opts.method == Method::Auto
                             ? auto_select(inputs.size(), opts)
                             : opts.method;
@@ -75,17 +75,17 @@ template <class IndexT, class ValueT>
     case Method::TwoWayTree:
       return spkadd_twoway_tree(inputs, opts);
     case Method::Heap:
-      return spkadd_heap(inputs, opts, &R);
+      return kway_add(inputs, opts, ColumnKernel::Heap, R);
     case Method::Spa:
-      return spkadd_spa(inputs, opts, &R);
+      return kway_add(inputs, opts, ColumnKernel::Spa, R);
     case Method::Hash:
-      return spkadd_hash(inputs, opts, &R);
+      return kway_add(inputs, opts, ColumnKernel::Hash, R);
     case Method::SlidingHash:
-      return spkadd_sliding_hash(inputs, opts, &R);
+      return kway_add(inputs, opts, ColumnKernel::SlidingHash, R);
     case Method::DenseAcc:
-      return spkadd_denseacc(inputs, opts, &R);
-    case Method::Hybrid:
-      return spkadd_hybrid(inputs, opts, &R);
+      return kway_add(inputs, opts, ColumnKernel::DenseAcc, R);
+    case Method::Hybrid:  // no fixed kernel: the planner picks per chunk
+      return kway_add(inputs, opts, std::nullopt, R);
     case Method::ReferenceIncremental:
       return spkadd_reference_incremental(inputs);
     case Method::ReferenceTree:

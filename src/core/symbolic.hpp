@@ -1,23 +1,24 @@
-// Symbolic phase of SpKAdd (paper §II-D, Alg. 6 and Alg. 7).
+// Column plans and the symbolic phase of SpKAdd (paper §II-D, Alg. 6/7).
 //
-// Every k-way algorithm needs nnz(B(:,j)) per output column to preallocate
-// the result and size the hash tables. This module computes that vector with
-// the hash-based symbolic kernel, optionally using the sliding partition of
-// Alg. 7 so symbolic tables stay inside the last-level cache. The symbolic
-// table stores keys only (b = sizeof(IndexT) bytes per entry).
+// Every k-way method runs over a ColumnPlan: column chunks, each with the
+// ColumnKernel that fills it. A single-kernel method puts its kernel on
+// every chunk the chunk cutter makes for Options::schedule. The per-chunk
+// planner behind Method::Auto and Method::Hybrid cuts the per-column
+// input-nnz totals into cost-balanced chunks and classifies each on the
+// paper's Fig. 2 decision surface (plan_hybrid/hybrid_kernel_for).
 //
-// It is also where the per-chunk planner behind Method::Auto and
-// Method::Hybrid lives: the per-column input-nnz totals that also feed the
-// nnz-balanced schedule are cut into cost-balanced column chunks and each
-// chunk is classified on the paper's Fig. 2 decision surface
-// (plan_hybrid/hybrid_kernel_for) — no new prescan. The hybrid symbolic
-// pass then counts each chunk with its assigned kernel's symbolic variant.
+// The symbolic pass walks a plan and computes nnz(B(:,j)) per output
+// column, each chunk with its kernel's symbolic variant: the keys-only
+// hash table of Alg. 6, its sliding partition of Alg. 7 that keeps
+// tables inside the last-level cache, or the dense occupancy bitmap. The
+// count preallocates the result and sizes the numeric hash tables.
 //
-// The primary entry points take borrowed matrix pointers plus an optional
-// Runtime whose per-thread scratch and per-column cost vector are reused
-// across calls (the streaming accumulator's workspace-persistence path).
+// The primary entry points take borrowed matrix pointers plus a Runtime
+// whose per-thread scratch and per-column cost vector are reused across
+// calls (the streaming accumulator's workspace-persistence path).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "core/column_kernels.hpp"
 #include "core/detail.hpp"
 #include "util/cache_info.hpp"
-#include "util/thread_control.hpp"
 
 namespace spkadd::core {
 
@@ -41,64 +41,28 @@ inline std::size_t table_entry_cap(const Options& opts,
     return std::max<std::size_t>(opts.max_table_entries, 8);
   const std::size_t llc =
       opts.llc_bytes != 0 ? opts.llc_bytes : util::effective_llc_bytes();
-  const int threads =
-      opts.threads > 0 ? opts.threads : util::current_max_threads();
   // Factor 2: hash_table_entries allocates 2x the key count for its <= 0.5
   // load factor, so the memory per *key* is 2 * bytes_per_entry.
   const std::size_t cap =
       llc / (2 * bytes_per_entry *
-             static_cast<std::size_t>(std::max(1, threads)));
+             static_cast<std::size_t>(std::max(1, team_size(opts))));
   return std::max<std::size_t>(cap, 8);
 }
 
+/// The per-call constants of the column kernels.
+template <class IndexT, class ValueT>
+[[nodiscard]] KernelEnv<IndexT> kernel_env(const Options& opts,
+                                           IndexT rows) {
+  KernelEnv<IndexT> env;
+  env.rows = rows;
+  env.sym_cap = table_entry_cap(opts, sizeof(IndexT));
+  env.num_cap = table_entry_cap(opts, sizeof(IndexT) + sizeof(ValueT));
+  env.inputs_sorted = opts.inputs_sorted;
+  env.sorted_output = opts.sorted_output;
+  return env;
+}
+
 }  // namespace detail
-
-/// Compute nnz(B(:,j)) for every column of the borrowed addends. `sliding`
-/// selects Alg. 7 (cache-capped tables) vs plain Alg. 6. When `rt` is
-/// given, its thread scratch is reused (only grown, never re-allocated per
-/// call) and its per-column cost vector — if already computed for these
-/// inputs — drives the nnz-balanced schedule and skips empty columns.
-template <class IndexT, class ValueT>
-std::vector<IndexT> symbolic_nnz_per_column(
-    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts, bool sliding,
-    Runtime<IndexT, ValueT>* rt = nullptr) {
-  const auto [rows, cols] = detail::check_conformant(inputs);
-  std::vector<IndexT> counts(static_cast<std::size_t>(cols));
-  const std::size_t cap =
-      sliding ? detail::table_entry_cap(opts, sizeof(IndexT)) : 0;
-
-  Runtime<IndexT, ValueT> local;
-  Runtime<IndexT, ValueT>& R = rt ? *rt : local;
-  R.ensure_threads(opts.threads > 0 ? opts.threads
-                                    : util::current_max_threads());
-  // Costs steer the chunk schedule only — never skip work from them: a
-  // persistent Runtime may carry the previous fold's totals.
-  const auto costs = R.costs_for(cols);
-  const IndexT rows_copy = rows;
-  detail::for_each_column(cols, opts, costs, [&](IndexT j, OpCounters* c) {
-    auto& s = R.scratch[static_cast<std::size_t>(omp_get_thread_num())];
-    detail::gather_views(inputs, j, s.views, opts.skip_cols);
-    const std::span<const ColumnView<IndexT, ValueT>> views(s.views);
-    const std::size_t nz =
-        sliding ? sliding_symbolic_column(views, rows_copy, cap,
-                                          opts.inputs_sorted, s, c)
-                : hash_symbolic_column(views, s.sym_table, c);
-    counts[static_cast<std::size_t>(j)] = static_cast<IndexT>(nz);
-  });
-  return counts;
-}
-
-/// Value-span convenience overload (tests/benches): borrows the matrices
-/// and forwards.
-template <class IndexT, class ValueT>
-std::vector<IndexT> symbolic_nnz_per_column(
-    std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts,
-    bool sliding) {
-  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
-  detail::borrow_all(inputs, ptrs);
-  return symbolic_nnz_per_column(MatrixPtrs<IndexT, ValueT>(ptrs), opts,
-                                 sliding);
-}
 
 // ---------------------------------------------------------------------------
 // Hybrid per-chunk classification (the Fig. 2 surface, evaluated per chunk)
@@ -162,10 +126,11 @@ template <class IndexT>
   return ColumnKernel::Hash;
 }
 
-/// The per-chunk execution plan of Method::Auto/Hybrid: nnz-balanced
-/// column ranges plus the kernel classified for each.
+/// The execution plan of a column-kernel call: column ranges plus the
+/// kernel that fills each. Built by plan_hybrid for a planned call and
+/// by plan_columns for every call.
 template <class IndexT>
-struct HybridPlan {
+struct ColumnPlan {
   std::vector<std::pair<IndexT, IndexT>> chunks;  ///< [first, second) cols
   std::vector<ColumnKernel> kernels;              ///< one per chunk
 
@@ -177,25 +142,24 @@ struct HybridPlan {
   }
 };
 
-/// Build the hybrid plan from the per-column input-nnz totals the call
-/// already computed (the cost vector the NnzBalanced schedule also reads
-/// — no new scan): cut the columns into cost-balanced chunks, then
+/// Build the planner's plan from the per-column input-nnz totals the
+/// call already computed (the cost vector the NnzBalanced schedule also
+/// reads — no new scan): cut the columns into cost-balanced chunks, then
 /// classify each chunk from its heaviest column on the hybrid_kernel_for
 /// surface.
 /// ValueT fixes the numeric table entry size of the cache-residency test.
 template <class IndexT, class ValueT>
 void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
                  std::size_t k, const Options& opts,
-                 HybridPlan<IndexT>& plan) {
-  const int threads =
-      opts.threads > 0 ? opts.threads : util::current_max_threads();
-  detail::balance_chunks(costs, threads, plan.chunks);
+                 ColumnPlan<IndexT>& plan) {
+  detail::cut_chunks(static_cast<IndexT>(costs.size()), costs, opts,
+                     plan.chunks);
   plan.kernels.clear();
   plan.kernels.reserve(plan.chunks.size());
   const std::size_t b = sizeof(IndexT) + sizeof(ValueT);
   const std::size_t llc =
       opts.llc_bytes != 0 ? opts.llc_bytes : util::effective_llc_bytes();
-  const auto T = static_cast<std::size_t>(std::max(1, threads));
+  const auto T = static_cast<std::size_t>(std::max(1, detail::team_size(opts)));
   // max fitting nnz: chunk_max > llc/(b*T)  <=>  b*T*chunk_max > llc.
   const std::uint64_t fit = llc / (b * T);
   // Dense-accumulator footprint per row: one ValueT plus one mask bit
@@ -210,41 +174,90 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
   }
 }
 
-/// Hybrid symbolic phase: count every column with its chunk's kernel
-/// (sliding symbolic on sliding chunks, the occupancy bitmap on dense
-/// chunks, plain hash symbolic elsewhere).
-/// Chunks are the parallel work unit, drained dynamically — they are
-/// already cost-balanced, so this is the NnzBalanced schedule by
-/// construction.
+/// Plan one call: the planner's mix (plan_hybrid) when `kernel` is
+/// empty, otherwise `*kernel` on every chunk of the schedule's cut. The
+/// per-column cost scan runs into R only when the cut needs it: for a
+/// planned call, or under Schedule::NnzBalanced.
 template <class IndexT, class ValueT>
-std::vector<IndexT> symbolic_nnz_per_column_hybrid(
-    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts,
-    const HybridPlan<IndexT>& plan, Runtime<IndexT, ValueT>& R) {
+[[nodiscard]] ColumnPlan<IndexT> plan_columns(
+    MatrixPtrs<IndexT, ValueT> inputs, std::optional<ColumnKernel> kernel,
+    const Options& opts, Runtime<IndexT, ValueT>& R) {
   const auto [rows, cols] = detail::check_conformant(inputs);
-  std::vector<IndexT> counts(static_cast<std::size_t>(cols));
-  R.ensure_threads(opts.threads > 0 ? opts.threads
-                                    : util::current_max_threads());
-  KernelEnv<IndexT> env;
-  env.rows = rows;
-  env.sym_cap = detail::table_entry_cap(opts, sizeof(IndexT));
-  env.inputs_sorted = opts.inputs_sorted;
-  detail::for_each_chunk(
+  std::span<const std::uint64_t> costs;
+  if (!kernel || opts.schedule == Schedule::NnzBalanced) {
+    detail::column_input_nnz(inputs, opts, R.col_costs);
+    costs = R.col_costs;
+  }
+  ColumnPlan<IndexT> plan;
+  if (!kernel) {
+    plan_hybrid<IndexT, ValueT>(costs, rows, inputs.size(), opts, plan);
+  } else {
+    detail::cut_chunks(cols, costs, opts, plan.chunks);
+    plan.kernels.assign(plan.chunks.size(), *kernel);
+  }
+  return plan;
+}
+
+namespace detail {
+
+/// Walk a plan in parallel: every chunk on one thread, every column of it
+/// with its views gathered (none for a column Options::skip_cols masks),
+/// as body(KernelTag<kernel>, j, views, thread scratch, counters). The
+/// kernel switch runs once per chunk (with_kernel). R's thread scratch is
+/// reused: only grown, never re-allocated per call.
+template <class IndexT, class ValueT, class Body>
+void walk_plan(MatrixPtrs<IndexT, ValueT> inputs,
+               const ColumnPlan<IndexT>& plan, const Options& opts,
+               Runtime<IndexT, ValueT>& R, Body&& body) {
+  R.ensure_threads(team_size(opts));
+  for_each_chunk(
       std::span<const std::pair<IndexT, IndexT>>(plan.chunks), opts,
       [&](std::size_t ci, OpCounters* c) {
-        auto& s =
-            R.scratch[static_cast<std::size_t>(omp_get_thread_num())];
-        const ColumnKernel kernel = plan.kernels[ci];
-        for (IndexT j = plan.chunks[ci].first; j < plan.chunks[ci].second;
-             ++j) {
-          detail::gather_views(inputs, j, s.views, opts.skip_cols);
-          counts[static_cast<std::size_t>(j)] = static_cast<IndexT>(
-              kernel_symbolic_column(
-                  kernel,
-                  std::span<const ColumnView<IndexT, ValueT>>(s.views), env,
-                  s, c));
-        }
+        auto& s = R.scratch[static_cast<std::size_t>(omp_get_thread_num())];
+        const auto [c0, c1] = plan.chunks[ci];
+        with_kernel(plan.kernels[ci], [&](auto kernel) {
+          for (IndexT j = c0; j < c1; ++j) {
+            gather_views(inputs, j, s.views, opts.skip_cols);
+            body(kernel, j,
+                 std::span<const ColumnView<IndexT, ValueT>>(s.views), s, c);
+          }
+        });
       });
+}
+
+}  // namespace detail
+
+/// The symbolic pass: nnz(B(:,j)) for every column, each chunk of `plan`
+/// counted with its kernel's symbolic variant.
+template <class IndexT, class ValueT>
+std::vector<IndexT> symbolic_nnz_per_column(
+    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts,
+    const ColumnPlan<IndexT>& plan, Runtime<IndexT, ValueT>& R) {
+  const auto [rows, cols] = detail::check_conformant(inputs);
+  std::vector<IndexT> counts(static_cast<std::size_t>(cols));
+  const auto env = detail::kernel_env<IndexT, ValueT>(opts, rows);
+  detail::walk_plan(inputs, plan, opts, R,
+                    [&](auto kernel, IndexT j, auto views, auto& s,
+                        OpCounters* c) {
+                      counts[static_cast<std::size_t>(j)] =
+                          static_cast<IndexT>(kernel_symbolic_column(
+                              kernel, views, env, s, c));
+                    });
   return counts;
+}
+
+/// Value-span form (tests/benches that time the symbolic phase alone):
+/// count every column with `kernel` under the schedule's cut.
+template <class IndexT, class ValueT>
+std::vector<IndexT> symbolic_nnz_per_column(
+    std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts,
+    ColumnKernel kernel) {
+  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
+  detail::borrow_all(inputs, ptrs);
+  const MatrixPtrs<IndexT, ValueT> borrowed(ptrs);
+  Runtime<IndexT, ValueT> R;
+  return symbolic_nnz_per_column(
+      borrowed, opts, plan_columns(borrowed, kernel, opts, R), R);
 }
 
 }  // namespace spkadd::core

@@ -25,10 +25,21 @@ template <class IndexT, class ValueT>
   if (a.rows() != b.rows() || a.cols() != b.cols())
     throw std::invalid_argument("add2: shape mismatch");
   const IndexT n = a.cols();
+  std::vector<std::pair<IndexT, IndexT>> chunks;
+  detail::cut_chunks(n, {}, opts, chunks);
+  // Run body(j, counters) on every column, chunk-parallel.
+  const auto column_loop = [&](auto&& body) {
+    detail::for_each_chunk(
+        std::span<const std::pair<IndexT, IndexT>>(chunks), opts,
+        [&](std::size_t ci, OpCounters* c) {
+          for (IndexT j = chunks[ci].first; j < chunks[ci].second; ++j)
+            body(j, c);
+        });
+  };
 
   // Pass 1 (symbolic): exact merged size per column.
   std::vector<IndexT> counts(static_cast<std::size_t>(n));
-  detail::for_each_column(n, opts, [&](IndexT j, OpCounters* c) {
+  column_loop([&](IndexT j, OpCounters* c) {
     counts[static_cast<std::size_t>(j)] = static_cast<IndexT>(
         merge2_count(a.column(j), b.column(j), c));
   });
@@ -41,7 +52,7 @@ template <class IndexT, class ValueT>
   auto* out_rows = out.mutable_row_idx().data();
   auto* out_vals = out.mutable_values().data();
   const auto cp = out.col_ptr();
-  detail::for_each_column(n, opts, [&](IndexT j, OpCounters* c) {
+  column_loop([&](IndexT j, OpCounters* c) {
     const auto lo = static_cast<std::size_t>(cp[static_cast<std::size_t>(j)]);
     merge2_add(a.column(j), b.column(j), out_rows + lo, out_vals + lo, c);
   });

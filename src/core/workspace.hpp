@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "matrix/column_view.hpp"
@@ -151,13 +150,13 @@ struct HeapWorkspace {
 
 /// Everything one thread needs across any SpKAdd phase: the five method
 /// scratch structures plus the view/partition buffers of the symbolic and
-/// sliding passes. One superset struct (rather than one per driver) lets a
-/// single pool serve symbolic + numeric phases and every method, so a
+/// sliding passes. One superset struct (rather than one per kernel) lets
+/// a single pool serve symbolic + numeric phases and every method, so a
 /// streaming accumulator can keep the scratch hot across batches. All
-/// members start empty and only grow on first use, so within one call
-/// under the per-chunk hybrid dispatch a thread's scratch footprint is the
-/// union of the kernels it actually ran — e.g. the O(m) SPA array is never
-/// allocated on a thread that only ever drew hash chunks.
+/// members start empty and only grow on first use, so within one call a
+/// thread's scratch footprint is the union of the kernels its chunks
+/// actually ran — e.g. the O(m) dense array is never allocated on a
+/// thread that only ever drew hash chunks.
 template <class IndexT, class ValueT>
 struct ThreadScratch {
   HashWorkspace<IndexT, ValueT> table;
@@ -204,29 +203,22 @@ struct ThreadScratch {
 
 /// Per-call execution context that is *reusable across calls*: the
 /// per-thread scratch pool and the per-column input-nnz totals driving both
-/// the per-chunk plan and nnz-balanced scheduling. Drivers accept an optional
-/// Runtime; when none is given they fall back to a call-local one (the
-/// pre-accumulator behavior). The Accumulator owns one so hash/SPA/heap
-/// scratch survives across batches instead of being re-grown per call.
+/// the per-chunk plan and nnz-balanced scheduling. core::spkadd accepts an
+/// optional Runtime; when none is given it falls back to a call-local one.
+/// The Accumulator owns one so hash/SPA/heap scratch survives across
+/// batches instead of being re-grown per call.
 template <class IndexT, class ValueT>
 struct Runtime {
   std::vector<ThreadScratch<IndexT, ValueT>> scratch;
 
-  /// Per-column sum of input nnz for the *current* call's inputs. Filled by
-  /// the drivers when the per-chunk plan or Schedule::NnzBalanced needs
-  /// it; sized to the column count or empty.
+  /// Per-column sum of input nnz, rescanned by every call whose plan
+  /// needs it (a planned call, or Schedule::NnzBalanced); the vector only
+  /// keeps its capacity across calls.
   std::vector<std::uint64_t> col_costs;
 
   void ensure_threads(int nthreads) {
     if (scratch.size() < static_cast<std::size_t>(nthreads))
       scratch.resize(static_cast<std::size_t>(nthreads));
-  }
-
-  /// The cost span to schedule with, or empty when not computed for `cols`.
-  [[nodiscard]] std::span<const std::uint64_t> costs_for(IndexT cols) const {
-    return col_costs.size() == static_cast<std::size_t>(cols)
-               ? std::span<const std::uint64_t>(col_costs)
-               : std::span<const std::uint64_t>{};
   }
 
   [[nodiscard]] std::size_t storage_bytes() const {

@@ -62,7 +62,7 @@ std::vector<ColumnKernel> planned_kernels(const std::vector<Csc>& inputs,
   std::vector<std::uint64_t> costs;
   detail::column_input_nnz(MatrixPtrs<std::int32_t, double>(ptrs), opts,
                            costs);
-  HybridPlan<std::int32_t> plan;
+  ColumnPlan<std::int32_t> plan;
   plan_hybrid<std::int32_t, double>(costs, inputs[0].rows(), inputs.size(),
                                     opts, plan);
   return plan.kernels;

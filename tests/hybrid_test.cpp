@@ -53,14 +53,14 @@ void quantize(std::vector<Csc>& inputs) {
 }
 
 /// The per-chunk plan the planner builds for `inputs` under `opts`.
-HybridPlan<std::int32_t> plan_for(const std::vector<Csc>& inputs,
+ColumnPlan<std::int32_t> plan_for(const std::vector<Csc>& inputs,
                                   const Options& opts) {
   std::vector<const Csc*> ptrs;
   core::detail::borrow_all(std::span<const Csc>(inputs), ptrs);
   std::vector<std::uint64_t> costs;
   core::detail::column_input_nnz(MatrixPtrs<std::int32_t, double>(ptrs),
                                  opts, costs);
-  HybridPlan<std::int32_t> plan;
+  ColumnPlan<std::int32_t> plan;
   plan_hybrid<std::int32_t, double>(costs, inputs[0].rows(), inputs.size(),
                                     opts, plan);
   return plan;
@@ -136,7 +136,7 @@ TEST(HybridPlanTest, ChunksPartitionTheColumns) {
   costs[7] = 100000;  // hub
   Options opts;
   opts.threads = 3;
-  HybridPlan<std::int32_t> plan;
+  ColumnPlan<std::int32_t> plan;
   plan_hybrid<std::int32_t, double>(costs, 1 << 20, 16, opts, plan);
   ASSERT_EQ(plan.chunks.size(), plan.kernels.size());
   ASSERT_FALSE(plan.chunks.empty());
@@ -158,7 +158,7 @@ TEST(HybridPlanTest, DenseHubChunkSlidesWhileSparseChunksDoNot) {
   Options opts;
   opts.threads = 2;
   opts.llc_bytes = (sizeof(std::int32_t) + sizeof(double)) * 2 * 1000;
-  HybridPlan<std::int32_t> plan;
+  ColumnPlan<std::int32_t> plan;
   plan_hybrid<std::int32_t, double>(costs, 4096, 8, opts, plan);
   ASSERT_GE(plan.size(), 2u);
   EXPECT_EQ(plan.kernels.front(), ColumnKernel::SlidingHash);
@@ -388,36 +388,15 @@ TEST(HybridCounters, ChunkCountsMatchThePlan) {
   opts.counters = &counters;
   (void)core::spkadd(inputs, opts);
 
-  const HybridPlan<std::int32_t> plan = plan_for(inputs, opts);
+  const ColumnPlan<std::int32_t> plan = plan_for(inputs, opts);
   EXPECT_EQ(counters.chunks_total(), plan.size());
   EXPECT_GT(counters.chunks_total(), 0u);
-}
-
-TEST(HybridCounters, SingleKernelMethodsCountNoChunks) {
-  const auto inputs = random_collection(8, 256, 8, 300, 61);
-  for (const Method m : {Method::Hash, Method::Heap, Method::Spa,
-                         Method::SlidingHash}) {
-    Options opts;
-    opts.method = m;
-    OpCounters counters;
-    opts.counters = &counters;
-    (void)core::spkadd(inputs, opts);
-    EXPECT_EQ(counters.chunks_total(), 0u) << method_name(m);
-  }
-}
-
-TEST(HybridDispatch, OptionsMethodRoutesToTheDriver) {
-  const auto inputs = random_collection(8, 512, 16, 600, 71);
-  Options opts;
-  opts.method = Method::Hybrid;
-  EXPECT_TRUE(core::spkadd(inputs, opts) ==
-              spkadd_hybrid(std::span<const Csc>(inputs), opts));
 }
 
 TEST(HybridDispatch, HeapChunksRequireActuallySortedInputs) {
   // Tiny k + sparse columns far under the dense gate classify into the
   // heap corner; declaring inputs sorted while they are not must throw
-  // (like spkadd_heap), not silently mis-merge.
+  // (like Method::Heap), not silently mis-merge.
   auto inputs = random_collection(3, 1 << 16, 8, 60, 81);
   for (auto& m : inputs) gen::shuffle_columns(m, 5);
   Options opts;

@@ -1,11 +1,18 @@
-// k-way drivers: heap, SPA, hash, sliding hash — correctness against the
-// dense oracle, edge cases, sorted/unsorted modes, counters.
+// k-way column-kernel methods (heap, SPA, hash, sliding hash, dense
+// accumulator) through core::spkadd — correctness against the dense
+// oracle, edge cases, sorted/unsorted modes, counters — and the one
+// column driver's chunk cutter and skip mask under every method,
+// schedule and team size.
 #include <gtest/gtest.h>
 
-#include "core/kway.hpp"
+#include <algorithm>
+#include <string>
+
+#include "core/spkadd.hpp"
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_control.hpp"
 
 namespace {
 
@@ -17,6 +24,17 @@ using spkadd::testing::from_triplets;
 using spkadd::testing::random_collection;
 
 using Csc = spkadd::testing::Csc;
+
+/// Every method that runs a single column kernel on every chunk.
+constexpr Method kSingleKernelMethods[] = {Method::Heap, Method::Spa,
+                                           Method::Hash, Method::SlidingHash,
+                                           Method::DenseAcc};
+
+/// core::spkadd with `method` set on `opts`.
+Csc add(const std::vector<Csc>& inputs, Method method, Options opts = {}) {
+  opts.method = method;
+  return core::spkadd(inputs, opts);
+}
 
 class KwayDriverTest : public ::testing::Test {
  protected:
@@ -39,38 +57,32 @@ class KwayDriverTest : public ::testing::Test {
 
 TEST_F(KwayDriverTest, HeapReproducesPaperFigure1) {
   const auto inputs = paper_example();
-  EXPECT_TRUE(approx_equal(paper_result(),
-                           spkadd_heap(std::span<const Csc>(inputs))));
+  EXPECT_TRUE(approx_equal(paper_result(), add(inputs, Method::Heap)));
 }
 
 TEST_F(KwayDriverTest, SpaReproducesPaperFigure1) {
   const auto inputs = paper_example();
-  EXPECT_TRUE(approx_equal(paper_result(),
-                           spkadd_spa(std::span<const Csc>(inputs))));
+  EXPECT_TRUE(approx_equal(paper_result(), add(inputs, Method::Spa)));
 }
 
 TEST_F(KwayDriverTest, HashReproducesPaperFigure1) {
   const auto inputs = paper_example();
-  EXPECT_TRUE(approx_equal(paper_result(),
-                           spkadd_hash(std::span<const Csc>(inputs))));
+  EXPECT_TRUE(approx_equal(paper_result(), add(inputs, Method::Hash)));
 }
 
 TEST_F(KwayDriverTest, SlidingHashReproducesPaperFigure1) {
   const auto inputs = paper_example();
   Options opts;
   opts.max_table_entries = 2;  // force many parts even on a tiny column
-  EXPECT_TRUE(approx_equal(
-      paper_result(), spkadd_sliding_hash(std::span<const Csc>(inputs), opts)));
+  EXPECT_TRUE(
+      approx_equal(paper_result(), add(inputs, Method::SlidingHash, opts)));
 }
 
 TEST_F(KwayDriverTest, AllDriversMatchOracleOnRandomInputs) {
   const auto inputs = random_collection(8, 128, 16, 300, 42);
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  EXPECT_TRUE(approx_equal(oracle, spkadd_heap(std::span<const Csc>(inputs))));
-  EXPECT_TRUE(approx_equal(oracle, spkadd_spa(std::span<const Csc>(inputs))));
-  EXPECT_TRUE(approx_equal(oracle, spkadd_hash(std::span<const Csc>(inputs))));
-  EXPECT_TRUE(approx_equal(
-      oracle, spkadd_sliding_hash(std::span<const Csc>(inputs))));
+  for (const Method m : kSingleKernelMethods)
+    EXPECT_TRUE(approx_equal(oracle, add(inputs, m))) << method_name(m);
 }
 
 TEST_F(KwayDriverTest, HandlesEmptyMatricesInCollection) {
@@ -78,22 +90,15 @@ TEST_F(KwayDriverTest, HandlesEmptyMatricesInCollection) {
   inputs.emplace_back(32, 8);  // all-empty addend
   inputs.emplace_back(32, 8);
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  EXPECT_TRUE(approx_equal(oracle, spkadd_hash(std::span<const Csc>(inputs))));
-  EXPECT_TRUE(approx_equal(oracle, spkadd_heap(std::span<const Csc>(inputs))));
+  EXPECT_TRUE(approx_equal(oracle, add(inputs, Method::Hash)));
+  EXPECT_TRUE(approx_equal(oracle, add(inputs, Method::Heap)));
 }
 
 TEST_F(KwayDriverTest, AllEmptyCollection) {
   std::vector<Csc> inputs{Csc(16, 4), Csc(16, 4), Csc(16, 4)};
-  // The drivers are overloaded on value vs pointer spans now; pin the
-  // value-span flavor for the function-pointer sweep.
-  using DriverFn = Csc (*)(std::span<const Csc>, const Options&);
-  for (DriverFn fn : {static_cast<DriverFn>(&spkadd_heap<std::int32_t, double>),
-                      static_cast<DriverFn>(&spkadd_spa<std::int32_t, double>),
-                      static_cast<DriverFn>(&spkadd_hash<std::int32_t, double>),
-                      static_cast<DriverFn>(
-                          &spkadd_sliding_hash<std::int32_t, double>)}) {
-    const auto out = fn(std::span<const Csc>(inputs), Options{});
-    EXPECT_EQ(out.nnz(), 0u);
+  for (const Method m : kSingleKernelMethods) {
+    const auto out = add(inputs, m);
+    EXPECT_EQ(out.nnz(), 0u) << method_name(m);
     EXPECT_EQ(out.rows(), 16);
     EXPECT_EQ(out.cols(), 4);
   }
@@ -102,7 +107,7 @@ TEST_F(KwayDriverTest, AllEmptyCollection) {
 TEST_F(KwayDriverTest, IdenticalInputsGiveCompressionFactorK) {
   const auto base = spkadd::testing::random_matrix(64, 8, 100, 5);
   std::vector<Csc> inputs(6, base);
-  const auto out = spkadd_hash(std::span<const Csc>(inputs));
+  const auto out = add(inputs, Method::Hash);
   EXPECT_EQ(out.nnz(), base.nnz());  // cf == 6
   EXPECT_DOUBLE_EQ(
       compression_factor(std::span<const Csc>(inputs), out), 6.0);
@@ -121,7 +126,7 @@ TEST_F(KwayDriverTest, CancellationKeepsStructuralZero) {
   auto neg = a;
   for (auto& v : neg.mutable_values()) v = -v;
   std::vector<Csc> inputs{a, neg};
-  const auto out = spkadd_hash(std::span<const Csc>(inputs));
+  const auto out = add(inputs, Method::Hash);
   EXPECT_EQ(out.nnz(), 2u);
   EXPECT_DOUBLE_EQ(out.at(2, 0), 0.0);
 }
@@ -133,25 +138,23 @@ TEST_F(KwayDriverTest, HashAndSpaAcceptUnsortedInputs) {
     spkadd::gen::shuffle_columns(inputs[i], 1000 + i);
   Options opts;
   opts.inputs_sorted = false;
-  EXPECT_TRUE(approx_equal(
-      oracle, spkadd_hash(std::span<const Csc>(inputs), opts)));
-  EXPECT_TRUE(approx_equal(
-      oracle, spkadd_spa(std::span<const Csc>(inputs), opts)));
+  for (const Method m : {Method::Hash, Method::Spa, Method::DenseAcc})
+    EXPECT_TRUE(approx_equal(oracle, add(inputs, m, opts))) << method_name(m);
   Options sliding_opts = opts;
   sliding_opts.max_table_entries = 16;  // force the filtered sliding path
   EXPECT_TRUE(approx_equal(
-      oracle, spkadd_sliding_hash(std::span<const Csc>(inputs), sliding_opts)));
+      oracle, add(inputs, Method::SlidingHash, sliding_opts)));
 }
 
 TEST_F(KwayDriverTest, HeapRejectsUnsortedInputs) {
   auto inputs = random_collection(3, 64, 8, 100, 12);
   spkadd::gen::shuffle_columns(inputs[1], 77);
-  EXPECT_THROW(spkadd_heap(std::span<const Csc>(inputs)),
-               std::invalid_argument);
+  // Columns that are actually unsorted...
+  EXPECT_THROW(add(inputs, Method::Heap), std::invalid_argument);
+  // ...and a call that declares them unsorted.
   Options opts;
   opts.inputs_sorted = false;
-  EXPECT_THROW(spkadd_heap(std::span<const Csc>(inputs), opts),
-               std::invalid_argument);
+  EXPECT_THROW(add(inputs, Method::Heap, opts), std::invalid_argument);
 }
 
 TEST_F(KwayDriverTest, UnsortedOutputHasSameEntrySet) {
@@ -159,29 +162,26 @@ TEST_F(KwayDriverTest, UnsortedOutputHasSameEntrySet) {
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
   Options opts;
   opts.sorted_output = false;
-  const auto hash_out = spkadd_hash(std::span<const Csc>(inputs), opts);
-  EXPECT_TRUE(approx_equal(oracle, canonicalized(hash_out)));
-  const auto spa_out = spkadd_spa(std::span<const Csc>(inputs), opts);
-  EXPECT_TRUE(approx_equal(oracle, canonicalized(spa_out)));
+  for (const Method m : {Method::Hash, Method::Spa, Method::DenseAcc})
+    EXPECT_TRUE(approx_equal(oracle, canonicalized(add(inputs, m, opts))))
+        << method_name(m);
 }
 
 TEST_F(KwayDriverTest, NonConformantInputsThrow) {
   std::vector<Csc> inputs{Csc(4, 4), Csc(4, 5)};
-  EXPECT_THROW(spkadd_hash(std::span<const Csc>(inputs)),
-               std::invalid_argument);
+  EXPECT_THROW(add(inputs, Method::Hash), std::invalid_argument);
   std::vector<Csc> empty;
-  EXPECT_THROW(spkadd_hash(std::span<const Csc>(empty)),
-               std::invalid_argument);
+  EXPECT_THROW(add(empty, Method::Hash), std::invalid_argument);
 }
 
 TEST_F(KwayDriverTest, SlidingHashMatchesHashForAnyTableCap) {
   const auto inputs = random_collection(8, 256, 8, 400, 33);
-  const auto reference = spkadd_hash(std::span<const Csc>(inputs));
+  const auto reference = add(inputs, Method::Hash);
   for (std::size_t cap : {8u, 16u, 64u, 256u, 4096u}) {
     Options opts;
     opts.max_table_entries = cap;
-    EXPECT_TRUE(approx_equal(
-        reference, spkadd_sliding_hash(std::span<const Csc>(inputs), opts)))
+    EXPECT_TRUE(
+        approx_equal(reference, add(inputs, Method::SlidingHash, opts)))
         << "cap=" << cap;
   }
 }
@@ -191,7 +191,7 @@ TEST_F(KwayDriverTest, SlidingHashRespectsLlcBudgetOption) {
   Options opts;
   opts.llc_bytes = 4 << 10;  // absurdly small LLC => many parts
   opts.threads = 1;
-  const auto out = spkadd_sliding_hash(std::span<const Csc>(inputs), opts);
+  const auto out = add(inputs, Method::SlidingHash, opts);
   EXPECT_TRUE(approx_equal(
       dense_sum_oracle(std::span<const Csc>(inputs)), out));
 }
@@ -201,11 +201,11 @@ TEST_F(KwayDriverTest, CountersTrackWork) {
   OpCounters heap_c, hash_c, spa_c;
   Options opts;
   opts.counters = &heap_c;
-  (void)spkadd_heap(std::span<const Csc>(inputs), opts);
+  (void)add(inputs, Method::Heap, opts);
   opts.counters = &hash_c;
-  (void)spkadd_hash(std::span<const Csc>(inputs), opts);
+  (void)add(inputs, Method::Hash, opts);
   opts.counters = &spa_c;
-  (void)spkadd_spa(std::span<const Csc>(inputs), opts);
+  (void)add(inputs, Method::Spa, opts);
 
   const std::size_t input_nnz = detail::total_nnz(std::span<const Csc>(inputs));
   // Every input entry passes through each structure at least once.
@@ -219,29 +219,26 @@ TEST_F(KwayDriverTest, StaticScheduleGivesSameResult) {
   const auto inputs = random_collection(4, 128, 32, 300, 66);
   Options dyn, sta;
   sta.schedule = Schedule::Static;
-  EXPECT_TRUE(approx_equal(spkadd_hash(std::span<const Csc>(inputs), dyn),
-                           spkadd_hash(std::span<const Csc>(inputs), sta)));
+  EXPECT_TRUE(approx_equal(add(inputs, Method::Hash, dyn),
+                           add(inputs, Method::Hash, sta)));
 }
 
 TEST_F(KwayDriverTest, ExplicitThreadCounts) {
   const auto inputs = random_collection(4, 128, 16, 300, 71);
-  const auto reference = spkadd_hash(std::span<const Csc>(inputs));
+  const auto reference = add(inputs, Method::Hash);
   for (int t : {1, 2, 4}) {
     Options opts;
     opts.threads = t;
-    EXPECT_TRUE(approx_equal(reference,
-                             spkadd_hash(std::span<const Csc>(inputs), opts)))
-        << "threads=" << t;
-    EXPECT_TRUE(approx_equal(reference,
-                             spkadd_heap(std::span<const Csc>(inputs), opts)))
-        << "threads=" << t;
+    for (const Method m : {Method::Hash, Method::Heap, Method::DenseAcc})
+      EXPECT_TRUE(approx_equal(reference, add(inputs, m, opts)))
+          << method_name(m) << " threads=" << t;
   }
 }
 
 TEST_F(KwayDriverTest, SingleColumnManyRows) {
   const auto inputs = random_collection(16, 1 << 14, 1, 2000, 81);
-  const auto hash_out = spkadd_hash(std::span<const Csc>(inputs));
-  const auto heap_out = spkadd_heap(std::span<const Csc>(inputs));
+  const auto hash_out = add(inputs, Method::Hash);
+  const auto heap_out = add(inputs, Method::Heap);
   EXPECT_TRUE(approx_equal(hash_out, heap_out));
 }
 
@@ -251,9 +248,86 @@ TEST_F(KwayDriverTest, WideMatrixManyEmptyColumns) {
     inputs.push_back(from_triplets(
         8, 64, {{i, i * 7 % 64, 1.0}, {7 - i, (i * 13 + 1) % 64, 2.0}}));
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  EXPECT_TRUE(approx_equal(oracle, spkadd_hash(std::span<const Csc>(inputs))));
-  EXPECT_TRUE(approx_equal(oracle, spkadd_heap(std::span<const Csc>(inputs))));
-  EXPECT_TRUE(approx_equal(oracle, spkadd_spa(std::span<const Csc>(inputs))));
+  for (const Method m :
+       {Method::Hash, Method::Heap, Method::Spa, Method::DenseAcc})
+    EXPECT_TRUE(approx_equal(oracle, add(inputs, m))) << method_name(m);
+}
+
+// ---------------------------------------------------------------------------
+// The column driver: chunk cutter and skip mask
+// ---------------------------------------------------------------------------
+
+TEST(ColumnDriver, EveryMethodScheduleAndTeamMatchesHeap) {
+  // Every column method runs the same chunk loop, so every method,
+  // schedule and team size must give the heap merge's bits on raw float
+  // values. 37 columns is a multiple of neither 8 nor 3 nor 4, so every
+  // cut leaves a ragged tail.
+  using FloatCsc = CscMatrix<std::int32_t, float>;
+  constexpr std::int32_t kCols = 37;
+  std::vector<FloatCsc> inputs;
+  for (const Csc& m : random_collection(6, 256, kCols, 600, 91)) {
+    const auto cp = m.col_ptr();
+    const auto rows = m.row_idx();
+    const auto vals = m.values();
+    inputs.emplace_back(m.rows(), m.cols(),
+                        std::vector<std::int32_t>(cp.begin(), cp.end()),
+                        std::vector<std::int32_t>(rows.begin(), rows.end()),
+                        std::vector<float>(vals.begin(), vals.end()));
+  }
+  std::vector<std::uint8_t> mask(kCols, 0);
+  for (std::size_t j = 0; j < mask.size(); j += 3) mask[j] = 1;
+
+  Options heap_opts;
+  heap_opts.method = Method::Heap;
+  const FloatCsc heap = core::spkadd(inputs, heap_opts);
+  const int nproc =
+      static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
+  for (const Method m :
+       {Method::Heap, Method::Spa, Method::Hash, Method::SlidingHash,
+        Method::DenseAcc, Method::Hybrid, Method::Auto}) {
+    const bool planned = m == Method::Hybrid || m == Method::Auto;
+    for (const Schedule s :
+         {Schedule::Dynamic, Schedule::Static, Schedule::NnzBalanced}) {
+      for (const int t : {1, 3, nproc}) {
+        const std::string where = method_name(m) + " " + schedule_name(s) +
+                                  " T=" + std::to_string(t);
+        Options opts;
+        opts.method = m;
+        opts.schedule = s;
+        opts.threads = t;
+        OpCounters counters;
+        opts.counters = &counters;
+        EXPECT_TRUE(core::spkadd(inputs, opts) == heap) << where;
+        EXPECT_EQ(counters.chunks_total() > 0, planned) << where;
+
+        counters = OpCounters{};
+        opts.skip_cols = mask.data();
+        const FloatCsc masked = core::spkadd(inputs, opts);
+        EXPECT_EQ(counters.chunks_total() > 0, planned) << where << " masked";
+        for (std::int32_t j = 0; j < kCols; ++j) {
+          const auto got = masked.column(j);
+          if (mask[static_cast<std::size_t>(j)] != 0) {
+            EXPECT_EQ(got.nnz(), 0u) << where << " col " << j;
+            continue;
+          }
+          const auto want = heap.column(j);
+          EXPECT_TRUE(std::ranges::equal(got.rows, want.rows) &&
+                      std::ranges::equal(got.vals, want.vals))
+              << where << " col " << j;
+        }
+      }
+    }
+  }
+  // The pairwise folds cannot honor a mask.
+  for (const Method m : {Method::TwoWayIncremental, Method::TwoWayTree,
+                         Method::ReferenceIncremental,
+                         Method::ReferenceTree}) {
+    Options opts;
+    opts.method = m;
+    opts.skip_cols = mask.data();
+    EXPECT_THROW((void)core::spkadd(inputs, opts), std::invalid_argument)
+        << method_name(m);
+  }
 }
 
 }  // namespace

@@ -141,13 +141,15 @@ void check_generic_roundtrip() {
     inputs.emplace_back(static_cast<IndexT>(16), static_cast<IndexT>(2),
                         std::move(col_ptr), std::move(rows), std::move(vals));
   }
-  const auto hash_out =
-      spkadd_hash(std::span<const M>(inputs), Options{});
-  const auto heap_out =
-      spkadd_heap(std::span<const M>(inputs), Options{});
-  const auto spa_out = spkadd_spa(std::span<const M>(inputs), Options{});
-  const auto dense_out =
-      spkadd_denseacc(std::span<const M>(inputs), Options{});
+  const auto add = [&inputs](Method m) {
+    Options opts;
+    opts.method = m;
+    return core::spkadd(inputs, opts);
+  };
+  const auto hash_out = add(Method::Hash);
+  const auto heap_out = add(Method::Heap);
+  const auto spa_out = add(Method::Spa);
+  const auto dense_out = add(Method::DenseAcc);
   EXPECT_TRUE(hash_out == heap_out);
   EXPECT_TRUE(hash_out == spa_out);
   EXPECT_TRUE(hash_out == dense_out);

@@ -2,7 +2,6 @@
 // workspace behaviour.
 #include <gtest/gtest.h>
 
-#include "core/kway.hpp"
 #include "core/symbolic.hpp"
 #include "gen/workload.hpp"
 #include "test_helpers.hpp"
@@ -16,6 +15,12 @@ using spkadd::testing::random_collection;
 
 using Csc = spkadd::testing::Csc;
 
+/// nnz per column of the sum, counted with `kernel`'s symbolic variant.
+std::vector<std::int32_t> count(const std::vector<Csc>& inputs,
+                                const Options& opts, ColumnKernel kernel) {
+  return symbolic_nnz_per_column(std::span<const Csc>(inputs), opts, kernel);
+}
+
 std::vector<std::int32_t> oracle_counts(std::span<const Csc> inputs) {
   const auto oracle = spkadd::testing::dense_sum_oracle(inputs);
   std::vector<std::int32_t> counts(static_cast<std::size_t>(oracle.cols()));
@@ -27,8 +32,7 @@ std::vector<std::int32_t> oracle_counts(std::span<const Csc> inputs) {
 
 TEST(Symbolic, MatchesUnionSizesPlain) {
   const auto inputs = random_collection(8, 128, 16, 300, 1);
-  const auto got =
-      symbolic_nnz_per_column(std::span<const Csc>(inputs), Options{}, false);
+  const auto got = count(inputs, Options{}, ColumnKernel::Hash);
   EXPECT_EQ(got, oracle_counts(std::span<const Csc>(inputs)));
 }
 
@@ -36,35 +40,30 @@ TEST(Symbolic, MatchesUnionSizesSliding) {
   const auto inputs = random_collection(8, 128, 16, 300, 2);
   Options opts;
   opts.max_table_entries = 16;  // force multiple parts per column
-  const auto got =
-      symbolic_nnz_per_column(std::span<const Csc>(inputs), opts, true);
+  const auto got = count(inputs, opts, ColumnKernel::SlidingHash);
   EXPECT_EQ(got, oracle_counts(std::span<const Csc>(inputs)));
 }
 
 TEST(Symbolic, SlidingEqualsPlainForAllCaps) {
   const auto inputs = random_collection(4, 256, 8, 500, 3);
-  const auto plain =
-      symbolic_nnz_per_column(std::span<const Csc>(inputs), Options{}, false);
+  const auto plain = count(inputs, Options{}, ColumnKernel::Hash);
   for (std::size_t cap : {8u, 32u, 128u, 1u << 20}) {
     Options opts;
     opts.max_table_entries = cap;
-    EXPECT_EQ(plain, symbolic_nnz_per_column(std::span<const Csc>(inputs),
-                                             opts, true))
+    EXPECT_EQ(plain, count(inputs, opts, ColumnKernel::SlidingHash))
         << "cap=" << cap;
   }
 }
 
 TEST(Symbolic, SlidingHandlesUnsortedInputs) {
   auto inputs = random_collection(4, 256, 8, 500, 4);
-  const auto plain =
-      symbolic_nnz_per_column(std::span<const Csc>(inputs), Options{}, false);
+  const auto plain = count(inputs, Options{}, ColumnKernel::Hash);
   for (std::size_t i = 0; i < inputs.size(); ++i)
     spkadd::gen::shuffle_columns(inputs[i], 2000 + i);
   Options opts;
   opts.inputs_sorted = false;
   opts.max_table_entries = 32;
-  EXPECT_EQ(plain, symbolic_nnz_per_column(std::span<const Csc>(inputs), opts,
-                                           true));
+  EXPECT_EQ(plain, count(inputs, opts, ColumnKernel::SlidingHash));
 }
 
 TEST(Symbolic, CountsProbesAndTableInits) {
@@ -72,7 +71,7 @@ TEST(Symbolic, CountsProbesAndTableInits) {
   OpCounters c;
   Options opts;
   opts.counters = &c;
-  symbolic_nnz_per_column(std::span<const Csc>(inputs), opts, false);
+  (void)count(inputs, opts, ColumnKernel::Hash);
   const std::size_t input_nnz =
       core::detail::total_nnz(std::span<const Csc>(inputs));
   EXPECT_GE(c.hash_probes, input_nnz);  // one probe minimum per entry
@@ -82,8 +81,7 @@ TEST(Symbolic, CountsProbesAndTableInits) {
 TEST(Symbolic, EmptyColumnsAreZero) {
   std::vector<Csc> inputs{from_triplets(8, 4, {{0, 1, 1.0}}),
                           from_triplets(8, 4, {{3, 1, 1.0}, {0, 3, 1.0}})};
-  const auto got =
-      symbolic_nnz_per_column(std::span<const Csc>(inputs), Options{}, false);
+  const auto got = count(inputs, Options{}, ColumnKernel::Hash);
   EXPECT_EQ(got, (std::vector<std::int32_t>{0, 2, 0, 1}));
 }
 
