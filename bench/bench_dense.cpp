@@ -145,28 +145,30 @@ int main(int argc, char** argv) {
       const auto inputs =
           density_workload(*rows, *cols, density, kk, 6200);
       // Reference: promotion disabled.
-      core::Options off = base;
-      off.dense.enabled = false;
+      core::DensePolicy off;
+      off.enabled = false;
       Csc expected;
       double t_off = 0.0;
       {
         core::Accumulator<> acc(static_cast<std::int32_t>(*rows),
-                                static_cast<std::int32_t>(*cols), off, 4);
+                                static_cast<std::int32_t>(*cols), base, 4,
+                                off);
         t_off = bench::time_median(static_cast<int>(*repeats), [&] {
           acc.add_batch(std::span<const Csc>(inputs));
           expected = acc.finalize();
         });
       }
       for (const double fill : fills) {
-        core::Options opts = base;
+        core::DensePolicy dense;
         if (fill < 0) {
-          opts.dense.enabled = false;
+          dense.enabled = false;
         } else {
-          opts.dense.promote_fill = fill;
-          opts.dense.min_rows = 1;
+          dense.promote_fill = fill;
+          dense.min_rows = 1;
         }
         core::Accumulator<> acc(static_cast<std::int32_t>(*rows),
-                                static_cast<std::int32_t>(*cols), opts, 4);
+                                static_cast<std::int32_t>(*cols), base, 4,
+                                dense);
         Csc out;
         const double t = bench::time_median(static_cast<int>(*repeats), [&] {
           acc.add_batch(std::span<const Csc>(inputs));

@@ -22,15 +22,18 @@
 //     consumer. Every fold is a strict left fold whatever kernel mix the
 //     plan picks, so streaming stays bit-identical to one-shot.
 //
-// Representation adaptivity (Options::dense): a running-sum column whose
-// fill fraction crosses DensePolicy::promote_fill is promoted to dense
-// column storage — a value array plus occupancy bitmap, exactly the
-// DenseAcc kernel's layout. Promoted columns leave the sparse fold
-// entirely (Options::skip_cols masks them) and subsequent addends scatter
-// straight into the dense slot in staged order, preserving the strict
-// left-fold addition order bit for bit. partial_sum()/finalize() demote
-// every resident column back to CSC (ascending-row bitmap scan, values
-// verbatim), so snapshots are byte-identical to a never-promoted run.
+// Representation adaptivity (DensePolicy, a constructor argument): a
+// running-sum column whose fill fraction reaches promote_fill is promoted
+// to dense column storage — a value array plus occupancy bitmap, exactly
+// the DenseAcc kernel's layout. Promotion is the Accumulator's own
+// decision: a fold first chooses the full-enough columns of the running
+// sum, then runs the column-kernel driver with them masked out (kway_add's
+// skip mask), and only once it has returned copies their old sums into
+// dense slots and scatters the staged addends into every slot in staged
+// order — the same strict left fold, bit for bit. partial_sum() and
+// finalize() demote every resident column back to CSC (ascending-row
+// bitmap scan, values verbatim), so snapshots are byte-identical to a
+// never-promoted run.
 //
 //   core::Accumulator<> acc(rows, cols, opts);
 //   for (auto& g : stream) acc.add(std::move(g));   // or acc.add(g) to borrow
@@ -48,6 +51,27 @@
 #include "util/prefix_sum.hpp"
 
 namespace spkadd::core {
+
+/// Sparse→dense promotion policy of the streaming Accumulator (ROADMAP
+/// item 1, mirroring the HLL sparse→dense representation switch): a
+/// running partial-sum column whose fill fraction crosses `promote_fill`
+/// is promoted to dense column storage and subsequent addends fold into
+/// it with scatter adds; finalize()/partial_sum() demote back to CSC, so
+/// every output format — and every output *byte* — is unchanged.
+/// Promotion requires Options::sorted_output (demotion emits rows
+/// ascending) and a column-kernel method; pairwise folds never promote.
+struct DensePolicy {
+  bool enabled = true;
+  /// Promote a column once nnz >= promote_fill * rows (the calibratable
+  /// threshold BENCH_dense.json sweeps).
+  double promote_fill = 0.5;
+  /// Never promote matrices shorter than this: the dense win needs enough
+  /// rows to amortize per-column bookkeeping.
+  std::int64_t min_rows = 64;
+  /// Cap on total dense-resident bytes per accumulator; promotion stops
+  /// (new candidates stay sparse) once reached.
+  std::size_t max_resident_bytes = 256ull << 20;
+};
 
 template <class IndexT = std::int32_t, class ValueT = double>
 class Accumulator {
@@ -76,8 +100,13 @@ class Accumulator {
   };
 
   explicit Accumulator(IndexT rows, IndexT cols, Options opts = {},
-                       std::size_t batch_capacity = kDefaultBatchCapacity)
-      : rows_(rows), cols_(cols), opts_(opts), cap_(batch_capacity) {
+                       std::size_t batch_capacity = kDefaultBatchCapacity,
+                       DensePolicy dense = {})
+      : rows_(rows),
+        cols_(cols),
+        opts_(opts),
+        cap_(batch_capacity),
+        dense_(dense) {
     if (batch_capacity < 1)
       throw std::invalid_argument("Accumulator: batch_capacity must be >= 1");
     detail::check_sentinel_shape(rows);
@@ -102,7 +131,7 @@ class Accumulator {
   /// Columns currently held in dense (promoted) storage. Zero between
   /// snapshots: partial_sum()/finalize() demote everything.
   [[nodiscard]] std::size_t dense_resident_cols() const {
-    return resident_count_;
+    return resident_cols_.size();
   }
   /// Bytes of persistent per-thread scratch currently held (survives
   /// finalize(); the workspace-reuse guarantee tests pin this).
@@ -178,12 +207,9 @@ class Accumulator {
     detail::check_sentinel_shape(rows);
     rows_ = rows;
     cols_ = cols;
-    // Idle implies nothing resident, but the lazily-sized per-column
-    // vectors must not carry the previous shape into the next stream.
+    // Idle implies nothing resident, but the lazily-sized column mask
+    // must not carry the previous shape into the next stream.
     resident_.clear();
-    dense_slot_.clear();
-    dense_slots_ = 0;
-    resident_count_ = 0;
   }
 
   /// Drop every staged addend without folding it — the recovery path
@@ -201,59 +227,7 @@ class Accumulator {
 
   /// Fold everything staged into the running partial sum now. No-op when
   /// nothing is pending.
-  void flush() {
-    require_no_open_buffer();
-    if (staged_.empty()) return;
-    fold_.clear();
-    if (have_acc_) fold_.push_back(&acc_);
-    fold_.insert(fold_.end(), staged_.begin(), staged_.end());
-
-    Options fopts = opts_;
-    // An unsorted running sum (hash family with sorted_output=false) must
-    // not be fed to a fold that assumes sorted inputs.
-    fopts.inputs_sorted = opts_.inputs_sorted && (!have_acc_ || acc_sorted_);
-    // Dense-resident columns bypass the sparse fold entirely: the mask
-    // keeps their (stripped, empty) acc_ columns and their addend columns
-    // out of the kernels; the addends scatter into dense storage below,
-    // only after the fold has succeeded (exception safety: a throwing fold
-    // must leave the dense partials untouched, like it leaves acc_).
-    if (resident_count_ > 0) fopts.skip_cols = resident_.data();
-
-    std::size_t owned_bytes = 0;
-    for (const auto& m : owned_) owned_bytes += m.storage_bytes();
-    // Mid-fold, the outgoing running sum and the fresh result are live at
-    // once; count both so the peak is not understated.
-    const std::size_t acc_before = have_acc_ ? acc_.storage_bytes() : 0;
-
-    if (fold_.size() == 1 && resident_count_ == 0) {
-      // Single addend, no running sum yet: materialize it directly (move
-      // when we own it) instead of running a 1-way pipeline.
-      Matrix* own = owned_.empty() ? nullptr : &owned_.front();
-      acc_ = own ? std::move(*own) : Matrix(*fold_.front());
-      if (own) owned_bytes = 0;  // the owned buffer *became* acc_
-      if (fopts.sorted_output && !acc_.is_sorted()) acc_.sort_columns();
-    } else {
-      acc_ = spkadd(MatrixPtrs<IndexT, ValueT>(fold_), fopts, &rt_);
-      // Keep the persistent footprint independent of which thread ran
-      // which column (see Runtime::level_scratch).
-      rt_.level_scratch();
-    }
-    scatter_staged_into_dense();
-    have_acc_ = true;
-    acc_sorted_ = method_emits_sorted(opts_.method, opts_.sorted_output);
-
-    ++stats_.flushes;
-    const std::size_t live = acc_before + acc_.storage_bytes() +
-                             owned_bytes + rt_.storage_bytes() +
-                             dense_storage_bytes();
-    stats_.peak_intermediate_bytes =
-        std::max(stats_.peak_intermediate_bytes, live);
-
-    staged_.clear();
-    owned_.clear();
-    staged_nnz_ = 0;
-    maybe_promote();
-  }
+  void flush() { fold(/*promote=*/true); }
 
   /// Fold any pending addends and borrow the running sum WITHOUT
   /// consuming it — snapshot readers (the aggregation service) assemble
@@ -262,7 +236,7 @@ class Accumulator {
   /// addend materializes (and keeps) the all-zero rows x cols sum. The
   /// reference is invalidated by any later add/flush/finalize.
   [[nodiscard]] const Matrix& partial_sum() {
-    flush();
+    fold(/*promote=*/false);
     demote_all();
     if (!have_acc_) {
       acc_ = Matrix(rows_, cols_);
@@ -284,7 +258,7 @@ class Accumulator {
   /// stream reuses the grown scratch. An accumulator that never saw an
   /// addend yields the all-zero rows x cols matrix.
   [[nodiscard]] Matrix finalize() {
-    flush();
+    fold(/*promote=*/false);
     demote_all();
     Matrix out = have_acc_ ? std::move(acc_) : Matrix(rows_, cols_);
     acc_ = Matrix();
@@ -294,39 +268,87 @@ class Accumulator {
   }
 
  private:
-  /// Methods whose output columns are sorted regardless of
-  /// Options::sorted_output (merge/heap families sort by construction;
-  /// DenseAcc's bitmap scan emits ascending by construction).
-  [[nodiscard]] static bool method_emits_sorted(Method m, bool sorted_output) {
-    switch (m) {
-      case Method::TwoWayIncremental:
-      case Method::TwoWayTree:
-      case Method::Heap:
-      case Method::DenseAcc:
-      case Method::ReferenceIncremental:
-      case Method::ReferenceTree:
-        return true;
-      default:
-        return sorted_output;
+  /// Fold the staged addends plus the running sum. With `promote`, the
+  /// fold first chooses new dense residents; partial_sum() and finalize()
+  /// pass false, since demote_all() would merge them straight back.
+  void fold(bool promote) {
+    require_no_open_buffer();
+    if (staged_.empty()) return;
+    fold_.clear();
+    if (have_acc_) fold_.push_back(&acc_);
+    fold_.insert(fold_.end(), staged_.begin(), staged_.end());
+
+    Options fopts = opts_;
+    // An unsorted running sum (hash family with sorted_output=false) must
+    // not be fed to a fold that assumes sorted inputs.
+    fopts.inputs_sorted = opts_.inputs_sorted && (!have_acc_ || acc_sorted_);
+
+    std::size_t owned_bytes = 0;
+    for (const auto& m : owned_) owned_bytes += m.storage_bytes();
+    // Mid-fold, the outgoing running sum and the fresh result are live at
+    // once; count both so the peak is not understated.
+    const std::size_t acc_before = have_acc_ ? acc_.storage_bytes() : 0;
+
+    if (fold_.size() == 1) {
+      // Single addend, no running sum yet (so nothing resident):
+      // materialize it directly (move when we own it) instead of running
+      // a 1-way pipeline.
+      Matrix* own = owned_.empty() ? nullptr : &owned_.front();
+      acc_ = own ? std::move(*own) : Matrix(*fold_.front());
+      if (own) owned_bytes = 0;  // the owned buffer *became* acc_
+      if (fopts.sorted_output && !acc_.is_sorted()) acc_.sort_columns();
+    } else {
+      const std::size_t kept = resident_cols_.size();
+      Matrix sum;
+      try {
+        if (promote) choose_promotions();
+        const MatrixPtrs<IndexT, ValueT> batch(fold_);
+        // Resident columns stay out of the sparse fold: the mask leaves
+        // them empty in `sum`, and their addends scatter below.
+        sum = resident_cols_.empty()
+                  ? spkadd(batch, fopts, &rt_)
+                  : kway_add(batch, fopts, method_kernel(opts_.method), rt_,
+                             resident_);
+      } catch (...) {
+        // A throwing fold leaves acc_, the slots and the mask as they
+        // were: un-choose this fold's promotions.
+        for (std::size_t s = kept; s < resident_cols_.size(); ++s)
+          resident_[static_cast<std::size_t>(resident_cols_[s])] = 0;
+        resident_cols_.resize(kept);
+        throw;
+      }
+      for (std::size_t s = kept; s < resident_cols_.size(); ++s)
+        load_slot(s);
+      stats_.dense_promotions += resident_cols_.size() - kept;
+      acc_ = std::move(sum);
+      scatter_staged_into_dense();
+      // Keep the persistent footprint independent of which thread ran
+      // which column (see Runtime::level_scratch).
+      rt_.level_scratch();
     }
+    have_acc_ = true;
+    acc_sorted_ = emits_sorted(opts_.method) || opts_.sorted_output;
+
+    ++stats_.flushes;
+    const std::size_t live = acc_before + acc_.storage_bytes() +
+                             owned_bytes + rt_.storage_bytes() +
+                             dense_storage_bytes();
+    stats_.peak_intermediate_bytes =
+        std::max(stats_.peak_intermediate_bytes, live);
+
+    staged_.clear();
+    owned_.clear();
+    staged_nnz_ = 0;
   }
 
   /// Promotion is legal only when the stream can honor it: the policy is
   /// on, snapshots want sorted columns (demotion emits ascending), the
-  /// matrix is tall enough to pay off, and folds run a column-kernel
-  /// method (the pairwise families cannot skip columns).
+  /// matrix is tall enough to pay off, and folds run the column-kernel
+  /// driver (the pairwise families cannot skip columns).
   [[nodiscard]] bool promotion_allowed() const {
-    switch (opts_.method) {
-      case Method::TwoWayIncremental:
-      case Method::TwoWayTree:
-      case Method::ReferenceIncremental:
-      case Method::ReferenceTree:
-        return false;
-      default:
-        break;
-    }
-    return opts_.dense.enabled && opts_.sorted_output &&
-           static_cast<std::int64_t>(rows_) >= opts_.dense.min_rows;
+    return dense_.enabled && !is_pairwise(opts_.method) &&
+           opts_.sorted_output &&
+           static_cast<std::int64_t>(rows_) >= dense_.min_rows;
   }
 
   [[nodiscard]] std::size_t mask_words() const {
@@ -338,198 +360,130 @@ class Accumulator {
            dense_mask_.capacity() * sizeof(std::uint64_t);
   }
 
+  [[nodiscard]] ValueT* slot_values(std::size_t s) {
+    return dense_vals_.data() + s * static_cast<std::size_t>(rows_);
+  }
+  [[nodiscard]] std::uint64_t* slot_mask(std::size_t s) {
+    return dense_mask_.data() + s * mask_words();
+  }
+
+  /// Before a fold: choose every full-enough column of the running sum
+  /// (under the byte budget) and mark it in the mask. Resident columns
+  /// are empty in acc_, so the nnz test skips them. The slots are sized
+  /// here, so nothing after a successful fold can fail.
+  void choose_promotions() {
+    if (!have_acc_ || !promotion_allowed()) return;
+    const auto m = static_cast<std::size_t>(rows_);
+    const std::size_t slot_bytes =
+        m * sizeof(ValueT) + mask_words() * sizeof(std::uint64_t);
+    const double cut = dense_.promote_fill * static_cast<double>(rows_);
+    for (IndexT j = 0; j < cols_; ++j) {
+      const auto nz = static_cast<std::size_t>(acc_.col_nnz(j));
+      if (nz == 0 || static_cast<double>(nz) < cut) continue;
+      if ((resident_cols_.size() + 1) * slot_bytes >
+          dense_.max_resident_bytes)
+        break;
+      if (resident_.empty())
+        resident_.assign(static_cast<std::size_t>(cols_), 0);
+      resident_[static_cast<std::size_t>(j)] = 1;
+      resident_cols_.push_back(j);
+    }
+    const std::size_t slots = resident_cols_.size();
+    if (dense_vals_.size() < slots * m) dense_vals_.resize(slots * m);
+    if (dense_mask_.size() < slots * mask_words())
+      dense_mask_.resize(slots * mask_words());
+  }
+
+  /// Copy the running sum's column of slot `s` into the slot verbatim
+  /// (promotion must not perturb a single bit). Unset value slots stay
+  /// stale — they are never read, and a first touch assigns rather than
+  /// adds.
+  void load_slot(std::size_t s) {
+    ValueT* vals = slot_values(s);
+    std::uint64_t* mask = slot_mask(s);
+    std::fill(mask, mask + mask_words(), std::uint64_t{0});
+    const auto col = acc_.column(resident_cols_[s]);
+    for (std::size_t p = 0; p < col.rows.size(); ++p) {
+      const auto r = static_cast<std::size_t>(col.rows[p]);
+      vals[r] = col.vals[p];
+      mask[r >> 6] |= std::uint64_t{1} << (r & 63);
+    }
+  }
+
   /// Fold the just-staged addends' resident columns into their dense
   /// slots, in staged order — the same strict left fold the kernels run
   /// (first touch assigns, later touches +=), so the value bytes stay
-  /// identical to a never-promoted stream. noexcept in effect: storage is
-  /// preallocated, so a fold that already succeeded cannot be undone by a
-  /// failure here.
+  /// identical to a never-promoted stream.
   void scatter_staged_into_dense() {
-    if (resident_count_ == 0) return;
-    const auto m = static_cast<std::size_t>(rows_);
-    const std::size_t words = mask_words();
     for (const Matrix* a : staged_) {
-      const auto cp = a->col_ptr();
-      const auto ri = a->row_idx();
-      const auto vv = a->values();
-      for (IndexT j = 0; j < cols_; ++j) {
-        if (resident_[static_cast<std::size_t>(j)] == 0) continue;
-        const auto slot =
-            static_cast<std::size_t>(dense_slot_[static_cast<std::size_t>(j)]);
-        ValueT* vals = dense_vals_.data() + slot * m;
-        std::uint64_t* mask = dense_mask_.data() + slot * words;
-        const auto lo =
-            static_cast<std::size_t>(cp[static_cast<std::size_t>(j)]);
-        const auto hi =
-            static_cast<std::size_t>(cp[static_cast<std::size_t>(j) + 1]);
-        for (std::size_t p = lo; p < hi; ++p) {
-          const auto r = static_cast<std::size_t>(ri[p]);
+      for (std::size_t s = 0; s < resident_cols_.size(); ++s) {
+        ValueT* vals = slot_values(s);
+        std::uint64_t* mask = slot_mask(s);
+        const auto col = a->column(resident_cols_[s]);
+        for (std::size_t p = 0; p < col.rows.size(); ++p) {
+          const auto r = static_cast<std::size_t>(col.rows[p]);
           const std::uint64_t bit = std::uint64_t{1} << (r & 63);
           if ((mask[r >> 6] & bit) != 0) {
-            vals[r] += vv[p];
+            vals[r] += col.vals[p];
           } else {
             mask[r >> 6] |= bit;
-            vals[r] = vv[p];
+            vals[r] = col.vals[p];
           }
         }
       }
     }
-  }
-
-  /// Promote every sufficiently full sparse column (under the byte
-  /// budget), then strip the promoted columns out of acc_ so the next
-  /// demotion cannot double-count them.
-  void maybe_promote() {
-    if (!have_acc_ || !promotion_allowed()) return;
-    const auto m = static_cast<std::size_t>(rows_);
-    const std::size_t words = mask_words();
-    const std::size_t slot_bytes =
-        m * sizeof(ValueT) + words * sizeof(std::uint64_t);
-    const double cut =
-        opts_.dense.promote_fill * static_cast<double>(rows_);
-    bool any = false;
-    for (IndexT j = 0; j < cols_; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      if (!resident_.empty() && resident_[js] != 0) continue;
-      const auto nz = static_cast<std::size_t>(acc_.col_nnz(j));
-      if (nz == 0 || static_cast<double>(nz) < cut) continue;
-      if ((resident_count_ + 1) * slot_bytes > opts_.dense.max_resident_bytes)
-        break;
-      promote_column(j, m, words);
-      any = true;
-    }
-    if (any) strip_resident_from_acc();
-  }
-
-  void promote_column(IndexT j, std::size_t m, std::size_t words) {
-    if (resident_.empty())
-      resident_.assign(static_cast<std::size_t>(cols_), 0);
-    if (dense_slot_.empty())
-      dense_slot_.assign(static_cast<std::size_t>(cols_), -1);
-    const std::size_t slot = dense_slots_++;
-    if (dense_vals_.size() < dense_slots_ * m)
-      dense_vals_.resize(dense_slots_ * m);
-    if (dense_mask_.size() < dense_slots_ * words)
-      dense_mask_.resize(dense_slots_ * words);
-    ValueT* vals = dense_vals_.data() + slot * m;
-    std::uint64_t* mask = dense_mask_.data() + slot * words;
-    std::fill(mask, mask + words, std::uint64_t{0});
-    // Copy the running sum's column verbatim (values untouched: promotion
-    // must not perturb a single bit). Unset value slots stay stale — they
-    // are never read, and a first touch assigns rather than adds.
-    const auto cp = acc_.col_ptr();
-    const auto ri = acc_.row_idx();
-    const auto vv = acc_.values();
-    const auto lo = static_cast<std::size_t>(cp[static_cast<std::size_t>(j)]);
-    const auto hi =
-        static_cast<std::size_t>(cp[static_cast<std::size_t>(j) + 1]);
-    for (std::size_t p = lo; p < hi; ++p) {
-      const auto r = static_cast<std::size_t>(ri[p]);
-      vals[r] = vv[p];
-      mask[r >> 6] |= std::uint64_t{1} << (r & 63);
-    }
-    resident_[static_cast<std::size_t>(j)] = 1;
-    dense_slot_[static_cast<std::size_t>(j)] =
-        static_cast<std::int64_t>(slot);
-    ++resident_count_;
-    ++stats_.dense_promotions;
-  }
-
-  /// Rebuild acc_ with every resident column empty. Promoted columns live
-  /// in dense storage only; leaving their CSC copy in place would add
-  /// them twice at demotion.
-  void strip_resident_from_acc() {
-    std::vector<IndexT> counts(static_cast<std::size_t>(cols_), IndexT{0});
-    for (IndexT j = 0; j < cols_; ++j)
-      if (resident_[static_cast<std::size_t>(j)] == 0)
-        counts[static_cast<std::size_t>(j)] = acc_.col_nnz(j);
-    Matrix stripped(rows_, cols_);
-    stripped.set_structure(
-        util::counts_to_offsets(std::span<const IndexT>(counts)));
-    auto* orow = stripped.mutable_row_idx().data();
-    auto* oval = stripped.mutable_values().data();
-    const auto ocp = stripped.col_ptr();
-    const auto cp = acc_.col_ptr();
-    const auto ri = acc_.row_idx();
-    const auto vv = acc_.values();
-    for (IndexT j = 0; j < cols_; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      if (resident_[js] != 0) continue;
-      const auto lo = static_cast<std::size_t>(cp[js]);
-      const auto n = static_cast<std::size_t>(cp[js + 1]) - lo;
-      auto out = static_cast<std::size_t>(ocp[js]);
-      for (std::size_t p = 0; p < n; ++p) {
-        orow[out + p] = ri[lo + p];
-        oval[out + p] = vv[lo + p];
-      }
-    }
-    acc_ = std::move(stripped);
   }
 
   /// Merge every dense-resident column back into acc_ as CSC: ascending
   /// bitmap scan, value bytes verbatim. Clears all residency state; the
   /// dense backing stores keep their capacity for the next promotion.
   void demote_all() {
-    if (resident_count_ == 0) return;
-    const auto m = static_cast<std::size_t>(rows_);
+    if (resident_cols_.empty()) return;
     const std::size_t words = mask_words();
-    std::vector<IndexT> counts(static_cast<std::size_t>(cols_), IndexT{0});
-    for (IndexT j = 0; j < cols_; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      if (resident_[js] != 0) {
-        const std::uint64_t* mask =
-            dense_mask_.data() +
-            static_cast<std::size_t>(dense_slot_[js]) * words;
-        std::size_t nz = 0;
-        for (std::size_t w = 0; w < words; ++w)
-          nz += static_cast<std::size_t>(std::popcount(mask[w]));
-        counts[js] = static_cast<IndexT>(nz);
-      } else {
-        counts[js] = acc_.col_nnz(j);
-      }
+    // Resident columns are empty in acc_; their counts come from the
+    // slots' bitmaps.
+    std::vector<IndexT> counts(static_cast<std::size_t>(cols_));
+    for (IndexT j = 0; j < cols_; ++j)
+      counts[static_cast<std::size_t>(j)] = acc_.col_nnz(j);
+    for (std::size_t s = 0; s < resident_cols_.size(); ++s) {
+      const std::uint64_t* mask = slot_mask(s);
+      std::size_t nz = 0;
+      for (std::size_t w = 0; w < words; ++w)
+        nz += static_cast<std::size_t>(std::popcount(mask[w]));
+      counts[static_cast<std::size_t>(resident_cols_[s])] =
+          static_cast<IndexT>(nz);
     }
     Matrix merged(rows_, cols_);
-    merged.set_structure(
-        util::counts_to_offsets(std::span<const IndexT>(counts)));
+    merged.set_structure(util::counts_to_offsets(
+        std::span<const IndexT>(counts), detail::team_size(opts_)));
     auto* orow = merged.mutable_row_idx().data();
     auto* oval = merged.mutable_values().data();
     const auto ocp = merged.col_ptr();
-    const auto cp = acc_.col_ptr();
-    const auto ri = acc_.row_idx();
-    const auto vv = acc_.values();
     for (IndexT j = 0; j < cols_; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      auto out = static_cast<std::size_t>(ocp[js]);
-      if (resident_[js] != 0) {
-        const auto slot = static_cast<std::size_t>(dense_slot_[js]);
-        const ValueT* vals = dense_vals_.data() + slot * m;
-        const std::uint64_t* mask = dense_mask_.data() + slot * words;
-        for (std::size_t w = 0; w < words; ++w) {
-          std::uint64_t bits = mask[w];
-          while (bits != 0) {
-            const auto r =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-            orow[out] = static_cast<IndexT>(r);
-            oval[out] = vals[r];
-            ++out;
-            bits &= bits - 1;
-          }
-        }
-      } else {
-        const auto lo = static_cast<std::size_t>(cp[js]);
-        const auto n = static_cast<std::size_t>(cp[js + 1]) - lo;
-        for (std::size_t p = 0; p < n; ++p) {
-          orow[out + p] = ri[lo + p];
-          oval[out + p] = vv[lo + p];
+      const auto col = acc_.column(j);
+      const auto out = ocp[static_cast<std::size_t>(j)];
+      std::copy(col.rows.begin(), col.rows.end(), orow + out);
+      std::copy(col.vals.begin(), col.vals.end(), oval + out);
+    }
+    for (std::size_t s = 0; s < resident_cols_.size(); ++s) {
+      const ValueT* vals = slot_values(s);
+      const std::uint64_t* mask = slot_mask(s);
+      auto out = static_cast<std::size_t>(
+          ocp[static_cast<std::size_t>(resident_cols_[s])]);
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+          const auto r =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          orow[out] = static_cast<IndexT>(r);
+          oval[out] = vals[r];
+          ++out;
         }
       }
     }
     acc_ = std::move(merged);
-    stats_.dense_demotions += resident_count_;
+    stats_.dense_demotions += resident_cols_.size();
     resident_.clear();
-    dense_slot_.clear();
-    dense_slots_ = 0;
-    resident_count_ = 0;
+    resident_cols_.clear();
   }
 
   void check_shape(const Matrix& m) const {
@@ -572,16 +526,14 @@ class Accumulator {
   Runtime<IndexT, ValueT> rt_;  ///< persistent scratch + cost scan
   Stats stats_;
 
-  // Dense-resident (promoted) column state. resident_ doubles as the
-  // Options::skip_cols mask handed to the sparse fold. Invariant:
-  // resident_count_ > 0 implies have_acc_ (promotion only happens after a
-  // fold; every snapshot demotes first).
-  std::vector<std::uint8_t> resident_;   ///< 1 = column lives in dense storage
-  std::vector<std::int64_t> dense_slot_; ///< per-column slot index, -1 = none
-  std::vector<ValueT> dense_vals_;       ///< slot-major value arrays (m each)
-  std::vector<std::uint64_t> dense_mask_;///< slot-major occupancy bitmaps
-  std::size_t dense_slots_ = 0;          ///< slots in use
-  std::size_t resident_count_ = 0;       ///< == number of 1s in resident_
+  // Dense-resident (promoted) column state. Invariants: a resident
+  // column is empty in acc_ (the fold masks it), and residents imply
+  // have_acc_ (promotion chooses from acc_; every snapshot demotes first).
+  DensePolicy dense_;
+  std::vector<std::uint8_t> resident_;  ///< kway_add mask: 1 = dense column
+  std::vector<IndexT> resident_cols_;   ///< column of each slot, slot order
+  std::vector<ValueT> dense_vals_;      ///< slot-major value arrays (m each)
+  std::vector<std::uint64_t> dense_mask_;  ///< slot-major occupancy bitmaps
 };
 
 extern template class Accumulator<std::int32_t, double>;

@@ -113,21 +113,20 @@ std::size_t total_nnz(std::span<Element> inputs) {
 
 /// One parallel O(k*n) pass filling `costs` with the per-column summed
 /// input nnz — the cost model shared by the per-chunk plan and the
-/// nnz-balanced schedule.
+/// nnz-balanced schedule. A column `skip` masks costs nothing: the fold
+/// never gathers its views, so neither the schedule nor the plan weighs
+/// it.
 template <class Element>
 void column_input_nnz(std::span<Element> inputs, const Options& opts,
-                      std::vector<std::uint64_t>& costs) {
+                      std::vector<std::uint64_t>& costs,
+                      std::span<const std::uint8_t> skip = {}) {
   using IndexT = std::decay_t<decltype(deref(inputs.front()).cols())>;
   const IndexT cols = inputs.empty() ? IndexT{0} : deref(inputs.front()).cols();
   costs.assign(static_cast<std::size_t>(cols), 0);
   const int nthreads = team_size(opts);
-  const std::uint8_t* skip = opts.skip_cols;
 #pragma omp parallel for num_threads(nthreads) schedule(static)
   for (IndexT j = 0; j < cols; ++j) {
-    // Skipped (dense-resident) columns cost nothing: the fold never
-    // gathers their views, so neither the schedule nor the plan should
-    // weigh them.
-    if (skip && skip[static_cast<std::size_t>(j)] != 0) continue;
+    if (!skip.empty() && skip[static_cast<std::size_t>(j)] != 0) continue;
     std::uint64_t t = 0;
     for (const auto& e : inputs)
       t += static_cast<std::uint64_t>(deref(e).col_nnz(j));
@@ -232,16 +231,16 @@ void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
 
 /// Gather the jth column views of all inputs into `views` (reused scratch);
 /// empty columns are skipped — they contribute nothing to any kernel. A
-/// column masked by `skip` (Options::skip_cols, the Accumulator's
-/// dense-resident mask) gathers NO views: every kernel then naturally
-/// emits an empty output column, which is how the sparse fold excludes
-/// dense-resident columns without per-driver special cases.
+/// column masked by `skip` (the skip mask of kway_add, which the
+/// Accumulator points at its dense-resident columns) gathers NO views:
+/// every kernel then naturally emits an empty output column, so a mask
+/// needs no per-kernel special case.
 template <class Element, class IndexT, class ValueT>
 void gather_views(std::span<Element> inputs, IndexT j,
                   std::vector<ColumnView<IndexT, ValueT>>& views,
-                  const std::uint8_t* skip = nullptr) {
+                  std::span<const std::uint8_t> skip = {}) {
   views.clear();
-  if (skip && skip[static_cast<std::size_t>(j)] != 0) return;
+  if (!skip.empty() && skip[static_cast<std::size_t>(j)] != 0) return;
   for (const auto& e : inputs) {
     auto col = deref(e).column(j);
     if (!col.empty()) views.push_back(col);

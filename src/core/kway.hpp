@@ -14,8 +14,10 @@
 // walk the plan's chunks through the uniform ColumnKernel interface.
 //
 // kway_add takes borrowed matrix pointers (MatrixPtrs) plus a Runtime: the
-// streaming accumulator folds batches through core::spkadd without
-// copying an input and with scratch that survives across calls.
+// streaming accumulator folds batches without copying an input and with
+// scratch that survives across calls. An optional column skip mask leaves
+// the masked output columns empty; the Accumulator passes its
+// dense-resident columns, which it folds itself.
 #pragma once
 
 #include <optional>
@@ -29,19 +31,37 @@
 
 namespace spkadd::core {
 
+/// The kernel a k-way method puts on every column chunk; empty for
+/// Auto and Hybrid, whose chunks the planner fills. The pairwise methods
+/// (is_pairwise) run no column kernel.
+[[nodiscard]] inline std::optional<ColumnKernel> method_kernel(Method m) {
+  switch (m) {
+    case Method::Heap: return ColumnKernel::Heap;
+    case Method::Spa: return ColumnKernel::Spa;
+    case Method::Hash: return ColumnKernel::Hash;
+    case Method::SlidingHash: return ColumnKernel::SlidingHash;
+    case Method::DenseAcc: return ColumnKernel::DenseAcc;
+    default: return std::nullopt;
+  }
+}
+
 /// Add the borrowed addends with `kernel` on every column chunk, or, when
 /// `kernel` is empty, with the per-chunk planner's mix. Every kernel
 /// accumulates equal-row values strictly left to right over the inputs,
 /// so every plan gives the same bits. The heap merge requires sorted
-/// input columns and throws without them.
+/// input columns and throws without them. `skip`, when not empty, holds
+/// one byte per column; a nonzero byte leaves that output column empty.
 template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> kway_add(
     MatrixPtrs<IndexT, ValueT> inputs, const Options& opts,
-    std::optional<ColumnKernel> kernel, Runtime<IndexT, ValueT>& R) {
+    std::optional<ColumnKernel> kernel, Runtime<IndexT, ValueT>& R,
+    std::span<const std::uint8_t> skip = {}) {
   const auto [rows, cols] = detail::check_conformant(inputs);
+  if (!skip.empty() && skip.size() != static_cast<std::size_t>(cols))
+    throw std::invalid_argument("kway_add: skip needs one byte per column");
   if (kernel == ColumnKernel::Heap && !opts.inputs_sorted)
     throw std::invalid_argument("spkadd(Heap): requires sorted inputs");
-  const ColumnPlan<IndexT> plan = plan_columns(inputs, kernel, opts, R);
+  const ColumnPlan<IndexT> plan = plan_columns(inputs, kernel, opts, R, skip);
   if (plan.uses(ColumnKernel::Heap))
     detail::require_sorted_inputs(inputs, "spkadd(Heap)");
   if (opts.counters && !kernel)
@@ -50,7 +70,8 @@ template <class IndexT, class ValueT>
   const std::vector<IndexT> counts =
       symbolic_nnz_per_column(inputs, opts, plan, R);
   CscMatrix<IndexT, ValueT> out(rows, cols);
-  out.set_structure(util::counts_to_offsets(std::span<const IndexT>(counts)));
+  out.set_structure(util::counts_to_offsets(std::span<const IndexT>(counts),
+                                            detail::team_size(opts)));
   auto* out_rows = out.mutable_row_idx().data();
   auto* out_vals = out.mutable_values().data();
   const auto cp = out.col_ptr();

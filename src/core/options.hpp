@@ -1,4 +1,9 @@
 // Options, method selection and instrumentation counters for SpKAdd.
+//
+// Options carries the choices of the paper's algorithm and nothing else:
+// the method, sortedness, the team size T, the cache budget M of Alg. 7/8,
+// the schedule and a counter sink. State of a caller of SpKAdd (the
+// streaming Accumulator's dense residency) lives with that caller.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +27,28 @@ enum class Method {
   Hybrid,             ///< pick a kernel PER nnz-balanced column chunk
   DenseAcc,           ///< dense bitmap accumulator with SIMD dense adds
 };
+
+/// The pairwise families (Alg. 1, the 2-way tree, the MKL-substitute
+/// reference): they fold two matrices at a time, so they run no column
+/// kernel. Every other method runs the column-kernel driver (kway.hpp).
+[[nodiscard]] constexpr bool is_pairwise(Method m) {
+  return m == Method::TwoWayIncremental || m == Method::TwoWayTree ||
+         m == Method::ReferenceIncremental || m == Method::ReferenceTree;
+}
+
+/// Whether `m` refuses unsorted input columns (the merge families, paper
+/// Table I). Auto and Hybrid are safe either way: the planner picks the
+/// heap kernel only when Options::inputs_sorted is declared.
+[[nodiscard]] constexpr bool requires_sorted_inputs(Method m) {
+  return is_pairwise(m) || m == Method::Heap;
+}
+
+/// Whether `m` emits sorted columns whatever Options::sorted_output says:
+/// the merges sort by construction and DenseAcc's bitmap scan emits rows
+/// ascending.
+[[nodiscard]] constexpr bool emits_sorted(Method m) {
+  return requires_sorted_inputs(m) || m == Method::DenseAcc;
+}
 
 [[nodiscard]] std::string method_name(Method m);
 
@@ -112,28 +139,6 @@ struct OpCounters {
   }
 };
 
-/// Sparse→dense promotion policy of the streaming Accumulator (ROADMAP
-/// item 1, mirroring the HLL sparse→dense representation switch): a
-/// running partial-sum column whose fill fraction crosses `promote_fill`
-/// is promoted to dense column storage and subsequent addends fold into
-/// it with vectorized scatter/dense adds; finalize()/partial_sum() demote
-/// back to CSC, so every output format — and every output *byte* — is
-/// unchanged. Promotion requires Options::sorted_output (demotion emits
-/// rows ascending) and a column-kernel method; TwoWay*/Reference* folds
-/// never promote.
-struct DensePolicy {
-  bool enabled = true;
-  /// Promote a column once nnz >= promote_fill * rows (the calibratable
-  /// threshold BENCH_dense.json sweeps).
-  double promote_fill = 0.5;
-  /// Never promote matrices shorter than this: the dense win needs enough
-  /// rows to amortize per-column bookkeeping.
-  std::int64_t min_rows = 64;
-  /// Cap on total dense-resident bytes per accumulator; promotion stops
-  /// (new candidates stay sparse) once reached.
-  std::size_t max_resident_bytes = 256ull << 20;
-};
-
 struct Options {
   Method method = Method::Auto;
 
@@ -150,8 +155,8 @@ struct Options {
   /// 0 = current omp_get_max_threads().
   int threads = 0;
 
-  /// LLC budget for sliding hash (bytes); 0 = detected machine value (or
-  /// the util::set_llc_override if active).
+  /// LLC budget M of Alg. 7/8 and of the planner's cache tests (bytes);
+  /// 0 = the detected machine value (util::effective_llc_bytes).
   std::size_t llc_bytes = 0;
 
   /// Force the per-thread hash table entry cap for SlidingHash (the x-axis
@@ -163,19 +168,6 @@ struct Options {
   /// When non-null, kernels count their operations here (not thread-safe to
   /// share across concurrent spkadd() calls; one counter per call).
   OpCounters* counters = nullptr;
-
-  /// Sparse→dense promotion policy consumed by the streaming Accumulator
-  /// (travels with the fold options so service shards inherit it without
-  /// extra plumbing). Ignored by one-shot spkadd() calls.
-  DensePolicy dense;
-
-  /// Internal (Accumulator) contract: when non-null, a byte per column;
-  /// nonzero marks a column the fold must SKIP — its views are never
-  /// gathered and its output column is empty. The Accumulator points this
-  /// at its dense-resident mask so promoted columns bypass the sparse fold
-  /// entirely. Only the column-kernel drivers honor it; spkadd() rejects
-  /// TwoWay*/Reference* methods under a mask.
-  const std::uint8_t* skip_cols = nullptr;
 };
 
 }  // namespace spkadd::core

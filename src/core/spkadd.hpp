@@ -24,13 +24,10 @@
 namespace spkadd::core {
 
 /// The method Method::Auto dispatches to for k addends: the 2-way tree
-/// for a sorted pair, the per-chunk planner otherwise. Pairwise folds
-/// cannot honor a skip mask, so a masked call always plans per chunk.
-/// Needs no column scan.
+/// for a sorted pair (Fig. 2's small-k corner), the per-chunk planner
+/// otherwise. Needs no column scan.
 [[nodiscard]] inline Method auto_select(std::size_t k, const Options& opts) {
-  return k <= 2 && opts.inputs_sorted && opts.skip_cols == nullptr
-             ? Method::TwoWayTree
-             : Method::Hybrid;
+  return k <= 2 && opts.inputs_sorted ? Method::TwoWayTree : Method::Hybrid;
 }
 
 /// Value-span form of auto_select (tests/benches).
@@ -41,31 +38,19 @@ template <class IndexT, class ValueT>
 }
 
 /// Add a collection of borrowed conformant sparse matrices:
-/// B = sum_i *inputs[i]. The primary entry point: streaming callers (the
-/// Accumulator) fold through here without copying an input, and a
-/// caller-owned Runtime keeps the per-thread scratch and the per-column
-/// cost scan alive across calls.
+/// B = sum_i *inputs[i]. The primary entry point: a caller-owned Runtime
+/// keeps the per-thread scratch and the per-column cost scan alive
+/// across calls.
 template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> spkadd(
     MatrixPtrs<IndexT, ValueT> inputs, const Options& opts = {},
     Runtime<IndexT, ValueT>* rt = nullptr) {
   detail::check_conformant(inputs);
-  if (opts.skip_cols != nullptr &&
-      (opts.method == Method::TwoWayIncremental ||
-       opts.method == Method::TwoWayTree ||
-       opts.method == Method::ReferenceIncremental ||
-       opts.method == Method::ReferenceTree))
-    throw std::invalid_argument(
-        "spkadd: skip_cols requires a column-kernel method");
-  // A skip mask must reach the column-kernel driver: the whole-matrix
-  // copy shortcut and the pairwise folds cannot honor it.
-  if (inputs.size() == 1 && opts.skip_cols == nullptr) {
+  if (inputs.size() == 1) {
     CscMatrix<IndexT, ValueT> out = *inputs[0];
     if (opts.sorted_output && !out.is_sorted()) out.sort_columns();
     return out;
   }
-  Runtime<IndexT, ValueT> local;
-  Runtime<IndexT, ValueT>& R = rt ? *rt : local;
   const Method method = opts.method == Method::Auto
                             ? auto_select(inputs.size(), opts)
                             : opts.method;
@@ -74,26 +59,15 @@ template <class IndexT, class ValueT>
       return spkadd_twoway_incremental(inputs, opts);
     case Method::TwoWayTree:
       return spkadd_twoway_tree(inputs, opts);
-    case Method::Heap:
-      return kway_add(inputs, opts, ColumnKernel::Heap, R);
-    case Method::Spa:
-      return kway_add(inputs, opts, ColumnKernel::Spa, R);
-    case Method::Hash:
-      return kway_add(inputs, opts, ColumnKernel::Hash, R);
-    case Method::SlidingHash:
-      return kway_add(inputs, opts, ColumnKernel::SlidingHash, R);
-    case Method::DenseAcc:
-      return kway_add(inputs, opts, ColumnKernel::DenseAcc, R);
-    case Method::Hybrid:  // no fixed kernel: the planner picks per chunk
-      return kway_add(inputs, opts, std::nullopt, R);
     case Method::ReferenceIncremental:
       return spkadd_reference_incremental(inputs);
     case Method::ReferenceTree:
       return spkadd_reference_tree(inputs);
-    case Method::Auto:
-      break;  // unreachable: resolved by auto_select
+    default:  // a column kernel on every chunk, or the per-chunk planner
+      break;
   }
-  throw std::logic_error("spkadd: unresolved method");
+  Runtime<IndexT, ValueT> local;
+  return kway_add(inputs, opts, method_kernel(method), rt ? *rt : local);
 }
 
 /// Add a collection of conformant sparse matrices: B = sum_i inputs[i].

@@ -43,8 +43,8 @@ template <class IndexT, class ValueT>
     counts[static_cast<std::size_t>(j)] = static_cast<IndexT>(
         merge2_count(a.column(j), b.column(j), c));
   });
-  std::vector<IndexT> col_ptr =
-      util::counts_to_offsets(std::span<const IndexT>(counts));
+  std::vector<IndexT> col_ptr = util::counts_to_offsets(
+      std::span<const IndexT>(counts), detail::team_size(opts));
 
   // Pass 2 (numeric): merge each column into its slice.
   CscMatrix<IndexT, ValueT> out(a.rows(), a.cols());

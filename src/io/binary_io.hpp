@@ -1,8 +1,8 @@
 // Portable binary matrix format.
 //
-// Matrix Market text files are slow to parse for the multi-gigabyte
-// protein-similarity inputs the paper uses; benches convert them once to
-// this binary container and stream it afterwards. Layout (little-endian):
+// Text formats are slow to parse for the multi-gigabyte
+// protein-similarity inputs the paper uses; this binary container streams
+// a matrix exactly. Layout (little-endian):
 //
 //   magic "SPKB" | u32 version | u32 index_bytes | u32 value_bytes |
 //   i64 rows | i64 cols | i64 nnz |

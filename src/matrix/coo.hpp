@@ -1,8 +1,8 @@
 // Coordinate-format matrix: an unordered list of (row, col, value) triples.
 //
-// COO is the natural output of the R-MAT generator and the Matrix Market
-// reader; `compress()` + `to_csc()` turn it into the canonical CSC form used
-// by the SpKAdd kernels.
+// COO is the natural output of the R-MAT generator; `compress()` +
+// `to_csc()` turn it into the canonical CSC form used by the SpKAdd
+// kernels.
 #pragma once
 
 #include <algorithm>

@@ -17,24 +17,6 @@
 
 namespace spkadd::service {
 
-/// Whether `method` refuses unsorted columns (merge-family kernels,
-/// paper Table I). Services use this to reject a fold-fatal
-/// configuration at construction and to validate updates BEFORE they
-/// are staged. Hybrid is safe either way: its per-chunk plan only
-/// picks the heap kernel when inputs_sorted is declared.
-[[nodiscard]] inline bool method_requires_sorted(core::Method method) {
-  switch (method) {
-    case core::Method::TwoWayIncremental:
-    case core::Method::TwoWayTree:
-    case core::Method::Heap:
-    case core::Method::ReferenceIncremental:
-    case core::Method::ReferenceTree:
-      return true;
-    default:
-      return false;
-  }
-}
-
 struct ServiceConfig {
   /// Row-range shards per tenant. Each incoming update is partitioned
   /// into `shards` disjoint row slices and each slice folds into its own
@@ -96,12 +78,6 @@ struct ServiceConfig {
     return workers != 0 ? workers : shards;
   }
 
-  /// Whether the configured fold method refuses unsorted columns (the
-  /// free method_requires_sorted() above, applied to options.method).
-  [[nodiscard]] bool method_requires_sorted() const {
-    return service::method_requires_sorted(options.method);
-  }
-
   /// Throws std::invalid_argument on an unusable configuration. The
   /// queue knobs (queue_capacity, burst_size, the watermarks) are
   /// checked by the ingest spine when the service builds it.
@@ -116,7 +92,8 @@ struct ServiceConfig {
           "ServiceConfig: flush_deadline_us must be >= 1");
     // A merge-family method with inputs declared unsorted would throw
     // on every single fold; refuse the config instead of the traffic.
-    if (method_requires_sorted() && !options.inputs_sorted)
+    if (core::requires_sorted_inputs(options.method) &&
+        !options.inputs_sorted)
       throw std::invalid_argument(
           "ServiceConfig: method requires sorted inputs but "
           "options.inputs_sorted is false");

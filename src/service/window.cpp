@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/spkadd.hpp"
-#include "service/service_config.hpp"
 
 namespace spkadd::service {
 
@@ -21,7 +20,7 @@ void WindowConfig::validate() const {
         "WindowConfig: batch_window must be >= 1");
   // A merge-family method with inputs declared unsorted would throw on
   // every single fold; refuse the config instead of the traffic.
-  if (method_requires_sorted(options.method) && !options.inputs_sorted)
+  if (core::requires_sorted_inputs(options.method) && !options.inputs_sorted)
     throw std::invalid_argument(
         "WindowConfig: method requires sorted inputs but "
         "options.inputs_sorted is false");

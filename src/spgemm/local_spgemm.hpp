@@ -211,7 +211,8 @@ void multiply_into(const CscMatrix<IndexT, ValueT>& a,
   }
 
   out = CscMatrix<IndexT, ValueT>(a.rows(), n);
-  out.set_structure(util::counts_to_offsets(std::span<const IndexT>(counts)));
+  out.set_structure(
+      util::counts_to_offsets(std::span<const IndexT>(counts), nthreads));
   auto* out_rows = out.mutable_row_idx().data();
   auto* out_vals = out.mutable_values().data();
   const auto cp = out.col_ptr();

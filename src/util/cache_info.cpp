@@ -1,6 +1,5 @@
 #include "util/cache_info.hpp"
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -8,8 +7,6 @@
 
 namespace spkadd::util {
 namespace {
-
-std::atomic<std::size_t> g_llc_override{0};
 
 /// Read a whole small sysfs file into a string; empty on failure.
 std::string slurp(const std::filesystem::path& p) {
@@ -54,8 +51,6 @@ std::string MachineInfo::summary() const {
   if (l2.bytes > 0) ss << ", L2=" << (l2.bytes >> 10) << "KB";
   ss << ", LLC=" << (llc.bytes >> 20) << "MB (" << llc.ways
      << "-way, " << llc.line_bytes << "B lines)";
-  if (llc_override() != 0)
-    ss << " [LLC override: " << (llc_override() >> 20) << "MB]";
   return ss.str();
 }
 
@@ -107,14 +102,6 @@ const MachineInfo& cached_machine() {
   return info;
 }
 
-void set_llc_override(std::size_t bytes) { g_llc_override.store(bytes); }
-
-std::size_t llc_override() { return g_llc_override.load(); }
-
-std::size_t effective_llc_bytes() {
-  const std::size_t o = llc_override();
-  if (o != 0) return o;
-  return cached_machine().llc.bytes;
-}
+std::size_t effective_llc_bytes() { return cached_machine().llc.bytes; }
 
 }  // namespace spkadd::util

@@ -3,9 +3,9 @@
 // The sliding-hash algorithm (paper Alg. 7/8) sizes its hash tables from the
 // last-level-cache capacity M and the thread count T: each table is capped at
 // M/(b*T) entries. This module discovers L1/L2/LLC sizes from
-// /sys/devices/system/cpu at run time (Linux), with conservative fallbacks,
-// and allows explicit overrides so benches can model other machines (e.g.
-// the paper's 8MB-LLC AMD EPYC from a 32MB-LLC host).
+// /sys/devices/system/cpu at run time (Linux), with conservative fallbacks.
+// A call models another machine (e.g. the paper's 8MB-LLC AMD EPYC from a
+// 32MB-LLC host) through its own core::Options::llc_bytes.
 #pragma once
 
 #include <cstddef>
@@ -46,14 +46,8 @@ struct MachineInfo {
 /// sysfs walk.
 [[nodiscard]] const MachineInfo& cached_machine();
 
-/// Process-wide LLC-size override (0 = use detected). Benches use this to
-/// emulate the paper's EPYC (8MB) case; the sliding-hash sizing reads it
-/// through effective_llc_bytes().
-void set_llc_override(std::size_t bytes);
-[[nodiscard]] std::size_t llc_override();
-
-/// LLC capacity the sliding-hash algorithm should budget against:
-/// the override if set, otherwise the detected size.
+/// LLC capacity the sliding-hash algorithm budgets against when a call
+/// sets no Options::llc_bytes: the detected size.
 [[nodiscard]] std::size_t effective_llc_bytes();
 
 }  // namespace spkadd::util

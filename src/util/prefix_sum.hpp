@@ -25,21 +25,22 @@ void exclusive_scan_seq(std::span<const T> in, std::span<T> out) {
   out[in.size()] = run;
 }
 
-/// Parallel two-pass exclusive scan. `out` must have size `in.size() + 1`.
+/// Parallel two-pass exclusive scan on a team of `threads` (0 = the
+/// ambient omp_get_max_threads()). `out` must have size `in.size() + 1`.
 /// Falls back to the sequential version for small inputs where the fork/join
 /// overhead dominates.
 template <class T>
-void exclusive_scan(std::span<const T> in, std::span<T> out) {
+void exclusive_scan(std::span<const T> in, std::span<T> out, int threads = 0) {
   const std::size_t n = in.size();
   constexpr std::size_t kParallelThreshold = 1u << 15;
-  const int max_threads = omp_get_max_threads();
-  if (n < kParallelThreshold || max_threads == 1) {
+  const int team = threads > 0 ? threads : omp_get_max_threads();
+  if (n < kParallelThreshold || team == 1) {
     exclusive_scan_seq(in, out);
     return;
   }
 
   std::vector<T> block_sums;
-#pragma omp parallel
+#pragma omp parallel num_threads(team)
   {
     const int nt = omp_get_num_threads();
     const int tid = omp_get_thread_num();
@@ -66,11 +67,12 @@ void exclusive_scan(std::span<const T> in, std::span<T> out) {
 }
 
 /// Convenience: scan a vector of counts into a fresh (n+1)-element pointer
-/// array (the CSC `col_ptr` shape).
+/// array (the CSC `col_ptr` shape) on a team of `threads` (0 = ambient).
 template <class T>
-[[nodiscard]] std::vector<T> counts_to_offsets(std::span<const T> counts) {
+[[nodiscard]] std::vector<T> counts_to_offsets(std::span<const T> counts,
+                                               int threads = 0) {
   std::vector<T> offsets(counts.size() + 1);
-  exclusive_scan(counts, std::span<T>(offsets));
+  exclusive_scan(counts, std::span<T>(offsets), threads);
   return offsets;
 }
 

@@ -2,7 +2,6 @@
 
 #include "util/omp_compat.hpp"
 
-#include <algorithm>
 #include <thread>
 
 #if defined(__linux__)
@@ -13,8 +12,6 @@
 namespace spkadd::util {
 
 int current_max_threads() { return omp_get_max_threads(); }
-
-void set_num_threads(int n) { omp_set_num_threads(std::max(1, n)); }
 
 std::size_t online_cpu_count() {
   const unsigned n = std::thread::hardware_concurrency();
@@ -32,11 +29,5 @@ bool pin_current_thread_to_cpu(std::size_t cpu) {
   return false;
 #endif
 }
-
-ThreadCountGuard::ThreadCountGuard(int n) : previous_(omp_get_max_threads()) {
-  set_num_threads(n);
-}
-
-ThreadCountGuard::~ThreadCountGuard() { set_num_threads(previous_); }
 
 }  // namespace spkadd::util

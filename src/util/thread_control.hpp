@@ -1,9 +1,7 @@
-// Thin RAII control over the OpenMP thread count, plus best-effort CPU
-// affinity pinning for the service's worker threads.
-//
-// The strong-scaling bench (Fig. 3) sweeps thread counts; tests pin a known
-// count so results are deterministic. omp_set_num_threads is process-global,
-// so the guard restores the previous value on scope exit.
+// The OpenMP thread budget as the library sees it, plus best-effort CPU
+// affinity pinning for the service's worker threads. A call chooses its
+// own team size through core::Options::threads; nothing here changes the
+// process-global OpenMP default.
 #pragma once
 
 #include <cstddef>
@@ -12,9 +10,6 @@ namespace spkadd::util {
 
 /// Number of threads OpenMP will use for the next parallel region.
 [[nodiscard]] int current_max_threads();
-
-/// Set the process-global OpenMP thread count (clamped to >= 1).
-void set_num_threads(int n);
 
 /// Logical CPUs available to this process (never returns 0).
 [[nodiscard]] std::size_t online_cpu_count();
@@ -25,18 +20,5 @@ void set_num_threads(int n);
 /// correctness requirement. The aggregation service uses this to give
 /// its workers stable thread/shard affinity on multi-core scaling runs.
 bool pin_current_thread_to_cpu(std::size_t cpu);
-
-/// RAII guard: sets the thread count for the enclosing scope, restores the
-/// previous setting on destruction.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int n);
-  ~ThreadCountGuard();
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int previous_;
-};
 
 }  // namespace spkadd::util

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "core/accumulator.hpp"
 #include "gen/workload.hpp"
@@ -345,14 +346,15 @@ TEST(DenseResidency, PromotedStreamIsByteIdenticalToSparseStream) {
   // including a mid-stream partial_sum() that forces demotion and a
   // second promotion wave afterwards.
   const auto inputs = random_collection(10, 64, 8, 300, 51);
-  Options hot;
-  hot.method = Method::Hash;
-  hot.dense.promote_fill = 0.1;  // promote almost immediately
-  Options cold = hot;
-  cold.dense.enabled = false;
+  Options opts;
+  opts.method = Method::Hash;
+  DensePolicy hot;
+  hot.promote_fill = 0.1;  // promote almost immediately
+  DensePolicy cold = hot;
+  cold.enabled = false;
 
-  Accumulator<> promoted(64, 8, hot, 2);
-  Accumulator<> sparse(64, 8, cold, 2);
+  Accumulator<> promoted(64, 8, opts, 2, hot);
+  Accumulator<> sparse(64, 8, opts, 2, cold);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     promoted.add(inputs[i]);
     sparse.add(inputs[i]);
@@ -375,26 +377,71 @@ TEST(DenseResidency, BudgetMinRowsAndSortednessGatePromotion) {
   const auto inputs = random_collection(6, 64, 8, 300, 53);
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
   // A residency budget smaller than one column slot: nothing promotes.
-  Options tiny;
-  tiny.dense.promote_fill = 0.1;
-  tiny.dense.max_resident_bytes = 8;
+  DensePolicy tiny;
+  tiny.promote_fill = 0.1;
+  tiny.max_resident_bytes = 8;
   // A min_rows taller than the matrix: nothing promotes.
-  Options tall;
-  tall.dense.promote_fill = 0.0;
-  tall.dense.min_rows = 1000;
+  DensePolicy tall;
+  tall.promote_fill = 0.0;
+  tall.min_rows = 1000;
   // Unsorted running sums cannot host dense residents.
   Options unsorted;
   unsorted.method = Method::Hash;
   unsorted.sorted_output = false;
-  unsorted.dense.promote_fill = 0.0;
-  for (const Options& opts : {tiny, tall, unsorted}) {
-    Accumulator<> acc(64, 8, opts, 2);
+  DensePolicy eager;
+  eager.promote_fill = 0.0;
+  const std::pair<Options, DensePolicy> cases[] = {
+      {Options{}, tiny}, {Options{}, tall}, {unsorted, eager}};
+  for (const auto& [opts, dense] : cases) {
+    Accumulator<> acc(64, 8, opts, 2, dense);
     acc.add_batch(std::span<const Csc>(inputs));
     acc.flush();
     EXPECT_EQ(acc.dense_resident_cols(), 0u);
     EXPECT_EQ(acc.stats().dense_promotions, 0u);
     EXPECT_TRUE(approx_equal(oracle, canonicalized(acc.finalize())));
   }
+}
+
+TEST(DenseResidency, ThrowingFoldKeepsSumAndResidents) {
+  // Promotions are chosen before the fold. The heap's sortedness check
+  // throws inside the first fold that chooses any, and that fold must
+  // leave the running sum, the dense slots and the mask as they were:
+  // after discard_staged() the stream goes on to one-shot's bits.
+  using FloatCsc = CscMatrix<std::int32_t, float>;
+  const auto to_float = [](const Csc& m) {
+    const auto cp = m.col_ptr();
+    const auto ri = m.row_idx();
+    const auto vv = m.values();
+    return FloatCsc(m.rows(), m.cols(),
+                    std::vector<std::int32_t>(cp.begin(), cp.end()),
+                    std::vector<std::int32_t>(ri.begin(), ri.end()),
+                    std::vector<float>(vv.begin(), vv.end()));
+  };
+  std::vector<FloatCsc> sorted;
+  for (const Csc& m : random_collection(4, 64, 8, 300, 57))
+    sorted.push_back(to_float(m));
+  Csc shuffled = random_matrix(64, 8, 300, 59);
+  gen::shuffle_columns(shuffled, 61);
+  const FloatCsc unsorted = to_float(shuffled);
+  ASSERT_FALSE(unsorted.is_sorted());
+
+  Options opts;
+  opts.method = Method::Heap;
+  DensePolicy dense;
+  dense.promote_fill = 0.1;
+  Accumulator<std::int32_t, float> acc(64, 8, opts, 2, dense);
+  acc.add(sorted[0]);
+  acc.add(sorted[1]);
+  const std::size_t residents = acc.dense_resident_cols();
+  acc.add(sorted[2]);
+  EXPECT_THROW(acc.add(unsorted), std::invalid_argument);
+  EXPECT_EQ(acc.dense_resident_cols(), residents);
+  acc.discard_staged();
+  acc.add(sorted[2]);
+  acc.add(sorted[3]);
+  EXPECT_GT(acc.dense_resident_cols(), 0u);
+  EXPECT_TRUE(acc.finalize() == core::spkadd(sorted, opts));
+  EXPECT_EQ(acc.stats().dense_demotions, acc.stats().dense_promotions);
 }
 
 // ------------------------------------------------------ nnz-aware scheduling

@@ -5,8 +5,6 @@
 #include <sstream>
 
 #include "io/binary_io.hpp"
-#include "io/matrix_market.hpp"
-#include "matrix/validate.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -59,16 +57,6 @@ TEST(BinaryIo, RejectsCorruptedStreams) {
     std::istringstream in(s);
     EXPECT_THROW(io::read_binary(in), std::runtime_error);
   }
-}
-
-TEST(BinaryIo, MatrixMarketAndBinaryAgree) {
-  const auto m = random_matrix(128, 16, 400, 9);
-  std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
-  io::write_binary(bin, m);
-  std::stringstream mm;
-  io::write_mm(mm, m);
-  EXPECT_TRUE(approx_equal(io::read_binary(bin),
-                           io::read_mm_coo(mm).to_csc(), 1e-15));
 }
 
 }  // namespace

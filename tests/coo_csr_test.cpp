@@ -1,18 +1,12 @@
-// COO canonicalization, CSR conversions and transposition.
+// COO canonicalization and conversion to CSC.
 #include <gtest/gtest.h>
 
 #include "matrix/coo.hpp"
-#include "matrix/csr.hpp"
 #include "test_helpers.hpp"
 
 namespace {
 
 using spkadd::CooMatrix;
-using spkadd::CscMatrix;
-using spkadd::csc_to_csr;
-using spkadd::csr_to_csc;
-using spkadd::transpose;
-using spkadd::testing::from_triplets;
 using spkadd::testing::random_matrix;
 
 TEST(Coo, PushValidatesRange) {
@@ -60,54 +54,6 @@ TEST(Coo, EmptyMatrixConverts) {
   const auto csc = m.to_csc();
   EXPECT_EQ(csc.nnz(), 0u);
   EXPECT_EQ(csc.cols(), 4);
-}
-
-TEST(Csr, ConversionPreservesEntries) {
-  const auto csc = from_triplets(4, 3, {{0, 0, 1.0}, {3, 0, 2.0},
-                                        {1, 1, 3.0}, {3, 2, 4.0}});
-  const auto csr = csc_to_csr(csc);
-  EXPECT_EQ(csr.nnz(), 4u);
-  EXPECT_EQ(csr.rows(), 4);
-  EXPECT_EQ(csr.cols(), 3);
-  // Row 3 holds two entries with ascending column indices.
-  const auto rp = csr.row_ptr();
-  EXPECT_EQ(rp[4] - rp[3], 2);
-  const auto back = csr_to_csc(csr);
-  EXPECT_TRUE(back == csc);
-}
-
-TEST(Csr, RoundTripOnRandomMatrix) {
-  const auto csc = random_matrix(128, 32, 512, 17);
-  EXPECT_TRUE(csr_to_csc(csc_to_csr(csc)) == csc);
-}
-
-TEST(Csr, RejectsMalformedArrays) {
-  EXPECT_THROW((spkadd::CsrMatrix<>(2, 2, {0, 1}, {0}, {1.0, 2.0})),
-               std::invalid_argument);
-  EXPECT_THROW((spkadd::CsrMatrix<>(2, 2, {0, 1}, {0, 1}, {1.0, 2.0})),
-               std::invalid_argument);
-}
-
-TEST(Transpose, DoubleTransposeIsIdentity) {
-  const auto m = random_matrix(64, 48, 300, 23);
-  EXPECT_TRUE(transpose(transpose(m)) == m);
-}
-
-TEST(Transpose, SwapsCoordinates) {
-  const auto m = from_triplets(3, 5, {{2, 4, 7.0}, {0, 1, 3.0}});
-  const auto t = transpose(m);
-  EXPECT_EQ(t.rows(), 5);
-  EXPECT_EQ(t.cols(), 3);
-  EXPECT_DOUBLE_EQ(t.at(4, 2), 7.0);
-  EXPECT_DOUBLE_EQ(t.at(1, 0), 3.0);
-}
-
-TEST(Transpose, EmptyMatrix) {
-  const CscMatrix<> m(3, 2);
-  const auto t = transpose(m);
-  EXPECT_EQ(t.rows(), 2);
-  EXPECT_EQ(t.cols(), 3);
-  EXPECT_EQ(t.nnz(), 0u);
 }
 
 }  // namespace

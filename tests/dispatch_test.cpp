@@ -7,7 +7,6 @@
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
 #include "test_helpers.hpp"
-#include "util/cache_info.hpp"
 
 namespace {
 
@@ -106,32 +105,11 @@ TEST(AutoPolicy, PairOfSortedInputsUsesTree) {
   const auto inputs = random_collection(2, 64, 8, 100, 9);
   EXPECT_EQ(auto_select(std::span<const Csc>(inputs), Options{}),
             Method::TwoWayTree);
-  // Unsorted pairs and masked folds cannot take the pairwise corner.
+  // Unsorted pairs cannot take the pairwise corner.
   Options unsorted;
   unsorted.inputs_sorted = false;
   EXPECT_EQ(auto_select(std::span<const Csc>(inputs), unsorted),
             Method::Hybrid);
-  const std::vector<std::uint8_t> mask(8, 0);
-  Options masked;
-  masked.skip_cols = mask.data();
-  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), masked),
-            Method::Hybrid);
-}
-
-TEST(AutoPolicy, RespectsGlobalLlcOverride) {
-  const auto inputs = random_collection(8, 1 << 12, 2, 3000, 10);
-  Options opts;
-  opts.threads = 4;
-  util::set_llc_override(1 << 10);
-  const auto with_small = planned_kernels(inputs, opts);
-  util::set_llc_override(1u << 30);
-  const auto with_large = planned_kernels(inputs, opts);
-  util::set_llc_override(0);
-  ASSERT_FALSE(with_small.empty());
-  for (const ColumnKernel k : with_small)
-    EXPECT_EQ(k, ColumnKernel::SlidingHash);
-  for (const ColumnKernel k : with_large)
-    EXPECT_NE(k, ColumnKernel::SlidingHash);
 }
 
 TEST(AutoPolicy, DeterministicLlcBoundaryRegression) {

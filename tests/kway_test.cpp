@@ -1,17 +1,20 @@
 // k-way column-kernel methods (heap, SPA, hash, sliding hash, dense
 // accumulator) through core::spkadd — correctness against the dense
 // oracle, edge cases, sorted/unsorted modes, counters — and the one
-// column driver's chunk cutter and skip mask under every method,
-// schedule and team size.
+// column driver (core::kway_add): its chunk cutter and skip mask under
+// every method, schedule and team size, and its team-size discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "core/spkadd.hpp"
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
 #include "test_helpers.hpp"
+#include "util/omp_compat.hpp"
 #include "util/thread_control.hpp"
 
 namespace {
@@ -274,6 +277,8 @@ TEST(ColumnDriver, EveryMethodScheduleAndTeamMatchesHeap) {
                         std::vector<std::int32_t>(rows.begin(), rows.end()),
                         std::vector<float>(vals.begin(), vals.end()));
   }
+  std::vector<const FloatCsc*> ptrs;
+  detail::borrow_all(std::span<const FloatCsc>(inputs), ptrs);
   std::vector<std::uint8_t> mask(kCols, 0);
   for (std::size_t j = 0; j < mask.size(); j += 3) mask[j] = 1;
 
@@ -301,8 +306,9 @@ TEST(ColumnDriver, EveryMethodScheduleAndTeamMatchesHeap) {
         EXPECT_EQ(counters.chunks_total() > 0, planned) << where;
 
         counters = OpCounters{};
-        opts.skip_cols = mask.data();
-        const FloatCsc masked = core::spkadd(inputs, opts);
+        Runtime<std::int32_t, float> rt;
+        const FloatCsc masked = kway_add(MatrixPtrs<std::int32_t, float>(ptrs),
+                                         opts, method_kernel(m), rt, mask);
         EXPECT_EQ(counters.chunks_total() > 0, planned) << where << " masked";
         for (std::int32_t j = 0; j < kCols; ++j) {
           const auto got = masked.column(j);
@@ -318,16 +324,48 @@ TEST(ColumnDriver, EveryMethodScheduleAndTeamMatchesHeap) {
       }
     }
   }
-  // The pairwise folds cannot honor a mask.
-  for (const Method m : {Method::TwoWayIncremental, Method::TwoWayTree,
-                         Method::ReferenceIncremental,
-                         Method::ReferenceTree}) {
-    Options opts;
-    opts.method = m;
-    opts.skip_cols = mask.data();
-    EXPECT_THROW((void)core::spkadd(inputs, opts), std::invalid_argument)
-        << method_name(m);
-  }
+}
+
+/// Threads of this process per /proc/self/task; 0 where it is absent.
+std::size_t process_threads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec))
+    ++n;
+  return n;
+}
+
+TEST(ColumnDriver, WideOutputScanStaysOnTheCallersTeam) {
+  // A call pinned to one thread opens no wider team anywhere, the output
+  // prefix sum included: 32,768 columns reach its parallel path while the
+  // OpenMP default is 4. libgomp keeps a team's threads alive after the
+  // region, so /proc/self/task shows any team that ever opened. That
+  // needs a fresh process: the threadsafe death-test child runs this
+  // body alone.
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  if (process_threads() == 0) GTEST_SKIP() << "no /proc/self/task";
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(
+      {
+        int code = 1;
+        {
+          omp_set_num_threads(1);
+          const auto inputs = random_collection(2, 64, 1 << 15, 1 << 12, 5);
+          omp_set_num_threads(4);
+          const std::size_t before = process_threads();
+          Options opts;
+          opts.method = Method::Hash;
+          opts.threads = 1;
+          const Csc out = core::spkadd(inputs, opts);
+          code = out.cols() == (1 << 15) && process_threads() == before ? 0 : 1;
+        }
+        std::exit(code);
+      },
+      ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "cachesim/traced_spkadd.hpp"
 #include "core/spkadd.hpp"
 #include "gen/workload.hpp"
-#include "io/matrix_market.hpp"
 #include "matrix/validate.hpp"
 #include "spgemm/local_spgemm.hpp"
 #include "summa/sparse_summa.hpp"

@@ -1,5 +1,5 @@
 // Unit tests for src/util: rng, bit ops, prefix sums, cache detection,
-// table printing, CLI parsing, thread control, timers.
+// table printing, CLI parsing, timers.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,7 +13,6 @@
 #include "util/prefix_sum.hpp"
 #include "util/rng.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_control.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -154,15 +153,14 @@ TEST(PrefixSum, SingleElement) {
 
 TEST(PrefixSum, AllEqualValuesLargeParallelPath) {
   // Above the parallel threshold with identical values: out[i] must be an
-  // exact arithmetic ramp regardless of how blocks are carved up. Pin >= 2
-  // threads so the parallel path actually runs even on a 1-core host
-  // (exclusive_scan falls back to sequential when max_threads == 1).
-  ThreadCountGuard guard(4);
+  // exact arithmetic ramp regardless of how blocks are carved up. Ask for
+  // a team of 4 so the parallel path actually runs even on a 1-core host
+  // (exclusive_scan falls back to sequential on a team of one).
   const std::size_t n = (1u << 15) + 13;
   std::vector<std::int64_t> in(n, 5);
   std::vector<std::int64_t> out(n + 1);
   exclusive_scan(std::span<const std::int64_t>(in),
-                 std::span<std::int64_t>(out));
+                 std::span<std::int64_t>(out), 4);
   for (std::size_t i = 0; i <= n; i += 997)
     EXPECT_EQ(out[i], static_cast<std::int64_t>(i) * 5) << "at " << i;
   EXPECT_EQ(out[n], static_cast<std::int64_t>(n) * 5);
@@ -201,14 +199,6 @@ TEST(CacheInfo, DetectionProducesSaneValues) {
   EXPECT_GE(info.l1.bytes, 1u << 10);
   EXPECT_GE(info.llc.bytes, info.l1.bytes);
   EXPECT_TRUE(is_pow2(info.llc.line_bytes));
-}
-
-TEST(CacheInfo, OverrideWinsAndClears) {
-  set_llc_override(8u << 20);
-  EXPECT_EQ(effective_llc_bytes(), 8u << 20);
-  EXPECT_NE(detect_machine().summary().find("override"), std::string::npos);
-  set_llc_override(0);
-  EXPECT_EQ(effective_llc_bytes(), detect_machine().llc.bytes);
 }
 
 // ---------------------------------------------------------------- printer
@@ -371,26 +361,6 @@ TEST(Cli, UsageMentionsEveryFlag) {
   EXPECT_NE(u.find("--alpha"), std::string::npos);
   EXPECT_NE(u.find("--beta"), std::string::npos);
   EXPECT_NE(u.find("test program"), std::string::npos);
-}
-
-// ---------------------------------------------------------------- threads
-TEST(ThreadControl, GuardRestores) {
-  const int before = current_max_threads();
-  {
-    ThreadCountGuard guard(2);
-    EXPECT_EQ(current_max_threads(), 2);
-    {
-      ThreadCountGuard inner(1);
-      EXPECT_EQ(current_max_threads(), 1);
-    }
-    EXPECT_EQ(current_max_threads(), 2);
-  }
-  EXPECT_EQ(current_max_threads(), before);
-}
-
-TEST(ThreadControl, ClampsToOne) {
-  ThreadCountGuard guard(0);
-  EXPECT_GE(current_max_threads(), 1);
 }
 
 // ---------------------------------------------------------------- timer
