@@ -5,10 +5,11 @@
 //   kernel face-off   — SPA vs Hash vs DenseAcc one-shot SpKAdd across a
 //                       column-density axis (union fill from sparse to
 //                       saturated). The dense kernel's structural win is
-//                       sorted-by-construction emission (bitmap scan, no
-//                       radix sort), so it should pull ahead of the SPA as
-//                       columns saturate. Bit-identity to Hash is a hard
-//                       gate on every cell.
+//                       sorted-by-construction emission (a summary-bitmap
+//                       walk over the occupied words, no radix sort) fed by
+//                       a branch-free scatter into -0.0 slots, so it should
+//                       pull ahead of the SPA as columns saturate.
+//                       Bit-identity to Hash is a hard gate on every cell.
 //   promotion sweep   — streaming Accumulator folds across a
 //                       (promote_fill x k x density) grid, timing the full
 //                       stream + finalize and checking the promoted run's

@@ -24,8 +24,8 @@
 //
 // Representation adaptivity (DensePolicy, a constructor argument): a
 // running-sum column whose fill fraction reaches promote_fill is promoted
-// to dense column storage — a value array plus occupancy bitmap, exactly
-// the DenseAcc kernel's layout. Promotion is the Accumulator's own
+// to dense column storage — a value array plus occupancy bitmap, like
+// the DenseAcc kernel's scratch. Promotion is the Accumulator's own
 // decision: a fold first chooses the full-enough columns of the running
 // sum, then runs the column-kernel driver with them masked out (kway_add's
 // skip mask), and only once it has returned copies their old sums into

@@ -1,12 +1,11 @@
 // SIMD primitives for the DenseAcc column kernel.
 //
-// Three implementations behind one API, chosen at compile time:
+// Two implementations behind one API, chosen at compile time:
 //   * SPKADD_FORCE_SCALAR — plain scalar loops, the escape hatch CI builds
 //     with so the non-SIMD path cannot rot on x86 runners;
-//   * __AVX2__ — hand-written intrinsics for double (4-wide unaligned
-//     add/copy), taken when the build targets AVX2 (e.g. -march=native);
 //   * otherwise — `#pragma omp simd` loops the compiler autovectorizes for
-//     whatever the target ISA offers (SSE2 baseline, NEON, ...).
+//     whatever the target ISA offers (SSE2 baseline, AVX2 under -mavx2,
+//     NEON, ...).
 //
 // Only the *conflict-free* loops are vectorized: dense+dense value adds,
 // dense copies, and the row-iota of the full-word emission sweep. The
@@ -18,17 +17,9 @@
 
 #include <cstddef>
 
-#if !defined(SPKADD_FORCE_SCALAR) && defined(__AVX2__)
-#include <immintrin.h>
-
-#include <type_traits>
-#endif
-
 namespace spkadd::core::simd {
 
 #if defined(SPKADD_FORCE_SCALAR)
-
-inline constexpr const char* kDenseBackend = "scalar";
 
 /// acc[i] += add[i] for i in [0, n).
 template <class ValueT>
@@ -49,59 +40,7 @@ inline void iota_rows(IndexT* dst, IndexT first, std::size_t n) {
     dst[i] = first + static_cast<IndexT>(i);
 }
 
-#elif defined(__AVX2__)
-
-inline constexpr const char* kDenseBackend = "avx2";
-
-namespace detail {
-
-inline void add_avx2(double* acc, const double* add, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                                            _mm256_loadu_pd(add + i)));
-  for (; i < n; ++i) acc[i] += add[i];
-}
-
-inline void copy_avx2(double* dst, const double* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(dst + i, _mm256_loadu_pd(src + i));
-  for (; i < n; ++i) dst[i] = src[i];
-}
-
-}  // namespace detail
-
-template <class ValueT>
-inline void dense_add(ValueT* acc, const ValueT* add, std::size_t n) {
-  if constexpr (std::is_same_v<ValueT, double>) {
-    detail::add_avx2(acc, add, n);
-  } else {
-#pragma omp simd
-    for (std::size_t i = 0; i < n; ++i) acc[i] += add[i];
-  }
-}
-
-template <class ValueT>
-inline void dense_copy(ValueT* dst, const ValueT* src, std::size_t n) {
-  if constexpr (std::is_same_v<ValueT, double>) {
-    detail::copy_avx2(dst, src, n);
-  } else {
-#pragma omp simd
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
-  }
-}
-
-template <class IndexT>
-inline void iota_rows(IndexT* dst, IndexT first, std::size_t n) {
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i)
-    dst[i] = first + static_cast<IndexT>(i);
-}
-
 #else
-
-inline constexpr const char* kDenseBackend = "omp-simd";
 
 template <class ValueT>
 inline void dense_add(ValueT* acc, const ValueT* add, std::size_t n) {

@@ -48,7 +48,11 @@ namespace spkadd::core {
 /// Add the borrowed addends with `kernel` on every column chunk, or, when
 /// `kernel` is empty, with the per-chunk planner's mix. Every kernel
 /// accumulates equal-row values strictly left to right over the inputs,
-/// so every plan gives the same bits. The heap merge requires sorted
+/// so every plan gives the same bits for every sum without a NaN. A NaN
+/// sum is a NaN under every plan, but its sign and payload may differ by
+/// kernel: the compiler may swap the operands of `+`, x86 returns the
+/// first operand's NaN, and DenseAcc's -0.0 slots quiet a signaling NaN.
+/// The heap merge requires sorted
 /// input columns and throws without them. `skip`, when not empty, holds
 /// one byte per column; a nonzero byte leaves that output column empty.
 template <class IndexT, class ValueT>

@@ -82,10 +82,12 @@ inline constexpr std::uint64_t kHybridHeapMaxColNnz = 64;
 /// Dense-chunk gate: a chunk goes to the bitmap accumulator when its
 /// heaviest column's summed input nnz is at least rows / this divisor.
 /// Fit from bench_hybrid on 65,536 rows at 1 and 4 threads (4-vCPU Xeon,
-/// 2 MiB L2 per core): DenseAcc beat hash by 4-50% on uniform columns
-/// averaging 64 or more input nnz (1/1024 of the rows and up) and lost
-/// by 8-90% at 32 and 16, because below that its O(rows/64) bitmap sweep
-/// per column outweighs the hash table's init, probes and radix sort.
+/// 2 MiB L2 per core) on the earlier DenseAcc kernel, whose emission swept
+/// the touched bitmap span of every column: it beat hash by 4-50% on
+/// uniform columns averaging 64 or more input nnz (1/1024 of the rows
+/// and up) and lost by 8-90% at 32 and 16. Emission now visits only
+/// occupied words, and DenseAcc is level with hash at 8 input nnz per
+/// column at T=1; the constant stays until a sweep re-fits it.
 inline constexpr std::uint64_t kHybridDenseMinFillDivisor = 1024;
 
 /// The dense eligibility test of the per-chunk surface: the chunk must

@@ -111,22 +111,33 @@ struct SpaWorkspace {
 };
 
 /// Dense-accumulator scratch for the DenseAcc kernel: a dense value array
-/// of length m plus an occupancy bitmap (one bit per row). The bitmap
-/// replaces both the SPA's generation stamps *and* its touched list —
-/// sorted emission is a word scan with popcount/ctz, so no radix sort is
-/// ever needed. The kernel's contract is that `mask` is all-zero between
-/// columns: every column pass clears exactly the words it set.
+/// of length m, an occupancy bitmap (one bit per row) and a summary
+/// bitmap (one bit per occupancy word). Every value slot holds kIdentity
+/// between columns, so a scatter adds into its slot whether or not the
+/// row was touched before; the bitmaps only record which rows to emit.
+/// They replace both the SPA's generation stamps *and* its touched list:
+/// emission walks the summary's set bits to the occupancy words that hold
+/// entries, ascending, so no radix sort is ever needed. The kernel's
+/// contract is that between columns every slot is kIdentity and both
+/// bitmaps are all-zero: every column pass resets exactly what it set.
 template <class ValueT>
 struct DenseAccWorkspace {
+  /// -0.0, IEEE addition's identity: -0.0 + x is x bit for bit for every
+  /// non-NaN x, ±0.0 included (0 for an integer ValueT).
+  static constexpr ValueT kIdentity = static_cast<ValueT>(-0.0);
+
   std::vector<ValueT> values;
   std::vector<std::uint64_t> mask;
+  std::vector<std::uint64_t> summary;
 
-  /// Allocate for matrices with `rows` rows (idempotent). New mask words
-  /// start zero, establishing the all-clear invariant.
+  /// Allocate for matrices with `rows` rows (idempotent). New slots start
+  /// at kIdentity and new bitmap words zero, establishing the invariant.
   void ensure_rows(std::size_t rows) {
-    if (values.size() < rows) values.resize(rows);
+    if (values.size() < rows) values.resize(rows, kIdentity);
     const std::size_t words = (rows + 63) / 64;
     if (mask.size() < words) mask.resize(words, 0);
+    if (summary.size() < (words + 63) / 64)
+      summary.resize((words + 63) / 64, 0);
   }
 };
 
@@ -181,6 +192,7 @@ struct ThreadScratch {
     f(s.spa.touched);
     f(s.dense.values);
     f(s.dense.mask);
+    f(s.dense.summary);
     f(s.heap.nodes);
     f(s.heap.cursor);
     f(s.views);

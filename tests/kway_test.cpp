@@ -1,12 +1,15 @@
 // k-way column-kernel methods (heap, SPA, hash, sliding hash, dense
 // accumulator) through core::spkadd — correctness against the dense
-// oracle, edge cases, sorted/unsorted modes, counters — and the one
-// column driver (core::kway_add): its chunk cutter and skip mask under
+// oracle, edge cases, sorted/unsorted modes, counters, the dense
+// accumulator's bits on special values at its bitmap boundaries — and the
+// one column driver (core::kway_add): its chunk cutter and skip mask under
 // every method, schedule and team size, and its team-size discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -254,6 +257,125 @@ TEST_F(KwayDriverTest, WideMatrixManyEmptyColumns) {
   for (const Method m :
        {Method::Hash, Method::Heap, Method::Spa, Method::DenseAcc})
     EXPECT_TRUE(approx_equal(oracle, add(inputs, m))) << method_name(m);
+}
+
+// ---------------------------------------------------------------------------
+// DenseAcc on special values and at the bitmap boundaries
+// ---------------------------------------------------------------------------
+
+/// Signed zeros, the smallest subnormals, the smallest normal and a value
+/// whose sums overflow to +inf. No sum of them is -inf or NaN.
+constexpr double kSpecialValues[] = {
+    0.0, -0.0, 1.5, -2.25, 4.9e-324, -4.9e-324, 2.2250738585072014e-308,
+    1e308};
+
+/// Nine addends of four columns over `rows` rows, values drawn from
+/// kSpecialValues:
+///   0: a sparse column, 1-3 entries per addend;
+///   1: addend 4 identity-dense, the others 0-3 entries;
+///   2: random, up to rows/2 entries per addend;
+///   3: dense views (nnz * 64 >= rows, not identity) in the even addends,
+///      sparse views in the odd ones.
+std::vector<Csc> special_value_addends(std::int32_t rows, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const auto draw = [&](std::uint64_t bound) {
+    return static_cast<std::int32_t>(rng.bounded(bound));
+  };
+  std::vector<Csc> out;
+  for (int a = 0; a < 9; ++a) {
+    std::vector<std::int32_t> col_ptr{0};
+    std::vector<std::int32_t> row_idx;
+    std::vector<double> values;
+    const auto push_column = [&](std::int32_t draws, bool identity = false) {
+      std::vector<std::int32_t> col(static_cast<std::size_t>(draws));
+      for (std::int32_t i = 0; i < draws; ++i)
+        col[static_cast<std::size_t>(i)] = identity ? i : draw(rows);
+      std::ranges::sort(col);
+      col.erase(std::unique(col.begin(), col.end()), col.end());
+      for (const std::int32_t r : col) {
+        row_idx.push_back(r);
+        values.push_back(kSpecialValues[draw(std::size(kSpecialValues))]);
+      }
+      col_ptr.push_back(static_cast<std::int32_t>(row_idx.size()));
+    };
+    push_column(1 + draw(3));
+    if (a == 4)
+      push_column(rows, true);
+    else
+      push_column(draw(4));
+    push_column(draw(static_cast<std::uint64_t>(rows) / 2 + 1));
+    push_column(a % 2 == 0 ? rows / 32 + 1 : 1 + draw(3));
+    out.emplace_back(rows, 4, std::move(col_ptr), std::move(row_idx),
+                     std::move(values));
+  }
+  return out;
+}
+
+/// Same structure and the same bits in every value.
+bool bit_identical(const Csc& a, const Csc& b) {
+  const auto same = [](auto x, auto y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+  };
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         same(a.col_ptr(), b.col_ptr()) && same(a.row_idx(), b.row_idx()) &&
+         same(a.values(), b.values());
+}
+
+/// The DenseAcc workspace contract between columns: every value slot is
+/// -0.0 by bit pattern and both bitmaps are all zero.
+bool dense_workspace_clean(const Runtime<std::int32_t, double>& rt) {
+  const auto neg_zero = std::bit_cast<std::uint64_t>(-0.0);
+  return std::ranges::all_of(rt.scratch, [&](const auto& s) {
+    return std::ranges::all_of(s.dense.values,
+                               [&](double v) {
+                                 return std::bit_cast<std::uint64_t>(v) ==
+                                        neg_zero;
+                               }) &&
+           std::ranges::all_of(s.dense.mask, [](auto w) { return w == 0; }) &&
+           std::ranges::all_of(s.dense.summary,
+                               [](auto w) { return w == 0; });
+  });
+}
+
+TEST(DenseAccKernel, SpecialValuesAtBitmapBoundariesMatchHeapAndHash) {
+  // Row counts straddle one occupancy word (64 rows) and one summary word
+  // (4,096 rows). Sorted inputs must give the heap merge's bits, shuffled
+  // ones the hash kernel's, at one thread and at every CPU; one Runtime
+  // serves every call, so its workspace must come back clean each time.
+  const int nproc =
+      static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
+  Runtime<std::int32_t, double> rt;
+  for (const std::int32_t rows : {1, 63, 64, 65, 4095, 4096, 4097, 65537}) {
+    std::vector<Csc> inputs =
+        special_value_addends(rows, static_cast<std::uint64_t>(rows));
+    const Csc heap = add(inputs, Method::Heap);
+    std::vector<Csc> shuffled = inputs;
+    for (std::size_t i = 0; i < shuffled.size(); ++i)
+      gen::shuffle_columns(shuffled[i], 500 + i);
+    Options unsorted;
+    unsorted.inputs_sorted = false;
+    const Csc hash = add(shuffled, Method::Hash, unsorted);
+    for (const int t : {1, nproc}) {
+      const std::string where =
+          "rows=" + std::to_string(rows) + " T=" + std::to_string(t);
+      for (const bool sorted : {true, false}) {
+        std::vector<const Csc*> ptrs;
+        detail::borrow_all(std::span<const Csc>(sorted ? inputs : shuffled),
+                           ptrs);
+        Options opts;
+        opts.method = Method::DenseAcc;
+        opts.threads = t;
+        opts.inputs_sorted = sorted;
+        const Csc got = core::spkadd(MatrixPtrs<std::int32_t, double>(ptrs),
+                                     opts, &rt);
+        EXPECT_TRUE(bit_identical(got, sorted ? heap : hash))
+            << where << (sorted ? " vs Heap" : " shuffled vs Hash");
+        EXPECT_TRUE(dense_workspace_clean(rt)) << where;
+      }
+    }
+  }
+  EXPECT_GE(rt.scratch.at(0).dense.values.size(), 65537u);
 }
 
 // ---------------------------------------------------------------------------
