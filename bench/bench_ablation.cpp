@@ -1,4 +1,5 @@
-// Ablation bench for the design choices DESIGN.md calls out:
+// Ablation bench for three design choices of the column kernels (see
+// docs/ARCHITECTURE.md, "Scheduling" and "Kernel dispatch"):
 //   1. dynamic vs static column scheduling on skewed (RMAT) inputs;
 //   2. sorted vs unsorted output for the hash family (the sort's share);
 //   3. the symbolic phase's share of total time vs compression factor
@@ -74,8 +75,7 @@ int main(int argc, char** argv) {
     util::TablePrinter table(
         {"method", "sorted (s)", "unsorted (s)", "sorted/unsorted"});
     const auto inputs = workload(gen::Pattern::ER, *rows, 64, 512, 32, 7002);
-    for (auto m : {core::Method::Spa, core::Method::Hash,
-                   core::Method::SlidingHash}) {
+    for (auto m : {core::Method::Hash, core::Method::SlidingHash}) {
       core::Options sorted;
       core::Options unsorted;
       unsorted.sorted_output = false;

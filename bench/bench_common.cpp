@@ -52,9 +52,9 @@ const std::vector<core::Method>& table_methods() {
   static const std::vector<core::Method> methods = {
       core::Method::TwoWayIncremental, core::Method::ReferenceIncremental,
       core::Method::TwoWayTree,        core::Method::ReferenceTree,
-      core::Method::Heap,              core::Method::Spa,
+      core::Method::Heap,              core::Method::DenseAcc,
       core::Method::Hash,              core::Method::SlidingHash,
-      core::Method::Hybrid,
+      core::Method::Auto,
   };
   return methods;
 }

@@ -30,7 +30,8 @@ double time_spkadd(const std::vector<CscMatrix<std::int32_t, double>>& inputs,
                    core::Method method, const core::Options& base_opts,
                    int repeats);
 
-/// The method rows of Tables III/IV in paper order.
+/// The method rows of Tables III/IV in paper order (DenseAcc is the
+/// paper's SPA), then the per-chunk planner.
 const std::vector<core::Method>& table_methods();
 
 /// One named skew-sweep workload of bench_hybrid.

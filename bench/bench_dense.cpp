@@ -2,13 +2,13 @@
 // Accumulator's sparse<->dense promotion machinery.
 //
 // Two sweeps:
-//   kernel face-off   — SPA vs Hash vs DenseAcc one-shot SpKAdd across a
-//                       column-density axis (union fill from sparse to
-//                       saturated). The dense kernel's structural win is
-//                       sorted-by-construction emission (a summary-bitmap
+//   kernel face-off   — Hash vs DenseAcc (the SPA of Alg. 4) one-shot
+//                       SpKAdd across a column-density axis (union fill
+//                       from sparse to saturated). The dense kernel emits
+//                       sorted columns by construction (a summary-bitmap
 //                       walk over the occupied words, no radix sort) fed by
 //                       a branch-free scatter into -0.0 slots, so it should
-//                       pull ahead of the SPA as columns saturate.
+//                       pull ahead of hash as columns saturate.
 //                       Bit-identity to Hash is a hard gate on every cell.
 //   promotion sweep   — streaming Accumulator folds across a
 //                       (promote_fill x k x density) grid, timing the full
@@ -18,9 +18,7 @@
 //                       calibration data behind DensePolicy::promote_fill.
 //
 // `--json` emits the SampleLog document scripts/bench_smoke.sh commits as
-// BENCH_dense.json; `--enforce-win` turns the "DenseAcc beats SPA on the
-// densest preset" verdict into the exit code (advisory otherwise: CI boxes
-// are noisy).
+// BENCH_dense.json.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -66,35 +64,30 @@ int main(int argc, char** argv) {
   const auto* k = cli.add_int("k", 16, "addends per workload (power of two)");
   const auto* repeats = cli.add_int("repeats", 3, "timing repetitions");
   const auto* threads = cli.add_int("threads", 0, "OpenMP threads (0=omp)");
-  const auto* enforce = cli.add_flag(
-      "enforce-win",
-      "fail (exit 1) unless DenseAcc beats the SPA on the densest preset");
   const auto* json = cli.add_string("json", "", "write JSON samples here");
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_header(
       "Dense accumulation (ColumnKernel::DenseAcc) density + promotion sweep",
       "the bitmap accumulator emits sorted columns without a radix sort, so "
-      "it should overtake the SPA as column fill saturates; adaptive "
+      "it should overtake hash as column fill saturates; adaptive "
       "promotion must never change snapshot bytes");
   bench::SampleLog log("bench_dense");
 
-  const std::string shape =
-      "rows=" + std::to_string(*rows) + " cols=" + std::to_string(*cols) +
-      " k=" + std::to_string(*k);
+  const std::string dims =
+      "rows=" + std::to_string(*rows) + " cols=" + std::to_string(*cols);
+  const std::string shape = dims + " k=" + std::to_string(*k);
 
   core::Options base;
   base.threads = static_cast<int>(*threads);
 
   // ---- kernel face-off across the density axis --------------------------
   const std::vector<double> densities = {0.05, 0.25, 0.5, 1.0};
-  const std::vector<core::Method> methods = {
-      core::Method::Spa, core::Method::Hash, core::Method::DenseAcc};
+  const std::vector<core::Method> methods = {core::Method::Hash,
+                                             core::Method::DenseAcc};
 
   bool all_exact = true;
-  bool dense_wins_densest = false;
-  util::TablePrinter table(
-      {"density", "method", "Gnnz/s", "vs spa"});
+  util::TablePrinter table({"density", "method", "Gnnz/s", "vs hash"});
 
   for (const double density : densities) {
     const auto inputs = density_workload(*rows, *cols, density,
@@ -104,7 +97,7 @@ int main(int argc, char** argv) {
     hash_opts.method = core::Method::Hash;
     const Csc expected = core::spkadd(inputs, hash_opts);
 
-    double t_spa = 0.0;
+    double t_hash = 0.0;
     for (const core::Method m : methods) {
       core::Options opts = base;
       opts.method = m;
@@ -117,14 +110,11 @@ int main(int argc, char** argv) {
                   << density << " is not bit-identical to Hash\n";
         all_exact = false;
       }
-      if (m == core::Method::Spa) t_spa = t;
-      const double vs_spa = t > 0.0 ? t_spa / t : 0.0;
-      if (m == core::Method::DenseAcc && density == densities.back())
-        dense_wins_densest = t < t_spa;
+      if (m == core::Method::Hash) t_hash = t;
       char dens[16];
       std::snprintf(dens, sizeof(dens), "%.2f", density);
       table.add_row({dens, core::method_name(m), bench::gnnz_per_s(in_nnz, t),
-                     m == core::Method::Spa ? "1.00x" : ratio_cell(vs_spa)});
+                     ratio_cell(t > 0.0 ? t_hash / t : 0.0)});
       log.add("density=" + std::string(dens) + "/" + core::method_name(m),
               shape + " density=" + dens, t, in_nnz);
     }
@@ -193,7 +183,7 @@ int main(int argc, char** argv) {
                         std::to_string(promos)});
         log.add("promote/fill=" + std::string(fbuf) + "/k=" +
                     std::to_string(kk) + "/density=" + dbuf,
-                shape + " fill=" + fbuf + " k=" + std::to_string(kk) +
+                dims + " k=" + std::to_string(kk) + " fill=" + fbuf +
                     " density=" + dbuf,
                 t);
       }
@@ -201,9 +191,6 @@ int main(int argc, char** argv) {
   }
   ptable.print(std::cout);
 
-  std::cout << "\nDenseAcc beats SPA on the densest preset: "
-            << (dense_wins_densest ? "yes" : "NO") << "\n";
   if (!json->empty() && !log.write(*json)) return 1;
-  if (!all_exact) return 1;
-  return (*enforce && !dense_wins_densest) ? 1 : 0;
+  return all_exact ? 0 : 1;
 }

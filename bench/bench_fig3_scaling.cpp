@@ -29,7 +29,7 @@ void scaling_case(const std::string& title, const Inputs& inputs,
 
   const std::vector<core::Method> methods{
       core::Method::Hash, core::Method::SlidingHash, core::Method::TwoWayTree,
-      core::Method::ReferenceTree, core::Method::Spa, core::Method::Heap};
+      core::Method::ReferenceTree, core::Method::DenseAcc, core::Method::Heap};
   for (core::Method m : methods) {
     std::vector<std::string> row{core::method_name(m)};
     for (int t : thread_counts) {
@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
                  thread_counts, static_cast<int>(*repeats));
   }
   std::cout << "note: on a single-core container the curves are flat; on a "
-               "multicore host k-way methods scale near-linearly while SPA "
-               "degrades (O(T*m) scratch) and 2-way methods saturate.\n";
+               "multicore host k-way methods scale near-linearly while the "
+               "dense accumulator (the SPA) degrades (O(T*m) scratch) and "
+               "2-way methods saturate.\n";
   return 0;
 }

@@ -1,7 +1,10 @@
 // Reproduces Fig. 6: computational phases of distributed SpGEMM (simulated
 // sparse SUMMA) under the three SpKAdd pipelines — Heap, Sorted Hash,
-// Unsorted Hash — for two protein-similarity-shaped surrogates standing in
-// for Metaclust50 and Isolates (see DESIGN.md substitution table).
+// Unsorted Hash — plus the per-chunk planner's Hybrid pipeline, for two
+// Graph500 R-MAT surrogates standing in for the paper's protein-similarity
+// matrices, which are far too large to run here: a larger, sparser one for
+// Metaclust50 and one a quarter its dimension at twice the degree for
+// Isolates (on half the process grid).
 //
 // Each pipeline runs under both SUMMA schedules so the streaming rebuild is
 // measured against the pre-streaming baseline it replaced:
@@ -127,7 +130,7 @@ int main(int argc, char** argv) {
   const auto* reduce = cli.add_string(
       "reduce-method", "",
       "run a single pipeline with this SpKAdd reduce method instead of "
-      "the preset trio + hybrid (heap, hash, hybrid, ...)");
+      "the preset trio + hybrid (heap, hash, auto, ...)");
   const auto* json = cli.add_string("json", "", "write JSON samples here");
   if (!cli.parse(argc, argv)) return 1;
   // Validate the method name now: the datasets below take minutes at

@@ -8,9 +8,9 @@
 //                     where any single kernel is wrong for most columns.
 // Every method result is checked bit-identical to Hash (all column
 // kernels are strict left folds); the summary reports the planner
-// (Method::Hybrid, and Method::Auto, which resolves to it) vs the best
-// single kernel per preset, and `--json` emits the SampleLog document
-// scripts/bench_smoke.sh commits as BENCH_hybrid.json.
+// (Method::Auto) vs the best single kernel per preset, and `--json` emits
+// the SampleLog document scripts/bench_smoke.sh commits as
+// BENCH_hybrid.json.
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header(
-      "Per-chunk planner (Method::Auto/Hybrid) skew sweep",
+      "Per-chunk planner (Method::Auto) skew sweep",
       "per-chunk Fig. 2 dispatch should track the best single kernel on "
       "every preset");
   bench::SampleLog log("bench_hybrid");
@@ -80,15 +80,13 @@ int main(int argc, char** argv) {
   const std::vector<bench::SkewPreset> presets =
       bench::make_skew_presets(*rows, *cols, *d, static_cast<int>(*k));
 
-  const std::vector<core::Method> singles = {
-      core::Method::Heap, core::Method::Spa, core::Method::Hash,
-      core::Method::SlidingHash, core::Method::DenseAcc};
+  const std::vector<core::Method> methods = {
+      core::Method::Heap, core::Method::Hash, core::Method::SlidingHash,
+      core::Method::DenseAcc, core::Method::Auto};
 
   bool all_exact = true;
-  util::TablePrinter table(
-      {"preset", "method", "Gnnz/s", "chunks h/s/H/W/D"});
-  util::TablePrinter verdict(
-      {"preset", "best single", "hybrid vs best", "auto vs best"});
+  util::TablePrinter table({"preset", "method", "Gnnz/s", "chunks h/H/W/D"});
+  util::TablePrinter verdict({"preset", "best single", "auto vs best"});
 
   for (const bench::SkewPreset& p : presets) {
     const std::size_t in_nnz = gen::total_input_nnz(p.inputs);
@@ -102,11 +100,7 @@ int main(int argc, char** argv) {
 
     double best_single = -1.0;
     std::string best_name;
-    double t_auto = 0.0, t_hybrid = 0.0;
-
-    std::vector<core::Method> methods = singles;
-    methods.push_back(core::Method::Auto);
-    methods.push_back(core::Method::Hybrid);
+    double t_auto = 0.0;
     for (const core::Method m : methods) {
       core::Options opts = base;
       opts.method = m;
@@ -120,36 +114,31 @@ int main(int argc, char** argv) {
         all_exact = false;
       }
       std::string mix = "-";
-      if (m == core::Method::Auto || m == core::Method::Hybrid) {
+      if (m == core::Method::Auto) {
+        t_auto = t;
         core::OpCounters counters;
         core::Options copts = opts;
         copts.counters = &counters;
         (void)core::spkadd(p.inputs, copts);
         mix = counters.chunk_mix();
+      } else if (best_single < 0 || t < best_single) {
+        best_single = t;
+        best_name = core::method_name(m);
       }
       table.add_row(
           {p.name, core::method_name(m), bench::gnnz_per_s(in_nnz, t), mix});
       log.add(p.name + "/" + core::method_name(m),
               shape + (mix == "-" ? "" : " chunks=" + mix), t, in_nnz);
-      if (m == core::Method::Auto) {
-        t_auto = t;
-      } else if (m == core::Method::Hybrid) {
-        t_hybrid = t;
-      } else if (best_single < 0 || t < best_single) {
-        best_single = t;
-        best_name = core::method_name(m);
-      }
     }
-    verdict.add_row({p.name, best_name, pct(t_hybrid / best_single),
-                     pct(t_auto / best_single)});
+    verdict.add_row({p.name, best_name, pct(t_auto / best_single)});
   }
 
   table.print(std::cout);
   std::cout << "\nPlanner overhead vs the best single kernel (negative = "
                "planner faster):\n";
   verdict.print(std::cout);
-  std::cout << "\nexpected shape: Hybrid and Auto within a few percent of "
-               "the best single kernel on every preset.\n";
+  std::cout << "\nexpected shape: Auto within a few percent of the best "
+               "single kernel on every preset.\n";
   if (!json->empty() && !log.write(*json)) return 1;
   return all_exact ? 0 : 1;
 }

@@ -83,25 +83,6 @@ void BM_HeapAddColumn(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapAddColumn)->Args({8, 256})->Args({32, 256})->Args({32, 2048});
 
-void BM_SpaAddColumn(benchmark::State& state) {
-  const ColumnSet set(static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)));
-  core::SpaWorkspace<std::int32_t, double> ws;
-  ws.ensure_rows(1 << 16);
-  std::size_t cap = 0;
-  for (const auto& v : set.views) cap += v.nnz();
-  std::vector<std::int32_t> out_rows(cap);
-  std::vector<double> out_vals(cap);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::spa_add_column(
-        std::span<const ColumnView<std::int32_t, double>>(set.views), ws,
-        out_rows.data(), out_vals.data(), /*sorted_output=*/true));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          state.range(1));
-}
-BENCHMARK(BM_SpaAddColumn)->Args({8, 256})->Args({32, 256})->Args({32, 2048});
-
 void BM_Merge2Add(benchmark::State& state) {
   const ColumnSet set(2, static_cast<int>(state.range(0)));
   std::vector<std::int32_t> out_rows(set.views[0].nnz() + set.views[1].nnz());

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
       "OpenMP threads per shard fold (worker concurrency is the axis "
       "under test, so per-fold column parallelism defaults off)");
   const auto* method_flag = cli.add_string(
-      "method", "auto", "shard fold method (auto, hash, hybrid, ...)");
+      "method", "auto", "shard fold method (auto, hash, dense, ...)");
   const auto* metrics_flag = cli.add_string(
       "metrics", "on",
       "attach a metrics registry: on|off (the overhead-gate axis — "
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"pattern", "shards", "prod", "window", "burst",
                             "upd/s", "Mnnz/s", "p50 ms", "p99 ms", "avg bst",
                             "thr ms", "drops", "queue hw",
-                            "chunks h/s/H/W/D",
+                            "chunks h/H/W/D",
                             "exact"});
 
   for (const gen::Pattern pattern : {gen::Pattern::ER, gen::Pattern::RMAT}) {
@@ -278,16 +278,12 @@ int main(int argc, char** argv) {
           for (const auto& sh : st.shards) {
             folded += sh.folded_nnz;
             peak_staged = std::max(peak_staged, sh.peak_staged_nnz);
-            chunk_totals.chunks_heap += sh.chunks_heap;
-            chunk_totals.chunks_spa += sh.chunks_spa;
-            chunk_totals.chunks_hash += sh.chunks_hash;
-            chunk_totals.chunks_sliding += sh.chunks_sliding;
-            chunk_totals.chunks_dense += sh.chunks_dense;
+            chunk_totals += sh.counters;
           }
           const double nnz_s = static_cast<double>(folded) / elapsed;
-          const bool planned = fold_method == core::Method::Auto ||
-                               fold_method == core::Method::Hybrid;
-          const std::string mix = planned ? chunk_totals.chunk_mix() : "-";
+          const std::string mix = fold_method == core::Method::Auto
+                                      ? chunk_totals.chunk_mix()
+                                      : "-";
 
           char avg_bst[32];
           std::snprintf(avg_bst, sizeof(avg_bst), "%.1f",

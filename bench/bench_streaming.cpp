@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   const auto* repeats = cli.add_int("repeats", 3, "timing repetitions");
   const auto* full = cli.add_flag("full", "also run k=512 (slow)");
   const auto* method_flag = cli.add_string(
-      "method", "auto", "SpKAdd method (auto, hash, hybrid, ...)");
+      "method", "auto", "SpKAdd method (auto, hash, dense, ...)");
   const auto* schedule_flag = cli.add_string(
       "schedule", "dynamic", "column schedule (dynamic|static|nnz-balanced)");
   const auto* json = cli.add_string("json", "", "write JSON samples here");
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
 
   util::TablePrinter table({"pattern", "k", "strategy", "Gnnz/s",
                             "peak intermediates", "result nnz",
-                            "chunks h/s/H/W/D"});
+                            "chunks h/H/W/D"});
   for (const gen::Pattern pattern : {gen::Pattern::ER, gen::Pattern::RMAT}) {
     for (const int k : ks) {
       gen::WorkloadSpec spec;
@@ -102,14 +102,13 @@ int main(int argc, char** argv) {
       // warm-up call first, so the first measured lap does not pay for
       // the OpenMP team start and first-touch page faults. One extra
       // counted run surfaces the per-chunk kernel mix
-      // (heap/spa/hash/sliding/dense) without polluting the timed laps.
+      // (heap/hash/sliding/dense) without polluting the timed laps.
       Csc one_shot = core::spkadd(inputs, opts);
       const double t_one = bench::time_median(static_cast<int>(*repeats), [&] {
         one_shot = core::spkadd(inputs, opts);
       });
       std::string mix = "-";
-      if (opts.method == core::Method::Auto ||
-          opts.method == core::Method::Hybrid) {
+      if (opts.method == core::Method::Auto) {
         core::OpCounters counters;
         core::Options copts = opts;
         copts.counters = &counters;

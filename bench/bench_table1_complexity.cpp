@@ -2,7 +2,7 @@
 // operations) and I/O (streamed bytes) of every algorithm while sweeping k
 // on ER inputs, and reports the observed growth exponents against the
 // analytic ones — O(k^2 nd) for 2-way incremental, O(k nd lg k) for tree and
-// heap, O(k nd) for SPA/hash/sliding hash.
+// heap, O(k nd) for the SPA (DenseAcc), hash and sliding hash.
 #include <cmath>
 #include <iostream>
 #include <sstream>
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       "paper Table I (work and I/O columns, ER inputs). The 'k-exponent' "
       "column fits work ~ k^e between k=4 and k=32: expect e~2 for 2-way "
       "incremental, e in (1, 1.5) for tree/heap (the lg k factor), e~1 for "
-      "SPA/hash/sliding hash.");
+      "the SPA (DenseAcc), hash and sliding hash.");
 
   const std::vector<int> ks{4, 8, 16, 32};
   std::vector<std::vector<CscMatrix<std::int32_t, double>>> workloads;
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   const std::vector<core::Method> methods{
       core::Method::TwoWayIncremental, core::Method::TwoWayTree,
-      core::Method::Heap,              core::Method::Spa,
+      core::Method::Heap,              core::Method::DenseAcc,
       core::Method::Hash,              core::Method::SlidingHash};
   for (core::Method m : methods) {
     std::vector<std::string> row{core::method_name(m)};

@@ -1,6 +1,8 @@
 // Reproduces Table V: cache misses of hash vs sliding hash for the four
-// Fig. 4 cases, measured on the trace-driven cache simulator (the paper
-// used Cachegrind; see DESIGN.md for the substitution argument). With a
+// Fig. 4 cases, measured on the trace-driven cache simulator. The paper
+// used Cachegrind; a simulator replaying the kernels' address traces gives
+// the same miss counts on every host, with no profiler, for any modeled
+// hierarchy (cachesim/traced_spkadd.hpp). With a
 // multi-level --cache-spec the table reports per-level (L1/L2/LLC) miss
 // columns — the Table V number is the last (LLC) column; the inner levels
 // show where the sliding partition's reuse actually lands. The columns are

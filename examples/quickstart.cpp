@@ -40,10 +40,11 @@ int main() {
   std::cout << "\n";
 
   // 3. Every method computes the same sum; pick one explicitly if you know
-  //    your regime (see DESIGN.md / the paper's Table I).
+  //    your regime (see the kernel table in docs/ARCHITECTURE.md and the
+  //    paper's Table I).
   bool all_match = true;
   for (const auto method :
-       {spkadd::core::Method::Heap, spkadd::core::Method::Spa,
+       {spkadd::core::Method::Heap, spkadd::core::Method::DenseAcc,
         spkadd::core::Method::Hash, spkadd::core::Method::SlidingHash}) {
     spkadd::core::Options opts;
     opts.method = method;

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Perf-trajectory smoke run: small-shape bench_streaming + bench_fig6_summa
 # merged into BENCH_summa.json, a short bench_service sweep into
-# BENCH_service.json, and the hybrid-vs-best-single skew sweep
+# BENCH_service.json, and the planner-vs-best-single skew sweep
 # (bench_hybrid) into BENCH_hybrid.json (all SampleLog schema). CI runs
 # this per push and uploads the JSON files as workflow artifacts, so every
 # commit leaves a machine-readable sample of reducer throughput,
 # streaming-SUMMA footprint, aggregation-service ingest latency and the
-# per-chunk hybrid dispatch mix behind.
+# per-chunk planner's dispatch mix behind.
 #
 # The network-daemon loadgen (bench_daemon: >= 8 pipelined connections,
 # every windowed snapshot verified bit-identical to a single-threaded
@@ -19,10 +19,10 @@
 # promises hot paths never touch the registry). Samples land in
 # BENCH_obs.json.
 #
-# The representation-adaptivity leg (bench_dense: SPA vs Hash vs DenseAcc
-# across a column-density axis plus the Accumulator promotion-threshold
-# sweep, every cell bit-identity gated) lands in BENCH_dense.json on the
-# same schema.
+# The representation-adaptivity leg (bench_dense: Hash vs DenseAcc across
+# a column-density axis plus the Accumulator promotion-threshold sweep,
+# every cell bit-identity gated) lands in BENCH_dense.json on the same
+# schema.
 #
 # Usage: scripts/bench_smoke.sh [summa.json] [service.json] [hybrid.json] \
 #                               [daemon.json] [obs.json] [dense.json]
@@ -130,10 +130,10 @@ echo "=== bench_service (small sweep) ==="
 echo "=== bench_service (defaults) ==="
 "$BUILD_DIR/bench/bench_service" --duration-ms 100 \
   > "$tmp/service_defaults.txt"
-# Hybrid skew sweep: exits nonzero when any method result is not
+# Planner skew sweep: exits nonzero when any method result is not
 # bit-identical to Hash, so correctness gates the run like the others.
 # The shape is big enough (~seconds, not sub-ms laps) that the recorded
-# hybrid-vs-best-single margin is signal, not timer noise.
+# Auto-vs-best-single margin is signal, not timer noise.
 echo "=== bench_hybrid (skew sweep) ==="
 "$BUILD_DIR/bench/bench_hybrid" \
   --rows 65536 --cols 512 --d 16 --k 64 --repeats 9 \
@@ -148,11 +148,10 @@ echo "=== bench_daemon (8-connection windowed loadgen) ==="
   --tenants 2 --json "$tmp/daemon.json" > "$tmp/daemon.txt"
 cat "$tmp/daemon.txt"
 
-# Representation-adaptivity leg: the density face-off (SPA vs Hash vs
-# DenseAcc) and the promotion-threshold sweep. Bit-identity (one-shot to
-# Hash, promoted snapshots to DensePolicy-off) gates the run; the
-# DenseAcc-beats-SPA verdict is recorded in the samples, not enforced
-# (single-core CI timing).
+# Representation-adaptivity leg: the density face-off (Hash vs DenseAcc)
+# and the promotion-threshold sweep. Bit-identity (one-shot to Hash,
+# promoted snapshots to DensePolicy-off) gates the run; the timings are
+# recorded in the samples, not enforced (CI boxes are noisy).
 echo "=== bench_dense (density + promotion sweep) ==="
 "$BUILD_DIR/bench/bench_dense" \
   --rows 8192 --cols 32 --k 16 --repeats 5 \

@@ -148,7 +148,7 @@ std::size_t trace_add_part(CacheHierarchy& cache, std::span<const View> views,
   const std::uint64_t out_base = kOutputBase + out_cursor * kAddEntryBytes;
   cache.access_range(out_base, emitted * kAddEntryBytes);
   // The real kernel then radix-sorts the emitted (row, value) pairs
-  // (util::radix_sort_pairs — the hybrid contract emits canonical sorted
+  // (util::radix_sort_pairs — every kernel emits canonical sorted
   // columns): below the insertion-sort threshold the run is touched once
   // more in place; above it, one key-histogram sweep plus one
   // read + scatter-write pass of the 12-byte pairs per key byte that

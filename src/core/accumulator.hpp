@@ -14,10 +14,10 @@
 // What makes it cheaper than calling spkadd() once per batch in a loop:
 //   * zero input copies — batches are spans of borrowed matrix pointers
 //     fed straight to the pointer-span drivers;
-//   * persistent per-thread workspaces — the hash/SPA/heap scratch in the
-//     owned Runtime only ever grows, so no batch re-allocates tables;
+//   * persistent per-thread workspaces — the hash/dense/heap scratch in
+//     the owned Runtime only ever grows, so no batch re-allocates tables;
 //   * the per-column cost scan feeding the per-chunk kernel plan of
-//     Method::Auto/Hybrid and the nnz-balanced schedule lives in the same
+//     Method::Auto and the nnz-balanced schedule lives in the same
 //     Runtime and is recomputed in parallel once per fold, not per
 //     consumer. Every fold is a strict left fold whatever kernel mix the
 //     plan picks, so streaming stays bit-identical to one-shot.

@@ -5,22 +5,21 @@
 //
 //   merge2_*           ColAdd of Alg. 1 (2-way merge of sorted columns)
 //   heap_add_column    Alg. 3 (k-way min-heap merge)
-//   spa_add_column     Alg. 4 (sparse accumulator)
 //   hash_symbolic_column  Alg. 6 (count nnz(B(:,j)))
 //   hash_add_column    Alg. 5 (hash-table accumulation)
 //   sliding_symbolic_column   Alg. 7 (cache-capped symbolic partition)
 //   sliding_hash_add_column   Alg. 8 (cache-capped numeric partition)
 //   dense_symbolic_column     occupancy-bitmap distinct-row count
-//   dense_add_column   dense bitmap accumulation with SIMD dense adds
+//   dense_add_column   Alg. 4 (sparse accumulator: a dense value array
+//                      with its touched rows held as bitmaps)
 //
-// The ColumnKernel layer at the bottom puts the five k-way kernels (heap,
-// hash, sliding hash, dense, SPA) behind one uniform symbolic/numeric
+// The ColumnKernel layer at the bottom puts the four k-way kernels (heap,
+// hash, sliding hash, dense) behind one uniform symbolic/numeric
 // per-column interface, the unit a ColumnPlan assigns to each column
-// chunk. The per-chunk planner of Method::Auto/Hybrid picks among the
-// first four; the SPA runs only as the paper's Alg. 4 through
-// Method::Spa. Every kernel accumulates equal-row values strictly left
-// to right over the inputs, so any per-chunk mix of them is
-// bit-identical to any single kernel run over the whole matrix.
+// chunk and among which the per-chunk planner of Method::Auto picks.
+// Every kernel accumulates equal-row values strictly left to right over
+// the inputs, so any per-chunk mix of them is bit-identical to any
+// single kernel run over the whole matrix.
 //
 // All kernels optionally count operations into an OpCounters for the
 // Table I complexity bench.
@@ -185,38 +184,6 @@ std::size_t heap_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
     ++ops;
   }
   if (counters) counters->heap_ops += ops;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// SPA (Alg. 4)
-// ---------------------------------------------------------------------------
-
-/// Accumulate k columns through a dense sparse accumulator; works on sorted
-/// or unsorted inputs. When `sorted_output`, the touched-row list is sorted
-/// before emission (Alg. 4 line 8). Returns entries written.
-template <class IndexT, class ValueT>
-std::size_t spa_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
-                           SpaWorkspace<IndexT, ValueT>& ws, IndexT* out_rows,
-                           ValueT* out_vals, bool sorted_output,
-                           OpCounters* counters = nullptr) {
-  ws.new_column();
-  std::uint64_t touches = 0;
-  for (const auto& col : cols) {
-    for (std::size_t i = 0; i < col.nnz(); ++i)
-      ws.add(col.rows[i], col.vals[i]);
-    touches += col.nnz();
-  }
-  if (sorted_output) {
-    thread_local std::vector<IndexT> sort_scratch;
-    util::radix_sort_keys(ws.touched.data(), ws.touched.size(), sort_scratch);
-  }
-  std::size_t out = 0;
-  for (const IndexT r : ws.touched) {
-    out_rows[out] = r;
-    out_vals[out++] = ws.values[static_cast<std::size_t>(r)];
-  }
-  if (counters) counters->spa_touches += touches + ws.touched.size();
   return out;
 }
 
@@ -444,7 +411,7 @@ std::size_t sliding_hash_add_column(
 }
 
 // ---------------------------------------------------------------------------
-// Dense accumulator (ColumnKernel::DenseAcc)
+// Dense accumulator (Alg. 4, ColumnKernel::DenseAcc)
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -529,17 +496,18 @@ std::size_t dense_symbolic_column(
   return nz;
 }
 
-/// Numeric phase of the dense kernel: every entry adds into its kIdentity
-/// slot unconditionally and marks its row and its occupancy word. A dense
-/// view tests its row bit before it marks, and sets a word's summary bit
-/// only when the word was empty (kDenseViewRowsPerEntry). Equal rows still
-/// fold strictly left to right, the same per-element order as every
-/// sparse kernel, so any mix stays bit-identical. An identity-dense addend
-/// is one vectorized simd::dense_add. Emission walks the summary bits to
-/// the occupied words, ascending, with a full-word fast path, so the
-/// output is sorted *by construction* — no radix sort, which is the
-/// structural win over the SPA — and no empty word is visited. Every
-/// emitted slot is reset to kIdentity. Returns entries written.
+/// Numeric phase of the dense kernel, the paper's Alg. 4: every entry
+/// adds into its kIdentity slot unconditionally and marks its row and its
+/// occupancy word. A dense view tests its row bit before it marks, and
+/// sets a word's summary bit only when the word was empty
+/// (kDenseViewRowsPerEntry). Equal rows still fold strictly left to
+/// right, the same per-element order as every sparse kernel, so any mix
+/// stays bit-identical. An identity-dense addend is one vectorized
+/// simd::dense_add. Emission walks the summary bits to the occupied
+/// words, ascending, with a full-word fast path, so the output is sorted
+/// *by construction* — the bitmap scan replaces the sort of Alg. 4
+/// line 8 — and no empty word is visited. Every emitted slot is reset to
+/// kIdentity. Returns entries written.
 template <class IndexT, class ValueT>
 std::size_t dense_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
                              IndexT rows, DenseAccWorkspace<ValueT>& ws,
@@ -630,16 +598,15 @@ std::size_t dense_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
 // ColumnKernel — the uniform per-column dispatch layer
 // ---------------------------------------------------------------------------
 
-/// The five column kernels behind one dispatch tag: the unit a ColumnPlan
-/// assigns to each column chunk. The per-chunk planner of Method::Auto/
-/// Hybrid picks among the first four; a single-kernel method puts its
-/// own kernel on every chunk, and only Method::Spa runs the SPA.
+/// The four column kernels behind one dispatch tag: the unit a ColumnPlan
+/// assigns to each column chunk. The per-chunk planner of Method::Auto
+/// picks among them; a single-kernel method puts its own kernel on every
+/// chunk.
 enum class ColumnKernel : std::uint8_t {
   Heap,
   Hash,
   SlidingHash,
   DenseAcc,
-  Spa,
 };
 
 /// Compile-time form of a ColumnKernel (see with_kernel).
@@ -660,7 +627,6 @@ void with_kernel(ColumnKernel k, F&& f) {
     case ColumnKernel::DenseAcc:
       f(KernelTag<ColumnKernel::DenseAcc>{});
       return;
-    case ColumnKernel::Spa: f(KernelTag<ColumnKernel::Spa>{}); return;
   }
 }
 
@@ -671,14 +637,12 @@ inline void count_chunk(OpCounters& counters, ColumnKernel k) {
     case ColumnKernel::Hash: ++counters.chunks_hash; break;
     case ColumnKernel::SlidingHash: ++counters.chunks_sliding; break;
     case ColumnKernel::DenseAcc: ++counters.chunks_dense; break;
-    case ColumnKernel::Spa: ++counters.chunks_spa; break;
   }
 }
 
 /// Per-call constants the uniform kernel interface needs beyond the views
-/// themselves: the matrix row count (dense and SPA sizing, sliding
-/// partitions), the cache-derived sliding table budgets, and the
-/// sortedness contract.
+/// themselves: the matrix row count (dense sizing, sliding partitions),
+/// the cache-derived sliding table budgets, and the sortedness contract.
 template <class IndexT>
 struct KernelEnv {
   IndexT rows = 0;
@@ -689,7 +653,7 @@ struct KernelEnv {
 };
 
 /// Uniform symbolic phase: nnz of the added column under kernel K.
-/// Heap, Hash and SPA count with the plain hash symbolic (Alg. 6);
+/// Heap and Hash count with the plain hash symbolic (Alg. 6);
 /// sliding hash uses the cache-capped partition (Alg. 7); DenseAcc counts
 /// through the occupancy bitmap.
 template <ColumnKernel K, class IndexT, class ValueT>
@@ -726,13 +690,9 @@ std::size_t kernel_numeric_column(
                                    env.num_cap, env.inputs_sorted,
                                    env.sorted_output, scratch, out_rows,
                                    out_vals, counters);
-  } else if constexpr (K == ColumnKernel::DenseAcc) {
+  } else {
     return dense_add_column(views, env.rows, scratch.dense, out_rows,
                             out_vals, counters);
-  } else {
-    scratch.spa.ensure_rows(static_cast<std::size_t>(env.rows));
-    return spa_add_column(views, scratch.spa, out_rows, out_vals,
-                          env.sorted_output, counters);
   }
 }
 

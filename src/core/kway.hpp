@@ -8,10 +8,10 @@
 //      kernel on thread-private scratch.
 // The loop is synchronization-free because output slices are disjoint.
 // kway_add runs both phases over a ColumnPlan (symbolic.hpp): a
-// single-kernel method (Heap, Spa, Hash, SlidingHash, DenseAcc) puts its
+// single-kernel method (Heap, Hash, SlidingHash, DenseAcc) puts its
 // kernel on every chunk of the schedule's cut, and the planner behind
-// Method::Auto/Hybrid picks a kernel per nnz-balanced chunk. Both phases
-// walk the plan's chunks through the uniform ColumnKernel interface.
+// Method::Auto picks a kernel per nnz-balanced chunk. Both phases walk
+// the plan's chunks through the uniform ColumnKernel interface.
 //
 // kway_add takes borrowed matrix pointers (MatrixPtrs) plus a Runtime: the
 // streaming accumulator folds batches without copying an input and with
@@ -32,12 +32,11 @@
 namespace spkadd::core {
 
 /// The kernel a k-way method puts on every column chunk; empty for
-/// Auto and Hybrid, whose chunks the planner fills. The pairwise methods
+/// Auto, whose chunks the planner fills. The pairwise methods
 /// (is_pairwise) run no column kernel.
 [[nodiscard]] inline std::optional<ColumnKernel> method_kernel(Method m) {
   switch (m) {
     case Method::Heap: return ColumnKernel::Heap;
-    case Method::Spa: return ColumnKernel::Spa;
     case Method::Hash: return ColumnKernel::Hash;
     case Method::SlidingHash: return ColumnKernel::SlidingHash;
     case Method::DenseAcc: return ColumnKernel::DenseAcc;

@@ -27,13 +27,11 @@ std::string method_name(Method m) {
     case Method::TwoWayIncremental: return "2-way Incremental";
     case Method::TwoWayTree: return "2-way Tree";
     case Method::Heap: return "Heap";
-    case Method::Spa: return "SPA";
     case Method::Hash: return "Hash";
     case Method::SlidingHash: return "Sliding Hash";
     case Method::ReferenceIncremental: return "Ref(MKL) Incremental";
     case Method::ReferenceTree: return "Ref(MKL) Tree";
     case Method::Auto: return "Auto";
-    case Method::Hybrid: return "Hybrid";
     case Method::DenseAcc: return "DenseAcc";
   }
   return "?";
@@ -62,7 +60,6 @@ Method method_from_name(const std::string& name) {
       {"2waytree", Method::TwoWayTree},
       {"twowaytree", Method::TwoWayTree},
       {"heap", Method::Heap},
-      {"spa", Method::Spa},
       {"hash", Method::Hash},
       {"slidinghash", Method::SlidingHash},
       {"sliding", Method::SlidingHash},
@@ -73,7 +70,6 @@ Method method_from_name(const std::string& name) {
       {"referencetree", Method::ReferenceTree},
       {"reftree", Method::ReferenceTree},
       {"auto", Method::Auto},
-      {"hybrid", Method::Hybrid},
       {"denseacc", Method::DenseAcc},
       {"dense", Method::DenseAcc},
   };
@@ -82,8 +78,8 @@ Method method_from_name(const std::string& name) {
     if (key == e.key) return e.method;
   throw std::invalid_argument(
       "unknown SpKAdd method '" + name +
-      "' (expected one of: 2way-incremental, 2way-tree, heap, spa, hash, "
-      "sliding-hash, dense, ref-incremental, ref-tree, auto, hybrid)");
+      "' (expected one of: 2way-incremental, 2way-tree, heap, hash, "
+      "sliding-hash, dense, ref-incremental, ref-tree, auto)");
 }
 
 Schedule schedule_from_name(const std::string& name) {

@@ -18,14 +18,12 @@ enum class Method {
   TwoWayIncremental,  ///< Alg. 1: fold pairwise, left to right
   TwoWayTree,         ///< balanced binary tree of pairwise adds
   Heap,               ///< Alg. 3: k-way merge through a min-heap
-  Spa,                ///< Alg. 4: dense sparse-accumulator of length m
   Hash,               ///< Alg. 5/6: per-column hash table
   SlidingHash,        ///< Alg. 7/8: cache-capped hash slid over row ranges
   ReferenceIncremental,  ///< MKL-substitute pairwise add, folded
   ReferenceTree,         ///< MKL-substitute pairwise add, tree
-  Auto,               ///< 2-way tree for a sorted pair, else Hybrid
-  Hybrid,             ///< pick a kernel PER nnz-balanced column chunk
-  DenseAcc,           ///< dense bitmap accumulator with SIMD dense adds
+  Auto,               ///< 2-way tree for a sorted pair, else the planner
+  DenseAcc,           ///< Alg. 4: SPA of length m, touched rows as bitmaps
 };
 
 /// The pairwise families (Alg. 1, the 2-way tree, the MKL-substitute
@@ -37,8 +35,8 @@ enum class Method {
 }
 
 /// Whether `m` refuses unsorted input columns (the merge families, paper
-/// Table I). Auto and Hybrid are safe either way: the planner picks the
-/// heap kernel only when Options::inputs_sorted is declared.
+/// Table I). Auto is safe either way: the planner picks the heap kernel
+/// only when Options::inputs_sorted is declared.
 [[nodiscard]] constexpr bool requires_sorted_inputs(Method m) {
   return is_pairwise(m) || m == Method::Heap;
 }
@@ -53,14 +51,14 @@ enum class Method {
 [[nodiscard]] std::string method_name(Method m);
 
 /// Inverse of method_name(): parses both the exact display name and the
-/// usual CLI spellings ("hash", "sliding-hash", "2way-tree", "hybrid",
+/// usual CLI spellings ("hash", "sliding-hash", "2way-tree", "dense",
 /// ...), case- and punctuation-insensitively. Throws std::invalid_argument
 /// with the accepted names on unknown input. Round-trip guarantee:
 /// method_from_name(method_name(m)) == m for every Method.
 [[nodiscard]] Method method_from_name(const std::string& name);
 
 /// How the column loop cuts and drains its chunks (detail::cut_chunks).
-/// A planned call (Method::Auto/Hybrid) always runs cost-balanced chunks;
+/// A planned call (Method::Auto) always runs cost-balanced chunks;
 /// for it, Static drains them statically and the others `dynamic,1`.
 /// For a single-kernel method: Dynamic, the paper's choice, drains
 /// 8-column blocks `dynamic,1` (OpenMP's `dynamic,8`); Static runs one
@@ -84,20 +82,17 @@ struct OpCounters {
   std::uint64_t merge_ops = 0;    ///< 2-way merge element steps
   std::uint64_t heap_ops = 0;     ///< heap inserts + extract-mins
   std::uint64_t hash_probes = 0;  ///< hash slots inspected (incl. collisions)
-  std::uint64_t spa_touches = 0;  ///< SPA reads+writes
   std::uint64_t dense_touches = 0;  ///< dense-accumulator scatter/add steps
   std::uint64_t bytes_moved = 0;  ///< streamed matrix bytes (I/O model)
   std::uint64_t table_inits = 0;  ///< hash-table slots initialized
 
   // Per-kernel chunk-dispatch counts of the per-chunk planner
-  // (Method::Auto and Method::Hybrid): how many nnz-balanced column
-  // chunks each kernel was chosen for (the observable decision mix of the
-  // per-chunk Fig. 2 surface). Zero under every single-kernel method and
-  // under Auto's 2-way corner. The planner never picks the SPA, so
-  // chunks_spa always reads 0; it stays for readers of the counter set
-  // (the perfbench ledger).
+  // (Method::Auto): how many nnz-balanced column chunks each kernel was
+  // chosen for (the observable decision mix of the per-chunk Fig. 2
+  // surface). Zero under every single-kernel method and under Auto's
+  // 2-way corner.
   std::uint64_t chunks_heap = 0;     ///< chunks dispatched to the heap merge
-  std::uint64_t chunks_spa = 0;      ///< always 0: the SPA is not planned
+  std::uint64_t chunks_spa = 0;      ///< always 0; perfbench still reads it
   std::uint64_t chunks_hash = 0;     ///< chunks dispatched to plain hash
   std::uint64_t chunks_sliding = 0;  ///< chunks dispatched to sliding hash
   std::uint64_t chunks_dense = 0;    ///< chunks dispatched to the dense acc
@@ -106,12 +101,10 @@ struct OpCounters {
     merge_ops += o.merge_ops;
     heap_ops += o.heap_ops;
     hash_probes += o.hash_probes;
-    spa_touches += o.spa_touches;
     dense_touches += o.dense_touches;
     bytes_moved += o.bytes_moved;
     table_inits += o.table_inits;
     chunks_heap += o.chunks_heap;
-    chunks_spa += o.chunks_spa;
     chunks_hash += o.chunks_hash;
     chunks_sliding += o.chunks_sliding;
     chunks_dense += o.chunks_dense;
@@ -120,21 +113,19 @@ struct OpCounters {
 
   /// Total "work" events across data structures (Table I's Work column).
   [[nodiscard]] std::uint64_t work() const {
-    return merge_ops + heap_ops + hash_probes + spa_touches + dense_touches;
+    return merge_ops + heap_ops + hash_probes + dense_touches;
   }
 
   /// Total planned chunks dispatched (0 under single-kernel methods).
   [[nodiscard]] std::uint64_t chunks_total() const {
-    return chunks_heap + chunks_spa + chunks_hash + chunks_sliding +
-           chunks_dense;
+    return chunks_heap + chunks_hash + chunks_sliding + chunks_dense;
   }
 
-  /// Compact "heap/spa/hash/sliding/dense" rendering of the planner's
-  /// decision mix for bench tables, e.g. "2/0/29/1/4".
+  /// Compact "heap/hash/sliding/dense" rendering of the planner's
+  /// decision mix for bench tables, e.g. "2/29/1/4".
   [[nodiscard]] std::string chunk_mix() const {
-    return std::to_string(chunks_heap) + "/" + std::to_string(chunks_spa) +
-           "/" + std::to_string(chunks_hash) + "/" +
-           std::to_string(chunks_sliding) + "/" +
+    return std::to_string(chunks_heap) + "/" + std::to_string(chunks_hash) +
+           "/" + std::to_string(chunks_sliding) + "/" +
            std::to_string(chunks_dense);
   }
 };
@@ -142,9 +133,9 @@ struct OpCounters {
 struct Options {
   Method method = Method::Auto;
 
-  /// Emit columns with strictly ascending row indices. Hash/SPA can skip
-  /// their final sort when false (the "unsorted hash" of Fig. 6); merge and
-  /// heap methods always produce sorted output.
+  /// Emit columns with strictly ascending row indices. The hash kernels
+  /// skip their final sort when false (the "unsorted hash" of Fig. 6);
+  /// merge, heap and DenseAcc always produce sorted output.
   bool sorted_output = true;
 
   /// Declare that the *inputs* have sorted columns. Merge/heap require this

@@ -5,13 +5,13 @@
 //
 // The 2-way and reference methods fold pairwise; every other method runs
 // the one column-kernel driver (kway_add in kway.hpp) with a plan.
-// Method::Heap, Spa, Hash, SlidingHash and DenseAcc put their kernel on
-// every column chunk. Method::Auto, the default, is the paper's Fig. 2
-// decision surface evaluated per nnz-balanced column chunk rather than
-// once per call: a sorted pair of inputs takes the 2-way tree (Fig. 2's
-// small-k corner), and every other call runs the per-chunk planner of
-// Method::Hybrid. Each chunk then runs the kernel its own heaviest column
-// calls for, bit-identically to any single-kernel run.
+// Method::Heap, Hash, SlidingHash and DenseAcc put their kernel on every
+// column chunk. Method::Auto, the default, is the paper's Fig. 2 decision
+// surface evaluated per nnz-balanced column chunk rather than once per
+// call: a sorted pair of inputs takes the 2-way tree (Fig. 2's small-k
+// corner), and every other call runs the per-chunk planner. Each chunk
+// then runs the kernel its own heaviest column calls for, bit-identically
+// to any single-kernel run.
 #pragma once
 
 #include <span>
@@ -24,10 +24,11 @@
 namespace spkadd::core {
 
 /// The method Method::Auto dispatches to for k addends: the 2-way tree
-/// for a sorted pair (Fig. 2's small-k corner), the per-chunk planner
-/// otherwise. Needs no column scan.
+/// for a sorted pair (Fig. 2's small-k corner), otherwise Auto itself,
+/// whose empty method_kernel runs the per-chunk planner. Needs no column
+/// scan.
 [[nodiscard]] inline Method auto_select(std::size_t k, const Options& opts) {
-  return k <= 2 && opts.inputs_sorted ? Method::TwoWayTree : Method::Hybrid;
+  return k <= 2 && opts.inputs_sorted ? Method::TwoWayTree : Method::Auto;
 }
 
 /// Value-span form of auto_select (tests/benches).

@@ -3,9 +3,9 @@
 // Every k-way method runs over a ColumnPlan: column chunks, each with the
 // ColumnKernel that fills it. A single-kernel method puts its kernel on
 // every chunk the chunk cutter makes for Options::schedule. The per-chunk
-// planner behind Method::Auto and Method::Hybrid cuts the per-column
-// input-nnz totals into cost-balanced chunks and classifies each on the
-// paper's Fig. 2 decision surface (plan_hybrid/hybrid_kernel_for).
+// planner behind Method::Auto cuts the per-column input-nnz totals into
+// cost-balanced chunks and classifies each on the paper's Fig. 2 decision
+// surface (plan_hybrid/hybrid_kernel_for).
 //
 // The symbolic pass walks a plan and computes nnz(B(:,j)) per output
 // column, each chunk with its kernel's symbolic variant: the keys-only
@@ -69,7 +69,7 @@ template <class IndexT, class ValueT>
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Hybrid per-chunk classification (the Fig. 2 surface, evaluated per chunk)
+// The planner's classification (the Fig. 2 surface, evaluated per chunk)
 // ---------------------------------------------------------------------------
 
 /// Chunk thresholds of the per-chunk decision surface. The sliding/hash

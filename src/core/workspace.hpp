@@ -4,7 +4,8 @@
 // heap of size k, SPA of size m, hash table sized to the current column —
 // and the per-column kernels run sequentially on that private scratch.
 // Reusing the scratch across columns is what keeps the hash tables hot in
-// cache; the SPA avoids O(m) clearing per column with generation stamps.
+// cache; the dense accumulator (the SPA) avoids O(m) clearing per column by
+// resetting only the slots and bitmap words a column touched.
 #pragma once
 
 #include <algorithm>
@@ -63,61 +64,14 @@ struct SymbolicHashWorkspace {
   [[nodiscard]] std::size_t capacity() const { return mask + 1; }
 };
 
-/// Sparse accumulator (Alg. 4): dense value array of length m plus the list
-/// of touched rows. Generation stamps make new_column() O(1) instead of
-/// clearing m entries.
-template <class IndexT, class ValueT>
-struct SpaWorkspace {
-  std::vector<ValueT> values;
-  std::vector<std::uint32_t> stamp;
-  std::vector<IndexT> touched;
-  std::uint32_t generation = 0;
-
-  /// Allocate for matrices with `rows` rows (idempotent).
-  void ensure_rows(std::size_t rows) {
-    if (values.size() < rows) {
-      values.resize(rows);
-      stamp.resize(rows, 0);
-      generation = 0;
-      std::fill(stamp.begin(), stamp.end(), 0u);
-    }
-  }
-
-  /// Begin accumulating a fresh column.
-  void new_column() {
-    touched.clear();
-    ++generation;
-    if (generation == 0) {  // stamp wrap-around: hard reset
-      std::fill(stamp.begin(), stamp.end(), 0u);
-      generation = 1;
-    }
-  }
-
-  [[nodiscard]] bool occupied(IndexT r) const {
-    return stamp[static_cast<std::size_t>(r)] == generation;
-  }
-
-  /// Add v at row r, tracking first touches.
-  void add(IndexT r, ValueT v) {
-    const auto ri = static_cast<std::size_t>(r);
-    if (stamp[ri] == generation) {
-      values[ri] += v;
-    } else {
-      stamp[ri] = generation;
-      values[ri] = v;
-      touched.push_back(r);
-    }
-  }
-};
-
-/// Dense-accumulator scratch for the DenseAcc kernel: a dense value array
-/// of length m, an occupancy bitmap (one bit per row) and a summary
-/// bitmap (one bit per occupancy word). Every value slot holds kIdentity
-/// between columns, so a scatter adds into its slot whether or not the
-/// row was touched before; the bitmaps only record which rows to emit.
-/// They replace both the SPA's generation stamps *and* its touched list:
+/// Dense-accumulator scratch for the DenseAcc kernel, the SPA of Alg. 4:
+/// a dense value array of length m, an occupancy bitmap (one bit per row)
+/// and a summary bitmap (one bit per occupancy word). Every value slot
+/// holds kIdentity between columns, so a scatter adds into its slot
+/// whether or not the row was touched before; the bitmaps only record
+/// which rows to emit. They stand in for Alg. 4's list of touched rows:
 /// emission walks the summary's set bits to the occupancy words that hold
-/// entries, ascending, so no radix sort is ever needed. The kernel's
+/// entries, ascending, so the list never needs sorting. The kernel's
 /// contract is that between columns every slot is kIdentity and both
 /// bitmaps are all-zero: every column pass resets exactly what it set.
 template <class ValueT>
@@ -159,8 +113,8 @@ struct HeapWorkspace {
   }
 };
 
-/// Everything one thread needs across any SpKAdd phase: the five method
-/// scratch structures plus the view/partition buffers of the symbolic and
+/// Everything one thread needs across any SpKAdd phase: the method scratch
+/// structures plus the view/partition buffers of the symbolic and
 /// sliding passes. One superset struct (rather than one per kernel) lets
 /// a single pool serve symbolic + numeric phases and every method, so a
 /// streaming accumulator can keep the scratch hot across batches. All
@@ -172,7 +126,6 @@ template <class IndexT, class ValueT>
 struct ThreadScratch {
   HashWorkspace<IndexT, ValueT> table;
   SymbolicHashWorkspace<IndexT> sym_table;
-  SpaWorkspace<IndexT, ValueT> spa;
   HeapWorkspace<IndexT> heap;
   DenseAccWorkspace<ValueT> dense;
   std::vector<ColumnView<IndexT, ValueT>> views;
@@ -187,9 +140,6 @@ struct ThreadScratch {
     f(s.table.keys);
     f(s.table.vals);
     f(s.sym_table.keys);
-    f(s.spa.values);
-    f(s.spa.stamp);
-    f(s.spa.touched);
     f(s.dense.values);
     f(s.dense.mask);
     f(s.dense.summary);
@@ -217,7 +167,7 @@ struct ThreadScratch {
 /// per-thread scratch pool and the per-column input-nnz totals driving both
 /// the per-chunk plan and nnz-balanced scheduling. core::spkadd accepts an
 /// optional Runtime; when none is given it falls back to a call-local one.
-/// The Accumulator owns one so hash/SPA/heap scratch survives across
+/// The Accumulator owns one so hash/dense/heap scratch survives across
 /// batches instead of being re-grown per call.
 template <class IndexT, class ValueT>
 struct Runtime {

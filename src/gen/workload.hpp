@@ -40,7 +40,7 @@ std::size_t total_input_nnz(
 
 /// Deterministically shuffle rows within each column so the workload becomes
 /// *unsorted* — exercises the "need sorted inputs? no" column of Table I for
-/// hash/SPA and the unsorted-hash SUMMA variant of Fig. 6.
+/// the hash and dense kernels and the unsorted-hash SUMMA variant of Fig. 6.
 void shuffle_columns(CscMatrix<std::int32_t, double>& m, std::uint64_t seed);
 
 }  // namespace spkadd::gen

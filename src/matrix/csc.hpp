@@ -8,8 +8,8 @@
 // Conventions:
 //   * col_ptr has size cols()+1, col_ptr[0] == 0, col_ptr[cols()] == nnz().
 //   * Columns are "sorted" when row indices are strictly ascending within
-//     each column (no duplicates). Hash/SPA kernels tolerate unsorted
-//     columns; merge/heap kernels require sorted ones (paper Table I).
+//     each column (no duplicates). Hash and dense kernels tolerate
+//     unsorted columns; merge/heap kernels require sorted ones (Table I).
 //   * Explicit numeric zeros are kept: sparsity is structural.
 #pragma once
 

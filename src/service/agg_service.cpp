@@ -354,11 +354,7 @@ ServiceStats AggService::stats() const {
       out.shards[s].flushes += sh.acc.stats().flushes;
       out.shards[s].peak_staged_nnz = std::max(
           out.shards[s].peak_staged_nnz, sh.acc.stats().peak_staged_nnz);
-      out.shards[s].chunks_heap += sh.counters.chunks_heap;
-      out.shards[s].chunks_spa += sh.counters.chunks_spa;
-      out.shards[s].chunks_hash += sh.counters.chunks_hash;
-      out.shards[s].chunks_sliding += sh.counters.chunks_sliding;
-      out.shards[s].chunks_dense += sh.counters.chunks_dense;
+      out.shards[s].counters += sh.counters;
       out.shards[s].dense_promotions += sh.acc.stats().dense_promotions;
       out.shards[s].dense_demotions += sh.acc.stats().dense_demotions;
       out.shards[s].dense_resident_cols += sh.acc.dense_resident_cols();
@@ -384,11 +380,7 @@ void AggService::export_metrics(obs::CollectorSink& sink) const {
     totals.flushes += sh.flushes;
     totals.peak_staged_nnz =
         std::max(totals.peak_staged_nnz, sh.peak_staged_nnz);
-    totals.chunks_heap += sh.chunks_heap;
-    totals.chunks_spa += sh.chunks_spa;
-    totals.chunks_hash += sh.chunks_hash;
-    totals.chunks_sliding += sh.chunks_sliding;
-    totals.chunks_dense += sh.chunks_dense;
+    totals.counters += sh.counters;
     totals.dense_promotions += sh.dense_promotions;
     totals.dense_demotions += sh.dense_demotions;
     totals.dense_resident_cols += sh.dense_resident_cols;
@@ -399,16 +391,7 @@ void AggService::export_metrics(obs::CollectorSink& sink) const {
   sink.gauge("spkadd_accumulator_staged_nnz_peak",
              "Max nonzeros awaiting a fold in any one shard", svc,
              d(totals.peak_staged_nnz));
-  const auto chunk = [&](const char* kernel, std::uint64_t v) {
-    sink.counter("spkadd_hybrid_chunks_total",
-                 "Hybrid column chunks dispatched per kernel",
-                 {{"service", "agg"}, {"kernel", kernel}}, d(v));
-  };
-  chunk("heap", totals.chunks_heap);
-  chunk("spa", totals.chunks_spa);
-  chunk("hash", totals.chunks_hash);
-  chunk("sliding", totals.chunks_sliding);
-  chunk("dense", totals.chunks_dense);
+  export_chunk_mix(sink, "agg", totals.counters);
   sink.counter("spkadd_dense_promotions_total",
                "Sparse→dense column promotions across shard accumulators",
                svc, d(totals.dense_promotions));

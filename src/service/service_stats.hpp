@@ -1,10 +1,10 @@
 // Observability for the aggregation services: the plain snapshot structs
-// AggService::stats() hands to benches and operators, and SpineStats,
-// the ingest-spine part WindowedServiceStats shares. The latency
-// histogram itself lives in obs/histogram.hpp (LatencyHistogram below
-// is an alias), and every counter in these structs is also exported
-// through obs::MetricsRegistry at scrape time — stats() and the
-// registry read the same underlying atomics.
+// AggService::stats() hands to benches and operators, SpineStats, the
+// ingest-spine part WindowedServiceStats shares, and export_chunk_mix,
+// which both services' scrapes call. The latency histogram itself lives
+// in obs/histogram.hpp (LatencyHistogram below is an alias), and the
+// services export these counters through obs::MetricsRegistry at scrape
+// time — stats() and the registry read the same underlying atomics.
 //
 // Thread-safety contract: the snapshot structs are plain values with no
 // synchronization of their own. Counters here are observability only —
@@ -17,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "core/options.hpp"
 #include "obs/histogram.hpp"
+#include "obs/metrics.hpp"
 
 namespace spkadd::service {
 
@@ -34,14 +36,8 @@ struct ShardStats {
   std::uint64_t folded_nnz = 0;      ///< total nonzeros folded here
   std::uint64_t flushes = 0;         ///< Accumulator folds performed
   std::size_t peak_staged_nnz = 0;   ///< max nnz awaiting a fold at once
-  // Chunk-dispatch mix of this shard's folds (how many nnz-balanced
-  // column chunks the per-chunk planner of Method::Auto/Hybrid chose each
-  // kernel for). chunks_spa always reads 0: the planner never picks SPA.
-  std::uint64_t chunks_heap = 0;
-  std::uint64_t chunks_spa = 0;
-  std::uint64_t chunks_hash = 0;
-  std::uint64_t chunks_sliding = 0;
-  std::uint64_t chunks_dense = 0;
+  /// This shard's fold work, including the planner's chunk-dispatch mix.
+  core::OpCounters counters;
   // Representation adaptivity (core::DensePolicy): sparse→dense column
   // promotions and demotions performed by this shard's accumulators, and
   // the columns currently held dense across them (a gauge, not a counter).
@@ -93,6 +89,23 @@ struct TenantStats {
   std::uint64_t snapshots = 0;
   std::uint64_t epoch = 0;  ///< epoch of the latest snapshot
 };
+
+/// Emit the planner's chunk-dispatch mix in `c` as
+/// spkadd_hybrid_chunks_total, one series per kernel, under the label
+/// service=`service`.
+inline void export_chunk_mix(obs::CollectorSink& sink, const char* service,
+                             const core::OpCounters& c) {
+  const std::pair<const char*, std::uint64_t> mix[] = {
+      {"heap", c.chunks_heap},
+      {"hash", c.chunks_hash},
+      {"sliding", c.chunks_sliding},
+      {"dense", c.chunks_dense}};
+  for (const auto& [kernel, chunks] : mix)
+    sink.counter("spkadd_hybrid_chunks_total",
+                 "Planned column chunks dispatched per kernel",
+                 {{"service", service}, {"kernel", kernel}},
+                 static_cast<double>(chunks));
+}
 
 /// One consistent-enough read of every AggService counter.
 struct ServiceStats : SpineStats {

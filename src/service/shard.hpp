@@ -105,7 +105,7 @@ std::vector<CscMatrix<IndexT, ValueT>> partition_rows(
 /// accumulator plus the counters ServiceStats aggregates. Each shard
 /// owns its OpCounters and points its accumulator's fold options at
 /// them (folds run under `mutex`, so the per-call counter contract
-/// holds), making the hybrid per-chunk kernel mix — and the fold work
+/// holds), making the planner's per-chunk kernel mix — and the fold work
 /// counters generally — observable per shard. A counters pointer the
 /// caller left in `opts` is overridden: one shared OpCounters across
 /// concurrent shard folds would be a data race.
@@ -115,7 +115,7 @@ struct TenantShard {
       : acc(rows, cols, with_counters(opts, &counters), batch_window) {}
 
   std::mutex mutex;
-  core::OpCounters counters;  ///< fold work + hybrid chunk-dispatch mix
+  core::OpCounters counters;  ///< fold work + planner chunk-dispatch mix
   core::Accumulator<std::int32_t, double> acc;
   std::uint64_t slices_applied = 0;
   std::uint64_t folded_nnz = 0;

@@ -131,11 +131,7 @@ WindowStats TenantWindow::stats() const {
   }
   out.live_buckets = buckets_.size();
   out.newest_bucket = newest_id_;
-  out.chunks_heap = counters_.chunks_heap;
-  out.chunks_spa = counters_.chunks_spa;
-  out.chunks_hash = counters_.chunks_hash;
-  out.chunks_sliding = counters_.chunks_sliding;
-  out.chunks_dense = counters_.chunks_dense;
+  out.counters = counters_;
   return out;
 }
 

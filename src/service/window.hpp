@@ -80,14 +80,8 @@ struct WindowStats {
   /// Max nonzeros awaiting a fold in any one bucket, live or retired —
   /// the window's staging-memory high-water mark.
   std::size_t peak_staged_nnz = 0;
-  // Chunk-dispatch mix of this window's folds (how many nnz-balanced
-  // column chunks the per-chunk planner of Method::Auto/Hybrid chose each
-  // kernel for). chunks_spa always reads 0: the planner never picks SPA.
-  std::uint64_t chunks_heap = 0;
-  std::uint64_t chunks_spa = 0;
-  std::uint64_t chunks_hash = 0;
-  std::uint64_t chunks_sliding = 0;
-  std::uint64_t chunks_dense = 0;
+  /// This window's fold work, including the planner's chunk-dispatch mix.
+  core::OpCounters counters;
 };
 
 /// One tenant's ring of window buckets. External synchronization

@@ -173,11 +173,7 @@ void WindowedAggService::export_metrics(obs::CollectorSink& sink) const {
     totals.fold_flushes += ws.fold_flushes;
     totals.peak_staged_nnz =
         std::max(totals.peak_staged_nnz, ws.peak_staged_nnz);
-    totals.chunks_heap += ws.chunks_heap;
-    totals.chunks_spa += ws.chunks_spa;
-    totals.chunks_hash += ws.chunks_hash;
-    totals.chunks_sliding += ws.chunks_sliding;
-    totals.chunks_dense += ws.chunks_dense;
+    totals.counters += ws.counters;
   }
   sink.counter("spkadd_shard_fold_flushes_total",
                "Accumulator folds performed across tenant windows", svc,
@@ -185,16 +181,7 @@ void WindowedAggService::export_metrics(obs::CollectorSink& sink) const {
   sink.gauge("spkadd_accumulator_staged_nnz_peak",
              "Max nonzeros awaiting a fold in any one bucket", svc,
              d(totals.peak_staged_nnz));
-  const auto chunk = [&](const char* kernel, std::uint64_t v) {
-    sink.counter("spkadd_hybrid_chunks_total",
-                 "Hybrid column chunks dispatched per kernel",
-                 {{"service", "windowed"}, {"kernel", kernel}}, d(v));
-  };
-  chunk("heap", totals.chunks_heap);
-  chunk("spa", totals.chunks_spa);
-  chunk("hash", totals.chunks_hash);
-  chunk("sliding", totals.chunks_sliding);
-  chunk("dense", totals.chunks_dense);
+  export_chunk_mix(sink, "windowed", totals.counters);
 }
 
 }  // namespace spkadd::service

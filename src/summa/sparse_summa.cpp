@@ -46,8 +46,8 @@ SummaConfig hybrid_pipeline(int grid) {
   SummaConfig c;
   c.grid = grid;
   c.local_accumulator = spgemm::Accumulator::Hash;
-  c.sort_local_products = true;  // lets hybrid chunks use the heap corner
-  c.reduce_method = core::Method::Hybrid;
+  c.sort_local_products = true;  // lets planned chunks use the heap corner
+  c.reduce_method = core::Method::Auto;
   return c;
 }
 

@@ -68,9 +68,10 @@ struct SummaConfig {
 SummaConfig heap_pipeline(int grid);
 SummaConfig sorted_hash_pipeline(int grid);
 SummaConfig unsorted_hash_pipeline(int grid);
-/// Per-chunk hybrid reduction (Method::Hybrid): each stage-product fold
-/// picks its kernel per nnz-balanced column chunk, so skewed blocks stop
-/// forcing one whole-matrix method. Bit-identical to the single-kernel
+/// Per-chunk hybrid reduction (Method::Auto): each stage-product fold of
+/// three or more addends picks its kernel per nnz-balanced column chunk,
+/// so skewed blocks stop forcing one whole-matrix method, and a fold of a
+/// sorted pair takes the 2-way tree. Bit-identical to the single-kernel
 /// pipelines (every fold is a strict left fold).
 SummaConfig hybrid_pipeline(int grid);
 

@@ -24,8 +24,8 @@ struct RadixScratch {
 };
 
 /// Sort the parallel arrays (keys[0..n), vals[0..n)) ascending by key.
-/// Stable; keys must be non-negative. Falls back to std::sort below a small
-/// threshold where radix setup does not pay.
+/// Stable; keys must be non-negative. Falls back to insertion sort below a
+/// small threshold where radix setup does not pay.
 template <class K, class V>
 void radix_sort_pairs(K* keys, V* vals, std::size_t n,
                       RadixScratch<K, V>& scratch) {
@@ -92,47 +92,6 @@ void radix_sort_pairs(K* keys, V* vals, std::size_t n,
     std::memcpy(keys, src_k, n * sizeof(K));
     std::memcpy(vals, src_v, n * sizeof(V));
   }
-}
-
-/// Key-only variant (the SPA kernel sorts its touched-row list and reads
-/// values from the dense accumulator afterwards).
-template <class K>
-void radix_sort_keys(K* keys, std::size_t n, std::vector<K>& scratch) {
-  static_assert(std::is_integral_v<K>);
-  if (n < 2) return;
-  constexpr std::size_t kSmall = 128;
-  if (n < kSmall) {
-    std::sort(keys, keys + n);
-    return;
-  }
-  constexpr std::size_t kBytes = sizeof(K);
-  if (scratch.size() < n) scratch.resize(n);
-  std::array<std::array<std::uint32_t, 256>, kBytes> hist{};
-  for (std::size_t i = 0; i < n; ++i) {
-    auto u = static_cast<std::make_unsigned_t<K>>(keys[i]);
-    for (std::size_t b = 0; b < kBytes; ++b)
-      ++hist[b][(u >> (8 * b)) & 0xff];
-  }
-  K* src = keys;
-  K* dst = scratch.data();
-  for (std::size_t b = 0; b < kBytes; ++b) {
-    const auto first_byte =
-        (static_cast<std::make_unsigned_t<K>>(src[0]) >> (8 * b)) & 0xff;
-    if (hist[b][first_byte] == n) continue;
-    std::array<std::uint32_t, 256> offset;
-    std::uint32_t run = 0;
-    for (int d = 0; d < 256; ++d) {
-      offset[static_cast<std::size_t>(d)] = run;
-      run += hist[b][static_cast<std::size_t>(d)];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto digit =
-          (static_cast<std::make_unsigned_t<K>>(src[i]) >> (8 * b)) & 0xff;
-      dst[offset[digit]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != keys) std::memcpy(keys, src, n * sizeof(K));
 }
 
 }  // namespace spkadd::util

@@ -102,7 +102,7 @@ TEST(Accumulator, IncrementalAddEqualsOneShotSpkadd) {
 TEST(Accumulator, PropertyAcrossMethodsAndCapacities) {
   const auto inputs = random_collection(13, 64, 8, 150, 11);
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  for (auto m : {Method::Auto, Method::TwoWayTree, Method::Heap, Method::Spa,
+  for (auto m : {Method::Auto, Method::TwoWayTree, Method::Heap,
                  Method::Hash, Method::SlidingHash, Method::DenseAcc}) {
     for (const std::size_t cap : {1u, 2u, 4u, 13u, 100u}) {
       Options opts;
@@ -117,7 +117,7 @@ TEST(Accumulator, PropertyAcrossMethodsAndCapacities) {
   // smallest capacities.
   auto unsorted = inputs;
   for (auto& m : unsorted) gen::shuffle_columns(m, 77);
-  for (auto m : {Method::Spa, Method::Hash, Method::SlidingHash}) {
+  for (auto m : {Method::Hash, Method::SlidingHash, Method::DenseAcc}) {
     for (const std::size_t cap : {2u, 3u, 4u}) {
       Options opts;
       opts.method = m;
@@ -455,8 +455,8 @@ TEST(Schedule, NnzBalancedMatchesOtherSchedulesExactly) {
   spec.avg_nnz_per_col = 8;
   spec.k = 8;  // make_workload requires a power of two
   const auto inputs = gen::make_workload(spec);
-  for (auto m : {Method::Heap, Method::Spa, Method::Hash,
-                 Method::SlidingHash}) {
+  for (auto m : {Method::Heap, Method::Hash, Method::SlidingHash,
+                 Method::DenseAcc}) {
     Options dyn;
     dyn.method = m;
     dyn.schedule = Schedule::Dynamic;

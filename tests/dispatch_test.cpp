@@ -22,9 +22,9 @@ TEST(Dispatch, EveryMethodProducesTheSameSum) {
   const auto inputs = random_collection(8, 128, 16, 300, 1);
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
   for (auto m : {Method::TwoWayIncremental, Method::TwoWayTree, Method::Heap,
-                 Method::Spa, Method::Hash, Method::SlidingHash,
-                 Method::DenseAcc, Method::ReferenceIncremental,
-                 Method::ReferenceTree, Method::Auto, Method::Hybrid}) {
+                 Method::Hash, Method::SlidingHash, Method::DenseAcc,
+                 Method::ReferenceIncremental, Method::ReferenceTree,
+                 Method::Auto}) {
     Options opts;
     opts.method = m;
     EXPECT_TRUE(approx_equal(oracle, core::spkadd(inputs, opts)))
@@ -72,17 +72,24 @@ TEST(AutoPolicy, ResolvesToThePerChunkPlanner) {
   Options opts;
   opts.llc_bytes = 32u << 20;  // plenty of cache
   opts.threads = 1;
-  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), opts), Method::Hybrid);
-  OpCounters auto_counts;
-  opts.counters = &auto_counts;
-  const Csc by_auto = core::spkadd(inputs, opts);
-  Options hybrid = opts;
-  hybrid.method = Method::Hybrid;
-  OpCounters hybrid_counts;
-  hybrid.counters = &hybrid_counts;
-  EXPECT_TRUE(by_auto == core::spkadd(inputs, hybrid));
-  EXPECT_GT(auto_counts.chunks_total(), 0u);
-  EXPECT_EQ(auto_counts.chunk_mix(), hybrid_counts.chunk_mix());
+  EXPECT_EQ(auto_select(std::span<const Csc>(inputs), opts), Method::Auto);
+  EXPECT_FALSE(method_kernel(Method::Auto).has_value());
+  OpCounters counters;
+  opts.counters = &counters;
+  (void)core::spkadd(inputs, opts);
+  EXPECT_GT(counters.chunks_total(), 0u);
+  EXPECT_EQ(counters.chunks_total(), planned_kernels(inputs, opts).size());
+}
+
+TEST(AutoPolicy, IsTheOnlyNameOfThePlanner) {
+  // "spa" named the sparse accumulator DenseAcc replaced and "hybrid" a
+  // second name of the planner; neither parses any more.
+  EXPECT_THROW((void)method_from_name("spa"), std::invalid_argument);
+  EXPECT_THROW((void)method_from_name("hybrid"), std::invalid_argument);
+  Options unsorted;
+  unsorted.inputs_sorted = false;
+  EXPECT_EQ(auto_select(3, Options{}), Method::Auto);
+  EXPECT_EQ(auto_select(2, unsorted), Method::Auto);
 }
 
 TEST(AutoPolicy, CacheOverflowPicksSlidingHash) {
@@ -109,7 +116,7 @@ TEST(AutoPolicy, PairOfSortedInputsUsesTree) {
   Options unsorted;
   unsorted.inputs_sorted = false;
   EXPECT_EQ(auto_select(std::span<const Csc>(inputs), unsorted),
-            Method::Hybrid);
+            Method::Auto);
 }
 
 TEST(AutoPolicy, DeterministicLlcBoundaryRegression) {
@@ -146,19 +153,15 @@ TEST(AutoPolicy, DeterministicLlcBoundaryRegression) {
 
 namespace {
 constexpr Method kAllMethods[] = {
-    Method::TwoWayIncremental, Method::TwoWayTree,
-    Method::Heap,              Method::Spa,
-    Method::Hash,              Method::SlidingHash,
-    Method::DenseAcc,
-    Method::ReferenceIncremental,
-    Method::ReferenceTree,     Method::Auto,
-    Method::Hybrid};
+    Method::TwoWayIncremental,    Method::TwoWayTree,    Method::Heap,
+    Method::Hash,                 Method::SlidingHash,   Method::DenseAcc,
+    Method::ReferenceIncremental, Method::ReferenceTree, Method::Auto};
 }  // namespace
 
 TEST(MethodName, AllNamesDistinct) {
   std::set<std::string> names;
   for (auto m : kAllMethods) names.insert(method_name(m));
-  EXPECT_EQ(names.size(), 11u);
+  EXPECT_EQ(names.size(), 9u);
 }
 
 TEST(MethodName, FromNameRoundTripsEveryMethod) {
@@ -171,7 +174,7 @@ TEST(MethodName, FromNameAcceptsCliSpellings) {
   EXPECT_EQ(method_from_name("SLIDING_HASH"), Method::SlidingHash);
   EXPECT_EQ(method_from_name("2way-tree"), Method::TwoWayTree);
   EXPECT_EQ(method_from_name("ref-tree"), Method::ReferenceTree);
-  EXPECT_EQ(method_from_name("Hybrid"), Method::Hybrid);
+  EXPECT_EQ(method_from_name("AUTO"), Method::Auto);
   EXPECT_EQ(method_from_name("dense"), Method::DenseAcc);
   EXPECT_EQ(method_from_name("DenseAcc"), Method::DenseAcc);
   EXPECT_THROW((void)method_from_name("hashish"), std::invalid_argument);

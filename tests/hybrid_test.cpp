@@ -1,4 +1,4 @@
-// The per-chunk planner behind Method::Auto and Method::Hybrid:
+// The per-chunk planner behind Method::Auto:
 // classification of the per-chunk Fig. 2 surface, bit-identity of the
 // mixed-kernel result to every single-kernel method and the reference
 // folds, and the chunk counters/consumer integrations (accumulator,
@@ -172,8 +172,11 @@ TEST(HybridPlanTest, DenseHubChunkSlidesWhileSparseChunksDoNot) {
 
 TEST(HybridBitIdentity, MatchesEverySingleKernelMethodOnGrids) {
   // Every column kernel accumulates equal-row values strictly left to
-  // right, so hybrid's per-chunk mix must reproduce each single-kernel
-  // method bit for bit — raw FP values, no quantization.
+  // right, so the planner's per-chunk mix must reproduce each
+  // single-kernel method bit for bit — raw FP values, no quantization.
+  // The planner runs through kway_add with no kernel, so k=2 is planned
+  // too: spkadd sends a sorted pair to the 2-way tree, but the
+  // Accumulator plans one whenever it masks its dense-resident columns.
   for (const gen::Pattern p : {gen::Pattern::ER, gen::Pattern::RMAT}) {
     for (const int k : {2, 8, 16}) {
       for (const int d : {2, 32}) {
@@ -186,11 +189,14 @@ TEST(HybridBitIdentity, MatchesEverySingleKernelMethodOnGrids) {
         spec.seed = 500 + static_cast<std::uint64_t>(k) * 17 +
                     static_cast<std::uint64_t>(d);
         const auto inputs = gen::make_workload(spec);
-        Options hopts;
-        hopts.method = Method::Hybrid;
-        const Csc hybrid = core::spkadd(inputs, hopts);
-        for (const Method m : {Method::Heap, Method::Spa, Method::Hash,
-                               Method::SlidingHash}) {
+        std::vector<const Csc*> ptrs;
+        core::detail::borrow_all(std::span<const Csc>(inputs), ptrs);
+        Runtime<std::int32_t, double> rt;
+        const Csc hybrid = kway_add(MatrixPtrs<std::int32_t, double>(ptrs),
+                                    Options{}, std::nullopt, rt);
+        EXPECT_TRUE(hybrid == core::spkadd(inputs)) << "Auto k=" << k;
+        for (const Method m : {Method::Heap, Method::Hash,
+                               Method::SlidingHash, Method::DenseAcc}) {
           Options opts;
           opts.method = m;
           EXPECT_TRUE(hybrid == core::spkadd(inputs, opts))
@@ -216,7 +222,7 @@ TEST(HybridBitIdentity, MatchesReferenceFoldsOnQuantizedValues) {
     auto inputs = gen::make_workload(spec);
     quantize(inputs);
     Options hopts;
-    hopts.method = Method::Hybrid;
+    hopts.method = Method::Auto;
     const Csc hybrid = core::spkadd(inputs, hopts);
     for (const Method m :
          {Method::ReferenceTree, Method::ReferenceIncremental,
@@ -232,7 +238,7 @@ TEST(HybridBitIdentity, AllEmptyColumns) {
   std::vector<Csc> empties;
   for (int i = 0; i < 4; ++i) empties.emplace_back(64, 8);
   Options opts;
-  opts.method = Method::Hybrid;
+  opts.method = Method::Auto;
   const Csc out = core::spkadd(empties, opts);
   EXPECT_EQ(out.nnz(), 0u);
   Options hash_opts;
@@ -243,7 +249,7 @@ TEST(HybridBitIdentity, AllEmptyColumns) {
 TEST(HybridBitIdentity, DenseHubAmongSparseMixesKernels) {
   const auto inputs = hub_collection(8, 4096, 16, 77);
   Options opts;
-  opts.method = Method::Hybrid;
+  opts.method = Method::Auto;
   opts.threads = 2;
   // fit = 1000 entries: the hub column (8 * ~2048 input nnz) overflows,
   // the sparse columns do not.
@@ -269,7 +275,7 @@ TEST(HybridBitIdentity, DenseHubChunkDispatchesDenseAcc) {
   // to a plain hash run.
   const auto inputs = hub_collection(8, 1024, 16, 177);
   Options opts;
-  opts.method = Method::Hybrid;
+  opts.method = Method::Auto;
   opts.threads = 2;
   // dense_fit = llc / ((8+1)*2) = 2048 rows >= 1024; the hub column's
   // ~4096 summed input nnz would overflow the sliding fit of 1536.
@@ -294,7 +300,7 @@ TEST(HybridBitIdentity, IdenticalAcrossSchedules) {
   for (const Schedule s :
        {Schedule::Dynamic, Schedule::Static, Schedule::NnzBalanced}) {
     Options opts;
-    opts.method = Method::Hybrid;
+    opts.method = Method::Auto;
     opts.schedule = s;
     results[i++] = core::spkadd(inputs, opts);
   }
@@ -305,7 +311,7 @@ TEST(HybridBitIdentity, IdenticalAcrossSchedules) {
 TEST(HybridBitIdentity, UnsortedOutputCanonicalizesToSorted) {
   const auto inputs = random_collection(8, 512, 16, 600, 31);
   Options sorted_opts;
-  sorted_opts.method = Method::Hybrid;
+  sorted_opts.method = Method::Auto;
   Options unsorted_opts = sorted_opts;
   unsorted_opts.sorted_output = false;
   const Csc sorted = core::spkadd(inputs, sorted_opts);
@@ -318,7 +324,7 @@ TEST(HybridBitIdentity, UnsortedInputsMatchHash) {
   auto inputs = random_collection(8, 512, 16, 600, 41);
   for (auto& m : inputs) gen::shuffle_columns(m, 99);
   Options opts;
-  opts.method = Method::Hybrid;
+  opts.method = Method::Auto;
   opts.inputs_sorted = false;
   const Csc hybrid = core::spkadd(inputs, opts);
   Options hash_opts = opts;
@@ -371,7 +377,6 @@ TEST(HybridBitIdentity, DefaultOptionsMixKernelsOnRmatHub) {
     EXPECT_GE(kernels, 2) << "T=" << threads << " mix "
                           << counters.chunk_mix();
     EXPECT_GT(counters.chunks_dense, 0u) << counters.chunk_mix();
-    EXPECT_EQ(counters.chunks_spa, 0u);
   }
 }
 
@@ -382,7 +387,7 @@ TEST(HybridBitIdentity, DefaultOptionsMixKernelsOnRmatHub) {
 TEST(HybridCounters, ChunkCountsMatchThePlan) {
   const auto inputs = random_collection(8, 512, 32, 800, 51);
   Options opts;
-  opts.method = Method::Hybrid;
+  opts.method = Method::Auto;
   opts.threads = 3;
   OpCounters counters;
   opts.counters = &counters;
@@ -400,7 +405,7 @@ TEST(HybridDispatch, HeapChunksRequireActuallySortedInputs) {
   auto inputs = random_collection(3, 1 << 16, 8, 60, 81);
   for (auto& m : inputs) gen::shuffle_columns(m, 5);
   Options opts;
-  opts.method = Method::Hybrid;
+  opts.method = Method::Auto;
   opts.inputs_sorted = true;  // a lie
   ASSERT_TRUE(plan_for(inputs, opts).uses(ColumnKernel::Heap));
   EXPECT_THROW((void)core::spkadd(inputs, opts), std::invalid_argument);
@@ -413,7 +418,7 @@ TEST(HybridDispatch, HeapChunksRequireActuallySortedInputs) {
 TEST(HybridConsumers, AccumulatorStreamingIsBitIdenticalToOneShot) {
   const auto inputs = random_collection(20, 512, 16, 700, 91);
   Options opts;
-  opts.method = Method::Hybrid;
+  opts.method = Method::Auto;
   const Csc one_shot = core::spkadd(inputs, opts);
 
   Accumulator<> acc(512, 16, opts, /*batch_capacity=*/4);

@@ -1,9 +1,10 @@
-// k-way column-kernel methods (heap, SPA, hash, sliding hash, dense
-// accumulator) through core::spkadd — correctness against the dense
-// oracle, edge cases, sorted/unsorted modes, counters, the dense
-// accumulator's bits on special values at its bitmap boundaries — and the
-// one column driver (core::kway_add): its chunk cutter and skip mask under
-// every method, schedule and team size, and its team-size discipline.
+// k-way column-kernel methods (heap, hash, sliding hash, and the dense
+// accumulator that is the paper's SPA) through core::spkadd — correctness
+// against the dense oracle, edge cases, sorted/unsorted modes, counters,
+// the dense accumulator's bits on special values at its bitmap
+// boundaries — and the one column driver (core::kway_add): its chunk
+// cutter and skip mask under every method, schedule and team size, and
+// its team-size discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,8 +33,8 @@ using spkadd::testing::random_collection;
 using Csc = spkadd::testing::Csc;
 
 /// Every method that runs a single column kernel on every chunk.
-constexpr Method kSingleKernelMethods[] = {Method::Heap, Method::Spa,
-                                           Method::Hash, Method::SlidingHash,
+constexpr Method kSingleKernelMethods[] = {Method::Heap, Method::Hash,
+                                           Method::SlidingHash,
                                            Method::DenseAcc};
 
 /// core::spkadd with `method` set on `opts`.
@@ -66,9 +67,9 @@ TEST_F(KwayDriverTest, HeapReproducesPaperFigure1) {
   EXPECT_TRUE(approx_equal(paper_result(), add(inputs, Method::Heap)));
 }
 
-TEST_F(KwayDriverTest, SpaReproducesPaperFigure1) {
+TEST_F(KwayDriverTest, DenseAccReproducesPaperFigure1) {
   const auto inputs = paper_example();
-  EXPECT_TRUE(approx_equal(paper_result(), add(inputs, Method::Spa)));
+  EXPECT_TRUE(approx_equal(paper_result(), add(inputs, Method::DenseAcc)));
 }
 
 TEST_F(KwayDriverTest, HashReproducesPaperFigure1) {
@@ -137,14 +138,14 @@ TEST_F(KwayDriverTest, CancellationKeepsStructuralZero) {
   EXPECT_DOUBLE_EQ(out.at(2, 0), 0.0);
 }
 
-TEST_F(KwayDriverTest, HashAndSpaAcceptUnsortedInputs) {
+TEST_F(KwayDriverTest, HashAndDenseAccAcceptUnsortedInputs) {
   auto inputs = random_collection(4, 128, 8, 200, 9);
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
   for (std::size_t i = 0; i < inputs.size(); ++i)
     spkadd::gen::shuffle_columns(inputs[i], 1000 + i);
   Options opts;
   opts.inputs_sorted = false;
-  for (const Method m : {Method::Hash, Method::Spa, Method::DenseAcc})
+  for (const Method m : {Method::Hash, Method::DenseAcc})
     EXPECT_TRUE(approx_equal(oracle, add(inputs, m, opts))) << method_name(m);
   Options sliding_opts = opts;
   sliding_opts.max_table_entries = 16;  // force the filtered sliding path
@@ -168,7 +169,7 @@ TEST_F(KwayDriverTest, UnsortedOutputHasSameEntrySet) {
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
   Options opts;
   opts.sorted_output = false;
-  for (const Method m : {Method::Hash, Method::Spa, Method::DenseAcc})
+  for (const Method m : {Method::Hash, Method::DenseAcc})
     EXPECT_TRUE(approx_equal(oracle, canonicalized(add(inputs, m, opts))))
         << method_name(m);
 }
@@ -204,20 +205,20 @@ TEST_F(KwayDriverTest, SlidingHashRespectsLlcBudgetOption) {
 
 TEST_F(KwayDriverTest, CountersTrackWork) {
   const auto inputs = random_collection(8, 256, 16, 500, 55);
-  OpCounters heap_c, hash_c, spa_c;
+  OpCounters heap_c, hash_c, dense_c;
   Options opts;
   opts.counters = &heap_c;
   (void)add(inputs, Method::Heap, opts);
   opts.counters = &hash_c;
   (void)add(inputs, Method::Hash, opts);
-  opts.counters = &spa_c;
-  (void)add(inputs, Method::Spa, opts);
+  opts.counters = &dense_c;
+  (void)add(inputs, Method::DenseAcc, opts);
 
   const std::size_t input_nnz = detail::total_nnz(std::span<const Csc>(inputs));
   // Every input entry passes through each structure at least once.
   EXPECT_GE(heap_c.heap_ops, input_nnz);
   EXPECT_GE(hash_c.hash_probes, input_nnz);
-  EXPECT_GE(spa_c.spa_touches, input_nnz);
+  EXPECT_GE(dense_c.dense_touches, input_nnz);
   EXPECT_GT(heap_c.bytes_moved, 0u);
 }
 
@@ -254,8 +255,7 @@ TEST_F(KwayDriverTest, WideMatrixManyEmptyColumns) {
     inputs.push_back(from_triplets(
         8, 64, {{i, i * 7 % 64, 1.0}, {7 - i, (i * 13 + 1) % 64, 2.0}}));
   const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  for (const Method m :
-       {Method::Hash, Method::Heap, Method::Spa, Method::DenseAcc})
+  for (const Method m : {Method::Hash, Method::Heap, Method::DenseAcc})
     EXPECT_TRUE(approx_equal(oracle, add(inputs, m))) << method_name(m);
 }
 
@@ -409,10 +409,9 @@ TEST(ColumnDriver, EveryMethodScheduleAndTeamMatchesHeap) {
   const FloatCsc heap = core::spkadd(inputs, heap_opts);
   const int nproc =
       static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
-  for (const Method m :
-       {Method::Heap, Method::Spa, Method::Hash, Method::SlidingHash,
-        Method::DenseAcc, Method::Hybrid, Method::Auto}) {
-    const bool planned = m == Method::Hybrid || m == Method::Auto;
+  for (const Method m : {Method::Heap, Method::Hash, Method::SlidingHash,
+                         Method::DenseAcc, Method::Auto}) {
+    const bool planned = m == Method::Auto;
     for (const Schedule s :
          {Schedule::Dynamic, Schedule::Static, Schedule::NnzBalanced}) {
       for (const int t : {1, 3, nproc}) {

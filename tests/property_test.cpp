@@ -76,17 +76,16 @@ TEST_P(SpkaddSweep, MatchesDenseOracle) {
 std::vector<SweepCase> sweep_cases() {
   std::vector<SweepCase> cases;
   const Method methods[] = {Method::TwoWayIncremental, Method::TwoWayTree,
-                            Method::Heap, Method::Spa, Method::Hash,
-                            Method::SlidingHash, Method::DenseAcc,
-                            Method::Hybrid};
+                            Method::Heap, Method::Hash, Method::SlidingHash,
+                            Method::DenseAcc, Method::Auto};
   for (Pattern p : {Pattern::ER, Pattern::RMAT})
     for (int k : {2, 4, 8, 16})
       for (int d : {2, 8, 32})
         for (Method m : methods) {
           cases.push_back({p, k, d, m, true});
-          // Unsorted output only for the methods that can skip the sort.
-          if (m == Method::Spa || m == Method::Hash ||
-              m == Method::SlidingHash || m == Method::Hybrid)
+          // Unsorted output for the methods that run a column kernel.
+          if (m == Method::Hash || m == Method::SlidingHash ||
+              m == Method::DenseAcc || m == Method::Auto)
             cases.push_back({p, k, d, m, false});
         }
   return cases;
@@ -148,10 +147,8 @@ void check_generic_roundtrip() {
   };
   const auto hash_out = add(Method::Hash);
   const auto heap_out = add(Method::Heap);
-  const auto spa_out = add(Method::Spa);
   const auto dense_out = add(Method::DenseAcc);
   EXPECT_TRUE(hash_out == heap_out);
-  EXPECT_TRUE(hash_out == spa_out);
   EXPECT_TRUE(hash_out == dense_out);
   EXPECT_EQ(hash_out.rows(), 16);
 }

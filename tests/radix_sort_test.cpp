@@ -1,4 +1,4 @@
-// Radix sort used by the hash/SPA emission paths.
+// Radix sort used by the hash kernels' emission paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -121,45 +121,6 @@ TEST(RadixSortPairs, Int32MaxKeys) {
   EXPECT_EQ(keys.back(), INT32_MAX);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_DOUBLE_EQ(vals[i], static_cast<double>(keys[i]));
-}
-
-TEST(RadixSortKeys, EmptySingleAndAllEqual) {
-  std::vector<std::int32_t> scratch;
-  radix_sort_keys<std::int32_t>(nullptr, 0, scratch);
-
-  std::int32_t one = 9;
-  radix_sort_keys(&one, 1, scratch);
-  EXPECT_EQ(one, 9);
-
-  std::vector<std::int32_t> keys(2048, 7);
-  radix_sort_keys(keys.data(), keys.size(), scratch);
-  EXPECT_TRUE(std::all_of(keys.begin(), keys.end(),
-                          [](std::int32_t k) { return k == 7; }));
-}
-
-TEST(RadixSortKeys, Int32MaxKeys) {
-  std::vector<std::int32_t> keys(512);
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    keys[i] = static_cast<std::int32_t>(INT32_MAX - (i * 37) % 1000);
-  auto expected = keys;
-  std::sort(expected.begin(), expected.end());
-  std::vector<std::int32_t> scratch;
-  radix_sort_keys(keys.data(), keys.size(), scratch);
-  EXPECT_EQ(keys, expected);
-}
-
-TEST(RadixSortKeys, MatchesStdSort) {
-  for (std::size_t n : {0u, 1u, 17u, 127u, 128u, 5000u}) {
-    Xoshiro256 rng(n + 1);
-    std::vector<std::int32_t> keys(n);
-    for (auto& k : keys)
-      k = static_cast<std::int32_t>(rng.bounded(1u << 24));
-    auto expected = keys;
-    std::sort(expected.begin(), expected.end());
-    std::vector<std::int32_t> scratch;
-    radix_sort_keys(keys.data(), keys.size(), scratch);
-    EXPECT_EQ(keys, expected) << "n=" << n;
-  }
 }
 
 }  // namespace

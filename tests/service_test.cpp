@@ -491,7 +491,7 @@ TEST(LatencyHistogram, QuantilesClampedToRecordedMax) {
 }
 
 TEST(AggService, HybridFoldsMatchOneShotAndReportChunkMix) {
-  // Per-chunk hybrid dispatch as the shard fold method: the concurrent
+  // The per-chunk planner as the shard fold method: the concurrent
   // sharded sum must stay bit-identical to one-shot spkadd (integer
   // values), and the per-shard chunk-dispatch counters must surface the
   // kernel mix through ServiceStats.
@@ -505,7 +505,7 @@ TEST(AggService, HybridFoldsMatchOneShotAndReportChunkMix) {
   cfg.shards = 3;
   cfg.workers = 2;
   cfg.batch_window = 4;
-  cfg.options.method = spkadd::core::Method::Hybrid;
+  cfg.options.method = spkadd::core::Method::Auto;
   AggService svc(cfg);
   std::vector<std::thread> producers;
   for (int p = 0; p < 2; ++p)
@@ -519,9 +519,7 @@ TEST(AggService, HybridFoldsMatchOneShotAndReportChunkMix) {
 
   const auto st = svc.stats();
   std::uint64_t chunks = 0;
-  for (const auto& sh : st.shards)
-    chunks += sh.chunks_heap + sh.chunks_spa + sh.chunks_hash +
-              sh.chunks_sliding + sh.chunks_dense;
+  for (const auto& sh : st.shards) chunks += sh.counters.chunks_total();
   EXPECT_GT(chunks, 0u);
 }
 

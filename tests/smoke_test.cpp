@@ -33,7 +33,8 @@ TEST(Smoke, AllMethodsAgreeOnTinyWorkload) {
 
   for (auto m : {spkadd::core::Method::TwoWayIncremental,
                  spkadd::core::Method::TwoWayTree, spkadd::core::Method::Heap,
-                 spkadd::core::Method::Spa, spkadd::core::Method::SlidingHash,
+                 spkadd::core::Method::DenseAcc,
+                 spkadd::core::Method::SlidingHash,
                  spkadd::core::Method::ReferenceIncremental,
                  spkadd::core::Method::ReferenceTree,
                  spkadd::core::Method::Auto}) {

@@ -120,32 +120,6 @@ TEST(FilterRange, SplitsByRow) {
 }
 
 // ------------------------------------------------------------- workspaces
-TEST(Workspace, SpaGenerationsAvoidClearing) {
-  SpaWorkspace<std::int32_t, double> spa;
-  spa.ensure_rows(16);
-  spa.new_column();
-  spa.add(3, 1.0);
-  spa.add(3, 2.0);
-  spa.add(7, 5.0);
-  EXPECT_EQ(spa.touched.size(), 2u);
-  EXPECT_DOUBLE_EQ(spa.values[3], 3.0);
-  spa.new_column();  // old entries invisible without clearing
-  EXPECT_FALSE(spa.occupied(3));
-  spa.add(3, 9.0);
-  EXPECT_DOUBLE_EQ(spa.values[3], 9.0);
-}
-
-TEST(Workspace, SpaSurvivesGenerationWraparound) {
-  SpaWorkspace<std::int32_t, double> spa;
-  spa.ensure_rows(4);
-  spa.generation = ~0u;  // force the wrap on next new_column
-  spa.new_column();
-  EXPECT_EQ(spa.generation, 1u);
-  spa.add(0, 1.0);
-  EXPECT_TRUE(spa.occupied(0));
-  EXPECT_FALSE(spa.occupied(1));
-}
-
 TEST(Workspace, HashResetOnlyTouchesRequestedEntries) {
   HashWorkspace<std::int32_t, double> ws;
   ws.reset(8);
