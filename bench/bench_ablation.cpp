@@ -1,8 +1,7 @@
-// Ablation bench for three design choices of the column kernels (see
-// docs/ARCHITECTURE.md, "Scheduling" and "Kernel dispatch"):
-//   1. dynamic vs static column scheduling on skewed (RMAT) inputs;
-//   2. sorted vs unsorted output for the hash family (the sort's share);
-//   3. the symbolic phase's share of total time vs compression factor
+// Ablation bench for two design choices of the column kernels (see
+// docs/ARCHITECTURE.md, "Kernel dispatch"):
+//   1. sorted vs unsorted output for the hash family (the sort's share);
+//   2. the symbolic phase's share of total time vs compression factor
 //      (why the sliding *symbolic* matters most at high cf).
 #include <iostream>
 
@@ -40,37 +39,11 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   const int reps = static_cast<int>(*repeats);
 
-  bench::print_header("Ablations — scheduling, sorting, symbolic share",
-                      "design choices of §III-A and §II-D");
+  bench::print_header("Ablations — sorting, symbolic share",
+                      "design choices of §II-D and Fig. 6");
 
-  // ---- 1. dynamic vs static scheduling --------------------------------
-  std::cout << "### 1. Column scheduling on skewed inputs (Hash method)\n";
-  {
-    util::TablePrinter table({"workload", "dynamic (s)", "static (s)",
-                              "static/dynamic"});
-    for (auto p : {gen::Pattern::ER, gen::Pattern::RMAT}) {
-      const auto inputs =
-          workload(p, *rows, 256, 128, 32, 7001);
-      core::Options dyn;
-      dyn.schedule = core::Schedule::Dynamic;
-      core::Options sta;
-      sta.schedule = core::Schedule::Static;
-      const double td =
-          bench::time_spkadd(inputs, core::Method::Hash, dyn, reps);
-      const double ts =
-          bench::time_spkadd(inputs, core::Method::Hash, sta, reps);
-      table.add_row({p == gen::Pattern::ER ? "ER (uniform)" : "RMAT (skewed)",
-                     util::TablePrinter::fmt_seconds(td),
-                     util::TablePrinter::fmt_seconds(ts),
-                     util::TablePrinter::fmt_ratio(ts / td)});
-    }
-    table.print(std::cout);
-    std::cout << "expected: ~1.0 for ER; >= 1.0 for RMAT, growing with "
-                 "thread count (single-core hosts show parity).\n\n";
-  }
-
-  // ---- 2. sorted vs unsorted output ------------------------------------
-  std::cout << "### 2. Output sorting cost (hash family)\n";
+  // ---- 1. sorted vs unsorted output ------------------------------------
+  std::cout << "### 1. Output sorting cost (hash family)\n";
   {
     util::TablePrinter table(
         {"method", "sorted (s)", "unsorted (s)", "sorted/unsorted"});
@@ -91,8 +64,8 @@ int main(int argc, char** argv) {
                  "local-multiply saving the paper reports in Fig. 6).\n\n";
   }
 
-  // ---- 3. symbolic share vs compression factor -------------------------
-  std::cout << "### 3. Symbolic-phase share vs compression factor\n";
+  // ---- 2. symbolic share vs compression factor -------------------------
+  std::cout << "### 2. Symbolic-phase share vs compression factor\n";
   {
     util::TablePrinter table({"workload", "cf", "symbolic (s)", "total (s)",
                               "symbolic share"});

@@ -122,7 +122,7 @@ std::vector<SkewPreset> make_skew_presets(std::int64_t rows,
   return presets;
 }
 
-double time_median(int repeats, const std::function<void()>& fn) {
+Timing time_median(int repeats, const std::function<void()>& fn) {
   std::vector<double> laps;
   laps.reserve(static_cast<std::size_t>(std::max(1, repeats)));
   for (int r = 0; r < std::max(1, repeats); ++r) {
@@ -132,13 +132,19 @@ double time_median(int repeats, const std::function<void()>& fn) {
   }
   std::sort(laps.begin(), laps.end());
   const std::size_t n = laps.size();
-  return n % 2 == 1 ? laps[n / 2] : 0.5 * (laps[n / 2 - 1] + laps[n / 2]);
+  Timing out;
+  out.median =
+      n % 2 == 1 ? laps[n / 2] : 0.5 * (laps[n / 2 - 1] + laps[n / 2]);
+  out.min = laps.front();
+  out.p90 = laps[(9 * n + 9) / 10 - 1];  // rank ceil(0.9 n)
+  out.reps = static_cast<int>(n);
+  return out;
 }
 
 SampleLog::SampleLog(std::string bench) : bench_(std::move(bench)) {}
 
 void SampleLog::add(const std::string& name, const std::string& config,
-                    double seconds, std::size_t peak_intermediate_nnz) {
+                    const Timing& seconds, std::size_t peak_intermediate_nnz) {
   samples_.push_back(Sample{name, config, seconds, peak_intermediate_nnz});
 }
 
@@ -155,15 +161,21 @@ bool SampleLog::write(const std::string& path) const {
       << "  \"machine\": \""
       << util::json_escape(util::cached_machine().summary()) << "\",\n"
       << "  \"samples\": [";
+  const auto secs = [](double v) {
+    std::ostringstream o;
+    o.precision(9);
+    o << v;
+    return o.str();
+  };
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     const Sample& s = samples_[i];
-    std::ostringstream secs;
-    secs.precision(9);
-    secs << s.seconds;
     out << (i == 0 ? "\n" : ",\n")
         << "    {\"name\": \"" << util::json_escape(s.name) << "\", "
         << "\"config\": \"" << util::json_escape(s.config) << "\", "
-        << "\"median_seconds\": " << secs.str() << ", "
+        << "\"median_seconds\": " << secs(s.seconds.median) << ", "
+        << "\"min_seconds\": " << secs(s.seconds.min) << ", "
+        << "\"p90_seconds\": " << secs(s.seconds.p90) << ", "
+        << "\"reps\": " << s.seconds.reps << ", "
         << "\"peak_intermediate_nnz\": " << s.peak_intermediate_nnz << "}";
   }
   out << "\n  ]\n}\n";

@@ -56,28 +56,45 @@ std::string cell(double seconds);
 /// print more than one digit.
 std::string gnnz_per_s(std::size_t nnz, double seconds);
 
-/// Median-of-`repeats` wall time of `fn` in seconds — the statistic logged
-/// to the JSON perf trajectory (robust to one-off outliers, unlike min).
-double time_median(int repeats, const std::function<void()>& fn);
+/// The laps of one repeated wall-time measurement, in seconds: the
+/// median and the spread every SampleLog sample records.
+struct Timing {
+  double median = 0;
+  double min = 0;
+  double p90 = 0;  ///< nearest-rank 90th percentile
+  int reps = 1;
+
+  /// A value that is not a median of repeated laps (a per-update mean, a
+  /// latency quantile): one rep, whose min and p90 are the value itself.
+  [[nodiscard]] static Timing once(double seconds) {
+    return {seconds, seconds, seconds, 1};
+  }
+};
+
+/// `repeats` wall-time laps of `fn`, summarized. The median is the
+/// statistic the JSON perf trajectory compares (robust to one-off
+/// outliers, unlike min); min and p90 record the laps' spread.
+Timing time_median(int repeats, const std::function<void()>& fn);
 
 /// One machine-readable benchmark sample.
 struct Sample {
   std::string name;    ///< what was measured, e.g. "streaming/RMAT/k=64"
   std::string config;  ///< free-form knobs, e.g. "grid=4 window=2"
-  double seconds = 0;  ///< median-of-repeats wall seconds
+  Timing seconds;      ///< wall seconds
   std::size_t peak_intermediate_nnz = 0;  ///< 0 when not applicable
 };
 
 /// Collects samples and writes the bench's `--json <path>` document:
 ///   {"bench": ..., "version": ..., "machine": ..., "samples": [...]}
-/// scripts/bench_smoke.sh merges these per-bench documents into the
-/// BENCH_summa.json perf-trajectory artifact.
+/// where each sample carries median_seconds, min_seconds, p90_seconds and
+/// reps (schema 2). scripts/bench_smoke.sh merges these per-bench
+/// documents into the BENCH_*.json perf-trajectory artifacts.
 class SampleLog {
  public:
   explicit SampleLog(std::string bench);
 
-  void add(const std::string& name, const std::string& config, double seconds,
-           std::size_t peak_intermediate_nnz = 0);
+  void add(const std::string& name, const std::string& config,
+           const Timing& seconds, std::size_t peak_intermediate_nnz = 0);
 
   /// Write the JSON document; returns false (with a stderr note) when the
   /// file cannot be opened.

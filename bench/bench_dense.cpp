@@ -102,9 +102,10 @@ int main(int argc, char** argv) {
       core::Options opts = base;
       opts.method = m;
       Csc out;
-      const double t = bench::time_median(
+      const bench::Timing lap = bench::time_median(
           static_cast<int>(*repeats),
           [&] { out = core::spkadd(inputs, opts); });
+      const double t = lap.median;
       if (!(out == expected)) {
         std::cerr << "MISMATCH: " << core::method_name(m) << " at density "
                   << density << " is not bit-identical to Hash\n";
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
       table.add_row({dens, core::method_name(m), bench::gnnz_per_s(in_nnz, t),
                      ratio_cell(t > 0.0 ? t_hash / t : 0.0)});
       log.add("density=" + std::string(dens) + "/" + core::method_name(m),
-              shape + " density=" + dens, t, in_nnz);
+              shape + " density=" + dens, lap, in_nnz);
     }
   }
   table.print(std::cout);
@@ -145,9 +146,9 @@ int main(int argc, char** argv) {
                                 static_cast<std::int32_t>(*cols), base, 4,
                                 off);
         t_off = bench::time_median(static_cast<int>(*repeats), [&] {
-          acc.add_batch(std::span<const Csc>(inputs));
-          expected = acc.finalize();
-        });
+                  acc.add_batch(std::span<const Csc>(inputs));
+                  expected = acc.finalize();
+                }).median;
       }
       for (const double fill : fills) {
         core::DensePolicy dense;
@@ -161,10 +162,12 @@ int main(int argc, char** argv) {
                                 static_cast<std::int32_t>(*cols), base, 4,
                                 dense);
         Csc out;
-        const double t = bench::time_median(static_cast<int>(*repeats), [&] {
-          acc.add_batch(std::span<const Csc>(inputs));
-          out = acc.finalize();
-        });
+        const bench::Timing lap =
+            bench::time_median(static_cast<int>(*repeats), [&] {
+              acc.add_batch(std::span<const Csc>(inputs));
+              out = acc.finalize();
+            });
+        const double t = lap.median;
         if (!(out == expected)) {
           std::cerr << "MISMATCH: promote_fill=" << fill << " k=" << kk
                     << " density=" << density
@@ -185,7 +188,7 @@ int main(int argc, char** argv) {
                     std::to_string(kk) + "/density=" + dbuf,
                 dims + " k=" + std::to_string(kk) + " fill=" + fbuf +
                     " density=" + dbuf,
-                t);
+                lap);
       }
     }
   }

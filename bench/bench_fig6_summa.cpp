@@ -77,9 +77,9 @@ void run_dataset(const std::string& name,
     streaming_cfg.stream_window = window;
 
     // A*A: similarity self-join, as in HipMCL's expansion.
-    const double t_buffered = bench::time_median(
+    const bench::Timing t_buffered = bench::time_median(
         repeats, [&] { buffered = summa::multiply(m, m, buffered_cfg); });
-    const double t_streaming = bench::time_median(
+    const bench::Timing t_streaming = bench::time_median(
         repeats, [&] { streaming = summa::multiply(m, m, streaming_cfg); });
     if (!(streaming.c == buffered.c)) {
       std::cerr << "MISMATCH: streaming C differs from buffered C ("
@@ -93,8 +93,8 @@ void run_dataset(const std::string& name,
           {r.name, is_stream ? "streaming" : "buffered",
            util::TablePrinter::fmt_seconds(run->multiply_seconds),
            util::TablePrinter::fmt_seconds(run->spkadd_seconds),
-           util::TablePrinter::fmt_seconds(is_stream ? t_streaming
-                                                     : t_buffered),
+           util::TablePrinter::fmt_seconds(is_stream ? t_streaming.median
+                                                     : t_buffered.median),
            mnnz(run->peak_intermediate_nnz),
            util::TablePrinter::fmt_ratio(run->compression_factor)});
     }
@@ -105,7 +105,9 @@ void run_dataset(const std::string& name,
                   static_cast<double>(streaming.peak_intermediate_nnz);
     std::cerr << "done: " << r.name << " — streaming peak live nnz "
               << footprint_cut << "x smaller, wall "
-              << (t_streaming > 0 ? t_buffered / t_streaming : 0.0)
+              << (t_streaming.median > 0
+                      ? t_buffered.median / t_streaming.median
+                      : 0.0)
               << "x the buffered throughput\n";
     log.add(name + "/" + r.name + "/buffered", shape, t_buffered,
             buffered.peak_intermediate_nnz);

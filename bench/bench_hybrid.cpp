@@ -105,9 +105,10 @@ int main(int argc, char** argv) {
       core::Options opts = base;
       opts.method = m;
       Csc out;
-      const double t = bench::time_median(
+      const bench::Timing lap = bench::time_median(
           static_cast<int>(*repeats),
           [&] { out = core::spkadd(p.inputs, opts); });
+      const double t = lap.median;
       if (!(out == expected)) {
         std::cerr << "MISMATCH: " << core::method_name(m) << " on " << p.name
                   << " is not bit-identical to Hash\n";
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
       table.add_row(
           {p.name, core::method_name(m), bench::gnnz_per_s(in_nnz, t), mix});
       log.add(p.name + "/" + core::method_name(m),
-              shape + (mix == "-" ? "" : " chunks=" + mix), t, in_nnz);
+              shape + (mix == "-" ? "" : " chunks=" + mix), lap, in_nnz);
     }
     verdict.add_row({p.name, best_name, pct(t_auto / best_single)});
   }

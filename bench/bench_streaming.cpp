@@ -7,8 +7,7 @@
 //     batch plus the running sum plus persistent scratch).
 // Reports throughput (summed input nonzeros per second through the
 // reducer) and the peak-intermediate footprint of each strategy, for
-// k in {64, 256} (…512 with --full) on ER and RMAT streams, plus the
-// schedule sweep (dynamic vs nnz-balanced) on the skewed RMAT case.
+// k in {64, 256} (…512 with --full) on ER and RMAT streams.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -51,16 +50,13 @@ int main(int argc, char** argv) {
   const auto* full = cli.add_flag("full", "also run k=512 (slow)");
   const auto* method_flag = cli.add_string(
       "method", "auto", "SpKAdd method (auto, hash, dense, ...)");
-  const auto* schedule_flag = cli.add_string(
-      "schedule", "dynamic", "column schedule (dynamic|static|nnz-balanced)");
   const auto* json = cli.add_string("json", "", "write JSON samples here");
   if (!cli.parse(argc, argv)) return 1;
 
   core::Options base_opts;
   try {
-    // Central parsers (core/method.cpp) — no per-bench string->enum maps.
+    // Central parser (core/method.cpp) — no per-bench string->enum map.
     base_opts.method = core::method_from_name(*method_flag);
-    base_opts.schedule = core::schedule_from_name(*schedule_flag);
   } catch (const std::invalid_argument& e) {
     std::cerr << "bench_streaming: " << e.what() << "\n";
     return 1;
@@ -104,9 +100,9 @@ int main(int argc, char** argv) {
       // counted run surfaces the per-chunk kernel mix
       // (heap/hash/sliding/dense) without polluting the timed laps.
       Csc one_shot = core::spkadd(inputs, opts);
-      const double t_one = bench::time_median(static_cast<int>(*repeats), [&] {
-        one_shot = core::spkadd(inputs, opts);
-      });
+      const bench::Timing t_one =
+          bench::time_median(static_cast<int>(*repeats),
+                             [&] { one_shot = core::spkadd(inputs, opts); });
       std::string mix = "-";
       if (opts.method == core::Method::Auto) {
         core::OpCounters counters;
@@ -116,7 +112,7 @@ int main(int argc, char** argv) {
         mix = counters.chunk_mix();
       }
       table.add_row({pname, std::to_string(k), "one-shot",
-                     bench::gnnz_per_s(in_nnz, t_one),
+                     bench::gnnz_per_s(in_nnz, t_one.median),
                      mib(inputs_bytes(inputs) + one_shot.storage_bytes()),
                      std::to_string(one_shot.nnz()), mix});
       log.add(std::string(pname) + "/k=" + std::to_string(k) + "/one-shot",
@@ -129,13 +125,13 @@ int main(int argc, char** argv) {
                               static_cast<std::size_t>(*batch));
       for (const auto& m : inputs) acc.add(m);
       Csc streamed = acc.finalize();  // untimed warm-up pass
-      const double t_stream =
+      const bench::Timing t_stream =
           bench::time_median(static_cast<int>(*repeats), [&] {
             for (const auto& m : inputs) acc.add(m);
             streamed = acc.finalize();
           });
       table.add_row({pname, std::to_string(k), "accumulator",
-                     bench::gnnz_per_s(in_nnz, t_stream),
+                     bench::gnnz_per_s(in_nnz, t_stream.median),
                      mib(acc.stats().peak_intermediate_bytes),
                      std::to_string(streamed.nnz()), "-"});
       log.add(std::string(pname) + "/k=" + std::to_string(k) +
@@ -151,38 +147,9 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // Schedule sweep on the most skewed stream: dynamic vs nnz-balanced.
-  {
-    gen::WorkloadSpec spec;
-    spec.pattern = gen::Pattern::RMAT;
-    spec.rows = *rows;
-    spec.cols = *cols;
-    spec.avg_nnz_per_col = *d;
-    spec.k = 64;
-    spec.seed = 9001;
-    const auto inputs = gen::make_workload(spec);
-    const std::size_t in_nnz = gen::total_input_nnz(inputs);
-    util::TablePrinter sched({"schedule", "Gnnz/s"});
-    for (const core::Schedule s :
-         {core::Schedule::Dynamic, core::Schedule::NnzBalanced}) {
-      core::Options opts;
-      opts.method = base_opts.method;
-      opts.schedule = s;
-      const double t = bench::time_median(static_cast<int>(*repeats), [&] {
-        (void)core::spkadd(inputs, opts);
-      });
-      sched.add_row({core::schedule_name(s), bench::gnnz_per_s(in_nnz, t)});
-      log.add("RMAT/k=64/schedule=" + core::schedule_name(s), shape, t,
-              in_nnz);
-    }
-    std::cout << "\nRMAT k=64 schedule sweep:\n";
-    sched.print(std::cout);
-  }
-
   std::cout << "\nexpected shape: accumulator throughput within a small "
                "factor of one-shot (it re-streams the running sum once per "
-               "batch) at a fraction of the peak intermediate footprint; "
-               "nnz-balanced meets or beats dynamic on skewed columns.\n";
+               "batch) at a fraction of the peak intermediate footprint.\n";
   if (!json->empty() && !log.write(*json)) return 1;
   return 0;
 }

@@ -17,8 +17,8 @@
 //   * persistent per-thread workspaces — the hash/dense/heap scratch in
 //     the owned Runtime only ever grows, so no batch re-allocates tables;
 //   * the per-column cost scan feeding the per-chunk kernel plan of
-//     Method::Auto and the nnz-balanced schedule lives in the same
-//     Runtime and is recomputed in parallel once per fold, not per
+//     Method::Auto (its chunk cut and its kernel choice) lives in the
+//     same Runtime and is recomputed in parallel once per fold, not per
 //     consumer. Every fold is a strict left fold whatever kernel mix the
 //     plan picks, so streaming stays bit-identical to one-shot.
 //

@@ -112,9 +112,9 @@ std::size_t total_nnz(std::span<Element> inputs) {
 }
 
 /// One parallel O(k*n) pass filling `costs` with the per-column summed
-/// input nnz — the cost model shared by the per-chunk plan and the
-/// nnz-balanced schedule. A column `skip` masks costs nothing: the fold
-/// never gathers its views, so neither the schedule nor the plan weighs
+/// input nnz — the cost model of the per-chunk plan, which both its
+/// chunk cut and its kernel choice read. A column `skip` masks costs
+/// nothing: the fold never gathers its views, so the plan does not weigh
 /// it.
 template <class Element>
 void column_input_nnz(std::span<Element> inputs, const Options& opts,
@@ -161,15 +161,12 @@ void balance_chunks(std::span<const std::uint64_t> costs, int nthreads,
   if (begin < n) chunks.push_back({begin, n});
 }
 
-/// The chunk cutter: the one place Options::schedule shapes the work
-/// split of a column loop. `costs` covers the n columns exactly when the
-/// caller scanned them (a planned call, or Schedule::NnzBalanced), and
-/// then the columns are cut into cost-balanced chunks. Without costs,
-/// Static gives one contiguous block per thread (sizes within one column
-/// of each other) and Dynamic gives 8-column blocks; NnzBalanced without
-/// costs (the 2-way merge) degrades to Dynamic. for_each_chunk drains
-/// the chunks statically under Static and `dynamic,1` otherwise, so
-/// these cuts reproduce OpenMP's `schedule(static)` and `dynamic,8`.
+/// The chunk cutter. `costs` covers the n columns exactly when the caller
+/// scanned them (a planned call), and then the columns are cut into
+/// cost-balanced chunks; every other column loop (a single-kernel method,
+/// the 2-way merge) cuts 8-column blocks. for_each_chunk drains either
+/// cut `dynamic,1`, so the blocks reproduce OpenMP's `dynamic,8`, the
+/// paper's schedule (§III-A).
 template <class IndexT>
 void cut_chunks(IndexT n, std::span<const std::uint64_t> costs,
                 const Options& opts,
@@ -179,28 +176,15 @@ void cut_chunks(IndexT n, std::span<const std::uint64_t> costs,
     return;
   }
   chunks.clear();
-  if (opts.schedule == Schedule::Static) {
-    const auto teams = static_cast<IndexT>(team_size(opts));
-    const IndexT q = n / teams;
-    const IndexT r = n % teams;
-    IndexT begin = 0;
-    for (IndexT t = 0; t < teams && begin < n; ++t) {
-      const auto end = static_cast<IndexT>(begin + q + (t < r ? 1 : 0));
-      chunks.push_back({begin, end});
-      begin = end;
-    }
-    return;
-  }
   constexpr IndexT kBlock = 8;
   for (IndexT j = 0; j < n; j += kBlock)
     chunks.push_back(
         {j, n - j > kBlock ? static_cast<IndexT>(j + kBlock) : n});
 }
 
-/// The column-parallel loop: drain `chunks` on a team of team_size(opts)
-/// threads, statically under Schedule::Static and `dynamic,1` otherwise
-/// (see cut_chunks). `body` is called as body(chunk_index, OpCounters*)
-/// where the counter pointer is thread-private (or null when
+/// The column-parallel loop: drain `chunks` `dynamic,1` on a team of
+/// team_size(opts) threads. `body` is called as body(chunk_index,
+/// OpCounters*) where the counter pointer is thread-private (or null when
 /// opts.counters is null) and reduced afterwards.
 template <class IndexT, class Body>
 void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
@@ -208,22 +192,15 @@ void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
   const int nthreads = team_size(opts);
   std::vector<OpCounters> per(static_cast<std::size_t>(nthreads));
   const auto nchunks = static_cast<std::int64_t>(chunks.size());
-  const bool dynamic = opts.schedule != Schedule::Static;
 #pragma omp parallel num_threads(nthreads)
   {
     OpCounters* c =
         opts.counters
             ? &per[static_cast<std::size_t>(omp_get_thread_num())]
             : nullptr;
-    if (dynamic) {
 #pragma omp for schedule(dynamic, 1) nowait
-      for (std::int64_t i = 0; i < nchunks; ++i)
-        body(static_cast<std::size_t>(i), c);
-    } else {
-#pragma omp for schedule(static) nowait
-      for (std::int64_t i = 0; i < nchunks; ++i)
-        body(static_cast<std::size_t>(i), c);
-    }
+    for (std::int64_t i = 0; i < nchunks; ++i)
+      body(static_cast<std::size_t>(i), c);
   }
   if (opts.counters)
     for (const auto& c : per) *opts.counters += c;

@@ -9,9 +9,9 @@
 // The loop is synchronization-free because output slices are disjoint.
 // kway_add runs both phases over a ColumnPlan (symbolic.hpp): a
 // single-kernel method (Heap, Hash, SlidingHash, DenseAcc) puts its
-// kernel on every chunk of the schedule's cut, and the planner behind
-// Method::Auto picks a kernel per nnz-balanced chunk. Both phases walk
-// the plan's chunks through the uniform ColumnKernel interface.
+// kernel on every 8-column block, and the planner behind Method::Auto
+// picks a kernel per nnz-balanced chunk. Both phases walk the plan's
+// chunks through the uniform ColumnKernel interface.
 //
 // kway_add takes borrowed matrix pointers (MatrixPtrs) plus a Runtime: the
 // streaming accumulator folds batches without copying an input and with

@@ -37,15 +37,6 @@ std::string method_name(Method m) {
   return "?";
 }
 
-std::string schedule_name(Schedule s) {
-  switch (s) {
-    case Schedule::Dynamic: return "dynamic";
-    case Schedule::Static: return "static";
-    case Schedule::NnzBalanced: return "nnz-balanced";
-  }
-  return "?";
-}
-
 Method method_from_name(const std::string& name) {
   // Every method_name() spelling normalizes into this table (round-trip),
   // plus the shorter aliases benches accept on their CLI.
@@ -80,16 +71,6 @@ Method method_from_name(const std::string& name) {
       "unknown SpKAdd method '" + name +
       "' (expected one of: 2way-incremental, 2way-tree, heap, hash, "
       "sliding-hash, dense, ref-incremental, ref-tree, auto)");
-}
-
-Schedule schedule_from_name(const std::string& name) {
-  const std::string key = normalized(name);
-  if (key == "dynamic") return Schedule::Dynamic;
-  if (key == "static") return Schedule::Static;
-  if (key == "nnzbalanced") return Schedule::NnzBalanced;
-  throw std::invalid_argument(
-      "unknown SpKAdd schedule '" + name +
-      "' (expected one of: dynamic, static, nnz-balanced)");
 }
 
 }  // namespace spkadd::core

@@ -1,9 +1,9 @@
 // Options, method selection and instrumentation counters for SpKAdd.
 //
 // Options carries the choices of the paper's algorithm and nothing else:
-// the method, sortedness, the team size T, the cache budget M of Alg. 7/8,
-// the schedule and a counter sink. State of a caller of SpKAdd (the
-// streaming Accumulator's dense residency) lives with that caller.
+// the method, sortedness, the team size T, the cache budget M of Alg. 7/8
+// and a counter sink. State of a caller of SpKAdd (the streaming
+// Accumulator's dense residency) lives with that caller.
 #pragma once
 
 #include <cstddef>
@@ -56,24 +56,6 @@ enum class Method {
 /// with the accepted names on unknown input. Round-trip guarantee:
 /// method_from_name(method_name(m)) == m for every Method.
 [[nodiscard]] Method method_from_name(const std::string& name);
-
-/// How the column loop cuts and drains its chunks (detail::cut_chunks).
-/// A planned call (Method::Auto) always runs cost-balanced chunks;
-/// for it, Static drains them statically and the others `dynamic,1`.
-/// For a single-kernel method: Dynamic, the paper's choice, drains
-/// 8-column blocks `dynamic,1` (OpenMP's `dynamic,8`); Static runs one
-/// contiguous block per thread (`schedule(static)`, kept for the ablation
-/// bench); NnzBalanced cuts ~8 cost-balanced chunks per thread from the
-/// per-column input-nnz totals, so skewed (RMAT) columns no longer
-/// serialize behind a fixed chunk width. Results are bit-identical
-/// across schedules.
-enum class Schedule { Dynamic, Static, NnzBalanced };
-
-[[nodiscard]] std::string schedule_name(Schedule s);
-
-/// Inverse of schedule_name(); same parsing/throwing contract as
-/// method_from_name().
-[[nodiscard]] Schedule schedule_from_name(const std::string& name);
 
 /// Operation counters, filled when Options::counters is non-null. These
 /// measure the "Work" and "I/O (from memory)" columns of Table I so the
@@ -153,8 +135,6 @@ struct Options {
   /// Force the per-thread hash table entry cap for SlidingHash (the x-axis
   /// of Fig. 4). 0 = derive from llc_bytes / threads as in Alg. 7/8.
   std::size_t max_table_entries = 0;
-
-  Schedule schedule = Schedule::Dynamic;
 
   /// When non-null, kernels count their operations here (not thread-safe to
   /// share across concurrent spkadd() calls; one counter per call).

@@ -8,12 +8,15 @@
 // (c) canonicalizes (sorts) its output unconditionally, and (d) cannot fuse
 // across the k-1 calls. This reference adder reproduces exactly those
 // properties; the relative ordering of the MKL rows in Tables III-IV follows.
+// core::spkadd folds it with twoway.hpp's fold_left ("MKL Incremental") and
+// fold_tree ("MKL Tree").
 #pragma once
 
-#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "core/column_kernels.hpp"
-#include "core/detail.hpp"
+#include "matrix/csc.hpp"
 
 namespace spkadd::core {
 
@@ -50,62 +53,6 @@ template <class IndexT, class ValueT>
     merge2_add(a.column(j), b.column(j), rows + lo, vals + lo);
   }
   return out;
-}
-
-/// "MKL Incremental": fold reference_add2 left-to-right.
-template <class IndexT, class ValueT>
-[[nodiscard]] CscMatrix<IndexT, ValueT> spkadd_reference_incremental(
-    MatrixPtrs<IndexT, ValueT> inputs) {
-  detail::check_conformant(inputs);
-  detail::require_sorted_inputs(inputs, "spkadd_reference_incremental");
-  CscMatrix<IndexT, ValueT> acc = *inputs[0];
-  for (std::size_t i = 1; i < inputs.size(); ++i)
-    acc = reference_add2(acc, *inputs[i]);
-  return acc;
-}
-
-/// "MKL Tree": balanced binary reduction of reference_add2 calls. The tree
-/// bookkeeping carries odd leftovers by pointer; the per-call defensive
-/// copies stay inside reference_add2, where the baseline makes them.
-template <class IndexT, class ValueT>
-[[nodiscard]] CscMatrix<IndexT, ValueT> spkadd_reference_tree(
-    MatrixPtrs<IndexT, ValueT> inputs) {
-  detail::check_conformant(inputs);
-  detail::require_sorted_inputs(inputs, "spkadd_reference_tree");
-  if (inputs.size() == 1) return *inputs[0];
-  std::vector<CscMatrix<IndexT, ValueT>> storage;
-  storage.reserve(inputs.size() - 1);
-  std::vector<const CscMatrix<IndexT, ValueT>*> level(inputs.begin(),
-                                                      inputs.end());
-  std::vector<const CscMatrix<IndexT, ValueT>*> next;
-  while (level.size() > 1) {
-    next.clear();
-    next.reserve((level.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      storage.push_back(reference_add2(*level[i], *level[i + 1]));
-      next.push_back(&storage.back());
-    }
-    if (level.size() % 2 != 0) next.push_back(level.back());
-    std::swap(level, next);
-  }
-  return std::move(storage.back());
-}
-
-// Value-span convenience overloads: borrow the matrices and forward.
-template <class IndexT, class ValueT>
-[[nodiscard]] CscMatrix<IndexT, ValueT> spkadd_reference_incremental(
-    std::span<const CscMatrix<IndexT, ValueT>> inputs) {
-  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
-  detail::borrow_all(inputs, ptrs);
-  return spkadd_reference_incremental(MatrixPtrs<IndexT, ValueT>(ptrs));
-}
-
-template <class IndexT, class ValueT>
-[[nodiscard]] CscMatrix<IndexT, ValueT> spkadd_reference_tree(
-    std::span<const CscMatrix<IndexT, ValueT>> inputs) {
-  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
-  detail::borrow_all(inputs, ptrs);
-  return spkadd_reference_tree(MatrixPtrs<IndexT, ValueT>(ptrs));
 }
 
 }  // namespace spkadd::core

@@ -3,8 +3,10 @@
 //   CscMatrix<> B = core::spkadd(inputs);                    // Auto policy
 //   CscMatrix<> B = core::spkadd(inputs, {.method = Method::SlidingHash});
 //
-// The 2-way and reference methods fold pairwise; every other method runs
-// the one column-kernel driver (kway_add in kway.hpp) with a plan.
+// The 2-way and reference methods fold a pairwise add (add2 or
+// reference_add2) left to right or as a balanced tree (fold_left/fold_tree
+// in twoway.hpp); every other method runs the one column-kernel driver
+// (kway_add in kway.hpp) with a plan.
 // Method::Heap, Hash, SlidingHash and DenseAcc put their kernel on every
 // column chunk. Method::Auto, the default, is the paper's Fig. 2 decision
 // surface evaluated per nnz-balanced column chunk rather than once per
@@ -15,6 +17,7 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
 
 #include "core/kway.hpp"
 #include "core/options.hpp"
@@ -55,15 +58,25 @@ template <class IndexT, class ValueT>
   const Method method = opts.method == Method::Auto
                             ? auto_select(inputs.size(), opts)
                             : opts.method;
+  if (is_pairwise(method)) {
+    if (!opts.inputs_sorted)
+      throw std::invalid_argument(
+          "spkadd: pairwise methods require sorted inputs");
+    detail::require_sorted_inputs(inputs, "spkadd(pairwise)");
+  }
+  using Matrix = CscMatrix<IndexT, ValueT>;
+  const auto twoway = [&opts](const Matrix& a, const Matrix& b) {
+    return add2(a, b, opts);
+  };
   switch (method) {
     case Method::TwoWayIncremental:
-      return spkadd_twoway_incremental(inputs, opts);
+      return fold_left(inputs, twoway);
     case Method::TwoWayTree:
-      return spkadd_twoway_tree(inputs, opts);
+      return fold_tree(inputs, twoway);
     case Method::ReferenceIncremental:
-      return spkadd_reference_incremental(inputs);
+      return fold_left(inputs, reference_add2<IndexT, ValueT>);
     case Method::ReferenceTree:
-      return spkadd_reference_tree(inputs);
+      return fold_tree(inputs, reference_add2<IndexT, ValueT>);
     default:  // a column kernel on every chunk, or the per-chunk planner
       break;
   }

@@ -2,10 +2,10 @@
 //
 // Every k-way method runs over a ColumnPlan: column chunks, each with the
 // ColumnKernel that fills it. A single-kernel method puts its kernel on
-// every chunk the chunk cutter makes for Options::schedule. The per-chunk
-// planner behind Method::Auto cuts the per-column input-nnz totals into
-// cost-balanced chunks and classifies each on the paper's Fig. 2 decision
-// surface (plan_hybrid/hybrid_kernel_for).
+// every 8-column block. The per-chunk planner behind Method::Auto cuts
+// the per-column input-nnz totals into cost-balanced chunks and classifies
+// each on the paper's Fig. 2 decision surface
+// (plan_hybrid/hybrid_kernel_for).
 //
 // The symbolic pass walks a plan and computes nnz(B(:,j)) per output
 // column, each chunk with its kernel's symbolic variant: the keys-only
@@ -152,8 +152,7 @@ struct ColumnPlan {
 };
 
 /// Build the planner's plan from the per-column input-nnz totals the
-/// call already computed (the cost vector the NnzBalanced schedule also
-/// reads — no new scan): cut the columns into cost-balanced chunks, then
+/// call already computed: cut the columns into cost-balanced chunks, then
 /// classify each chunk from its heaviest column on the hybrid_kernel_for
 /// surface.
 /// ValueT fixes the numeric table entry size of the cache-residency test.
@@ -184,9 +183,8 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
 }
 
 /// Plan one call: the planner's mix (plan_hybrid) when `kernel` is
-/// empty, otherwise `*kernel` on every chunk of the schedule's cut. The
-/// per-column cost scan runs into R only when the cut needs it: for a
-/// planned call, or under Schedule::NnzBalanced. Columns `skip` masks
+/// empty, otherwise `*kernel` on every 8-column block. The per-column
+/// cost scan runs into R only for a planned call. Columns `skip` masks
 /// cost nothing and are left empty by every walk of the plan.
 template <class IndexT, class ValueT>
 [[nodiscard]] ColumnPlan<IndexT> plan_columns(
@@ -194,17 +192,14 @@ template <class IndexT, class ValueT>
     const Options& opts, Runtime<IndexT, ValueT>& R,
     std::span<const std::uint8_t> skip = {}) {
   const auto [rows, cols] = detail::check_conformant(inputs);
-  std::span<const std::uint64_t> costs;
-  if (!kernel || opts.schedule == Schedule::NnzBalanced) {
-    detail::column_input_nnz(inputs, opts, R.col_costs, skip);
-    costs = R.col_costs;
-  }
   ColumnPlan<IndexT> plan;
   plan.skip = skip;
   if (!kernel) {
-    plan_hybrid<IndexT, ValueT>(costs, rows, inputs.size(), opts, plan);
+    detail::column_input_nnz(inputs, opts, R.col_costs, skip);
+    plan_hybrid<IndexT, ValueT>(R.col_costs, rows, inputs.size(), opts,
+                                plan);
   } else {
-    detail::cut_chunks(cols, costs, opts, plan.chunks);
+    detail::cut_chunks(cols, {}, opts, plan.chunks);
     plan.kernels.assign(plan.chunks.size(), *kernel);
   }
   return plan;
@@ -259,7 +254,7 @@ std::vector<IndexT> symbolic_nnz_per_column(
 }
 
 /// Value-span form (tests/benches that time the symbolic phase alone):
-/// count every column with `kernel` under the schedule's cut.
+/// count every column with `kernel`.
 template <class IndexT, class ValueT>
 std::vector<IndexT> symbolic_nnz_per_column(
     std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts,

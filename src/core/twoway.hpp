@@ -1,12 +1,14 @@
 // 2-way SpKAdd algorithms (paper §II-B).
 //
 // `add2` is the parallel pairwise addition (ColAdd over all columns, two
-// passes: count then fill). On top of it:
-//   * spkadd_twoway_incremental — Alg. 1, fold left: B += A_i one at a time.
-//     Work O(k^2 nd) for ER inputs because the growing partial sum is
-//     re-streamed every iteration.
-//   * spkadd_twoway_tree — balanced binary reduction, work O(k nd lg k).
-// Both require sorted input columns and always produce sorted output.
+// passes: count then fill). Two reductions fold any pairwise add over k
+// addends:
+//   * fold_left — Alg. 1: B += A_i one at a time. Work O(k^2 nd) for ER
+//     inputs because the growing partial sum is re-streamed every step.
+//   * fold_tree — balanced binary reduction, work O(k nd lg k).
+// core::spkadd runs both over add2 (the 2-way methods) and over
+// reference_add2 (the MKL-substitute baselines). Every pairwise add
+// needs sorted input columns and produces sorted output.
 #pragma once
 
 #include <span>
@@ -62,37 +64,27 @@ template <class IndexT, class ValueT>
   return out;
 }
 
-/// Alg. 1: incremental (left fold) 2-way SpKAdd over borrowed addends.
-template <class IndexT, class ValueT>
-[[nodiscard]] CscMatrix<IndexT, ValueT> spkadd_twoway_incremental(
-    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts = {}) {
-  detail::check_conformant(inputs);
-  if (opts.inputs_sorted)
-    detail::require_sorted_inputs(inputs, "spkadd_twoway_incremental");
-  else
-    throw std::invalid_argument(
-        "spkadd_twoway_incremental: requires sorted inputs");
-  CscMatrix<IndexT, ValueT> acc = *inputs[0];
-  for (std::size_t i = 1; i < inputs.size(); ++i)
-    acc = add2(acc, *inputs[i], opts);
+/// Alg. 1: fold `add` left to right over k >= 1 borrowed addends,
+/// add(...add(add(A_1, A_2), A_3)..., A_k).
+template <class IndexT, class ValueT, class Add>
+[[nodiscard]] CscMatrix<IndexT, ValueT> fold_left(
+    MatrixPtrs<IndexT, ValueT> inputs, Add&& add) {
+  if (inputs.size() == 1) return *inputs[0];
+  CscMatrix<IndexT, ValueT> acc = add(*inputs[0], *inputs[1]);
+  for (std::size_t i = 2; i < inputs.size(); ++i) acc = add(acc, *inputs[i]);
   return acc;
 }
 
-/// Balanced-tree 2-way SpKAdd: leaves are the borrowed inputs, each level
-/// halves the count. Intermediate results are materialized (that is the
-/// point: the algorithm's I/O is O(lg k * sum nnz)); odd leftovers carry
-/// to the next level by pointer, never by copy. `storage` never exceeds
-/// k-1 intermediates, reserved up front so the borrowed pointers into it
-/// stay stable.
-template <class IndexT, class ValueT>
-[[nodiscard]] CscMatrix<IndexT, ValueT> spkadd_twoway_tree(
-    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts = {}) {
-  detail::check_conformant(inputs);
-  if (!opts.inputs_sorted)
-    throw std::invalid_argument("spkadd_twoway_tree: requires sorted inputs");
-  detail::require_sorted_inputs(inputs, "spkadd_twoway_tree");
+/// Balanced-tree reduction of `add` over k >= 1 borrowed addends: each
+/// level adds neighbours pairwise and halves the count. Intermediate
+/// results are materialized (that is the point: the algorithm's I/O is
+/// O(lg k * sum nnz)); odd leftovers carry to the next level by pointer,
+/// never by copy. `storage` never exceeds k-1 intermediates, reserved up
+/// front so the borrowed pointers into it stay stable.
+template <class IndexT, class ValueT, class Add>
+[[nodiscard]] CscMatrix<IndexT, ValueT> fold_tree(
+    MatrixPtrs<IndexT, ValueT> inputs, Add&& add) {
   if (inputs.size() == 1) return *inputs[0];
-
   std::vector<CscMatrix<IndexT, ValueT>> storage;
   storage.reserve(inputs.size() - 1);  // exactly k-1 adds across all levels
   std::vector<const CscMatrix<IndexT, ValueT>*> level(inputs.begin(),
@@ -102,32 +94,13 @@ template <class IndexT, class ValueT>
     next.clear();
     next.reserve((level.size() + 1) / 2);
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      storage.push_back(add2(*level[i], *level[i + 1], opts));
+      storage.push_back(add(*level[i], *level[i + 1]));
       next.push_back(&storage.back());
     }
     if (level.size() % 2 != 0) next.push_back(level.back());
     std::swap(level, next);
   }
   return std::move(storage.back());
-}
-
-// Value-span convenience overloads: borrow the matrices and forward.
-template <class IndexT, class ValueT>
-[[nodiscard]] CscMatrix<IndexT, ValueT> spkadd_twoway_incremental(
-    std::span<const CscMatrix<IndexT, ValueT>> inputs,
-    const Options& opts = {}) {
-  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
-  detail::borrow_all(inputs, ptrs);
-  return spkadd_twoway_incremental(MatrixPtrs<IndexT, ValueT>(ptrs), opts);
-}
-
-template <class IndexT, class ValueT>
-[[nodiscard]] CscMatrix<IndexT, ValueT> spkadd_twoway_tree(
-    std::span<const CscMatrix<IndexT, ValueT>> inputs,
-    const Options& opts = {}) {
-  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
-  detail::borrow_all(inputs, ptrs);
-  return spkadd_twoway_tree(MatrixPtrs<IndexT, ValueT>(ptrs), opts);
 }
 
 }  // namespace spkadd::core

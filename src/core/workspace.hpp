@@ -164,8 +164,8 @@ struct ThreadScratch {
 };
 
 /// Per-call execution context that is *reusable across calls*: the
-/// per-thread scratch pool and the per-column input-nnz totals driving both
-/// the per-chunk plan and nnz-balanced scheduling. core::spkadd accepts an
+/// per-thread scratch pool and the per-column input-nnz totals driving
+/// the per-chunk plan. core::spkadd accepts an
 /// optional Runtime; when none is given it falls back to a call-local one.
 /// The Accumulator owns one so hash/dense/heap scratch survives across
 /// batches instead of being re-grown per call.
@@ -173,9 +173,8 @@ template <class IndexT, class ValueT>
 struct Runtime {
   std::vector<ThreadScratch<IndexT, ValueT>> scratch;
 
-  /// Per-column sum of input nnz, rescanned by every call whose plan
-  /// needs it (a planned call, or Schedule::NnzBalanced); the vector only
-  /// keeps its capacity across calls.
+  /// Per-column sum of input nnz, rescanned by every planned call; the
+  /// vector only keeps its capacity across calls.
   std::vector<std::uint64_t> col_costs;
 
   void ensure_threads(int nthreads) {

@@ -41,37 +41,6 @@ struct SpgemmOptions {
 
 namespace detail {
 
-/// Symbolic pass: nnz(C(:,j)) via a keys-only hash table over the row
-/// indices of all A(:,k) with k in pattern(B(:,j)).
-template <class IndexT, class ValueT>
-std::size_t symbolic_column(const CscMatrix<IndexT, ValueT>& a,
-                            const ColumnView<IndexT, ValueT>& bcol,
-                            core::SymbolicHashWorkspace<IndexT>& ws) {
-  std::size_t flops = 0;
-  for (std::size_t t = 0; t < bcol.nnz(); ++t)
-    flops += a.col_nnz(bcol.rows[t]);
-  if (flops == 0) return 0;
-  ws.reset(core::hash_table_entries(flops));
-  std::size_t nz = 0;
-  for (std::size_t t = 0; t < bcol.nnz(); ++t) {
-    const auto acol = a.column(bcol.rows[t]);
-    for (std::size_t i = 0; i < acol.nnz(); ++i) {
-      const IndexT r = acol.rows[i];
-      std::size_t h = core::hash_index(r, ws.mask);
-      for (;;) {
-        if (ws.keys[h] == core::SymbolicHashWorkspace<IndexT>::kEmpty) {
-          ws.keys[h] = r;
-          ++nz;
-          break;
-        }
-        if (ws.keys[h] == r) break;
-        h = (h + 1) & ws.mask;
-      }
-    }
-  }
-  return nz;
-}
-
 /// Numeric pass with a hash accumulator; writes exactly `expected` entries.
 template <class IndexT, class ValueT>
 void numeric_column_hash(const CscMatrix<IndexT, ValueT>& a,
@@ -201,13 +170,23 @@ void multiply_into(const CscMatrix<IndexT, ValueT>& a,
       opts.threads > 0 ? opts.threads : util::current_max_threads();
   rt.ensure_threads(nthreads);
 
-  // Symbolic phase.
+  // Symbolic phase: nnz(C(:,j)) is SpKAdd's Alg. 6 over the columns of A
+  // that B(:,j) selects, a keys-only table sized by their summed nnz (the
+  // column's flops).
   std::vector<IndexT> counts(static_cast<std::size_t>(n));
 #pragma omp parallel for schedule(dynamic, 8) num_threads(nthreads)
   for (IndexT j = 0; j < n; ++j) {
     auto& s = rt.scratch[static_cast<std::size_t>(omp_get_thread_num())];
-    counts[static_cast<std::size_t>(j)] = static_cast<IndexT>(
-        detail::symbolic_column(a, b.column(j), s.sym_table));
+    const auto bcol = b.column(j);
+    s.views.clear();
+    for (std::size_t t = 0; t < bcol.nnz(); ++t) {
+      const auto acol = a.column(bcol.rows[t]);
+      if (!acol.empty()) s.views.push_back(acol);
+    }
+    counts[static_cast<std::size_t>(j)] =
+        static_cast<IndexT>(core::hash_symbolic_column(
+            std::span<const ColumnView<IndexT, ValueT>>(s.views),
+            s.sym_table));
   }
 
   out = CscMatrix<IndexT, ValueT>(a.rows(), n);

@@ -1,7 +1,6 @@
 // The streaming accumulator (paper §V as a stateful subsystem): incremental
 // folds equal one-shot SpKAdd, zero-copy staging, workspace persistence
-// across finalize() cycles, the nnz-balanced schedule, and the hash-sentinel
-// shape guard.
+// across finalize() cycles, and the hash-sentinel shape guard.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -442,45 +441,6 @@ TEST(DenseResidency, ThrowingFoldKeepsSumAndResidents) {
   EXPECT_GT(acc.dense_resident_cols(), 0u);
   EXPECT_TRUE(acc.finalize() == core::spkadd(sorted, opts));
   EXPECT_EQ(acc.stats().dense_demotions, acc.stats().dense_promotions);
-}
-
-// ------------------------------------------------------ nnz-aware scheduling
-TEST(Schedule, NnzBalancedMatchesOtherSchedulesExactly) {
-  // Skewed columns (RMAT-ish) are where balancing matters; results must be
-  // bit-identical across schedules because the per-column work is the same.
-  gen::WorkloadSpec spec;
-  spec.pattern = gen::Pattern::RMAT;
-  spec.rows = 1 << 10;
-  spec.cols = 1 << 6;
-  spec.avg_nnz_per_col = 8;
-  spec.k = 8;  // make_workload requires a power of two
-  const auto inputs = gen::make_workload(spec);
-  for (auto m : {Method::Heap, Method::Hash, Method::SlidingHash,
-                 Method::DenseAcc}) {
-    Options dyn;
-    dyn.method = m;
-    dyn.schedule = Schedule::Dynamic;
-    Options bal = dyn;
-    bal.schedule = Schedule::NnzBalanced;
-    EXPECT_TRUE(core::spkadd(inputs, dyn) == core::spkadd(inputs, bal))
-        << method_name(m);
-  }
-}
-
-TEST(Schedule, NnzBalancedWorksThroughAccumulator) {
-  const auto inputs = random_collection(11, 96, 12, 250, 41);
-  const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  Options opts;
-  opts.schedule = Schedule::NnzBalanced;
-  Accumulator<> acc(96, 12, opts, 3);
-  acc.add_batch(std::span<const Csc>(inputs));
-  EXPECT_TRUE(approx_equal(oracle, acc.finalize()));
-}
-
-TEST(Schedule, NamesAreDistinct) {
-  EXPECT_NE(schedule_name(Schedule::Dynamic), schedule_name(Schedule::Static));
-  EXPECT_NE(schedule_name(Schedule::Dynamic),
-            schedule_name(Schedule::NnzBalanced));
 }
 
 // ------------------------------------------------------- hash sentinel guard

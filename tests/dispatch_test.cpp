@@ -181,14 +181,6 @@ TEST(MethodName, FromNameAcceptsCliSpellings) {
   EXPECT_THROW((void)method_from_name(""), std::invalid_argument);
 }
 
-TEST(ScheduleName, FromNameRoundTripsEverySchedule) {
-  for (auto s :
-       {Schedule::Dynamic, Schedule::Static, Schedule::NnzBalanced})
-    EXPECT_EQ(schedule_from_name(schedule_name(s)), s);
-  EXPECT_EQ(schedule_from_name("NNZ-Balanced"), Schedule::NnzBalanced);
-  EXPECT_THROW((void)schedule_from_name("guided"), std::invalid_argument);
-}
-
 TEST(Dispatch, VectorOverloadMatchesSpanOverload) {
   const auto inputs = random_collection(4, 64, 8, 100, 11);
   EXPECT_TRUE(core::spkadd(inputs) ==

@@ -293,21 +293,6 @@ TEST(HybridBitIdentity, DenseHubChunkDispatchesDenseAcc) {
       dense_sum_oracle(std::span<const Csc>(inputs)), hybrid));
 }
 
-TEST(HybridBitIdentity, IdenticalAcrossSchedules) {
-  const auto inputs = random_collection(12, 512, 16, 600, 21);
-  Csc results[3];
-  int i = 0;
-  for (const Schedule s :
-       {Schedule::Dynamic, Schedule::Static, Schedule::NnzBalanced}) {
-    Options opts;
-    opts.method = Method::Auto;
-    opts.schedule = s;
-    results[i++] = core::spkadd(inputs, opts);
-  }
-  EXPECT_TRUE(results[0] == results[1]);
-  EXPECT_TRUE(results[0] == results[2]);
-}
-
 TEST(HybridBitIdentity, UnsortedOutputCanonicalizesToSorted) {
   const auto inputs = random_collection(8, 512, 16, 600, 31);
   Options sorted_opts;

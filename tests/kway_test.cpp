@@ -3,8 +3,8 @@
 // against the dense oracle, edge cases, sorted/unsorted modes, counters,
 // the dense accumulator's bits on special values at its bitmap
 // boundaries — and the one column driver (core::kway_add): its chunk
-// cutter and skip mask under every method, schedule and team size, and
-// its team-size discipline.
+// cutter and skip mask under every method and team size, and its
+// team-size discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -222,14 +222,6 @@ TEST_F(KwayDriverTest, CountersTrackWork) {
   EXPECT_GT(heap_c.bytes_moved, 0u);
 }
 
-TEST_F(KwayDriverTest, StaticScheduleGivesSameResult) {
-  const auto inputs = random_collection(4, 128, 32, 300, 66);
-  Options dyn, sta;
-  sta.schedule = Schedule::Static;
-  EXPECT_TRUE(approx_equal(add(inputs, Method::Hash, dyn),
-                           add(inputs, Method::Hash, sta)));
-}
-
 TEST_F(KwayDriverTest, ExplicitThreadCounts) {
   const auto inputs = random_collection(4, 128, 16, 300, 71);
   const auto reference = add(inputs, Method::Hash);
@@ -382,11 +374,11 @@ TEST(DenseAccKernel, SpecialValuesAtBitmapBoundariesMatchHeapAndHash) {
 // The column driver: chunk cutter and skip mask
 // ---------------------------------------------------------------------------
 
-TEST(ColumnDriver, EveryMethodScheduleAndTeamMatchesHeap) {
-  // Every column method runs the same chunk loop, so every method,
-  // schedule and team size must give the heap merge's bits on raw float
-  // values. 37 columns is a multiple of neither 8 nor 3 nor 4, so every
-  // cut leaves a ragged tail.
+TEST(ColumnDriver, EveryMethodAndTeamMatchesHeap) {
+  // Every column method runs the same chunk loop, so every method and
+  // team size must give the heap merge's bits on raw float values. 37
+  // columns is not a multiple of the 8-column block, so the cut leaves a
+  // ragged tail.
   using FloatCsc = CscMatrix<std::int32_t, float>;
   constexpr std::int32_t kCols = 37;
   std::vector<FloatCsc> inputs;
@@ -412,36 +404,31 @@ TEST(ColumnDriver, EveryMethodScheduleAndTeamMatchesHeap) {
   for (const Method m : {Method::Heap, Method::Hash, Method::SlidingHash,
                          Method::DenseAcc, Method::Auto}) {
     const bool planned = m == Method::Auto;
-    for (const Schedule s :
-         {Schedule::Dynamic, Schedule::Static, Schedule::NnzBalanced}) {
-      for (const int t : {1, 3, nproc}) {
-        const std::string where = method_name(m) + " " + schedule_name(s) +
-                                  " T=" + std::to_string(t);
-        Options opts;
-        opts.method = m;
-        opts.schedule = s;
-        opts.threads = t;
-        OpCounters counters;
-        opts.counters = &counters;
-        EXPECT_TRUE(core::spkadd(inputs, opts) == heap) << where;
-        EXPECT_EQ(counters.chunks_total() > 0, planned) << where;
+    for (const int t : {1, 3, nproc}) {
+      const std::string where = method_name(m) + " T=" + std::to_string(t);
+      Options opts;
+      opts.method = m;
+      opts.threads = t;
+      OpCounters counters;
+      opts.counters = &counters;
+      EXPECT_TRUE(core::spkadd(inputs, opts) == heap) << where;
+      EXPECT_EQ(counters.chunks_total() > 0, planned) << where;
 
-        counters = OpCounters{};
-        Runtime<std::int32_t, float> rt;
-        const FloatCsc masked = kway_add(MatrixPtrs<std::int32_t, float>(ptrs),
-                                         opts, method_kernel(m), rt, mask);
-        EXPECT_EQ(counters.chunks_total() > 0, planned) << where << " masked";
-        for (std::int32_t j = 0; j < kCols; ++j) {
-          const auto got = masked.column(j);
-          if (mask[static_cast<std::size_t>(j)] != 0) {
-            EXPECT_EQ(got.nnz(), 0u) << where << " col " << j;
-            continue;
-          }
-          const auto want = heap.column(j);
-          EXPECT_TRUE(std::ranges::equal(got.rows, want.rows) &&
-                      std::ranges::equal(got.vals, want.vals))
-              << where << " col " << j;
+      counters = OpCounters{};
+      Runtime<std::int32_t, float> rt;
+      const FloatCsc masked = kway_add(MatrixPtrs<std::int32_t, float>(ptrs),
+                                       opts, method_kernel(m), rt, mask);
+      EXPECT_EQ(counters.chunks_total() > 0, planned) << where << " masked";
+      for (std::int32_t j = 0; j < kCols; ++j) {
+        const auto got = masked.column(j);
+        if (mask[static_cast<std::size_t>(j)] != 0) {
+          EXPECT_EQ(got.nnz(), 0u) << where << " col " << j;
+          continue;
         }
+        const auto want = heap.column(j);
+        EXPECT_TRUE(std::ranges::equal(got.rows, want.rows) &&
+                    std::ranges::equal(got.vals, want.vals))
+            << where << " col " << j;
       }
     }
   }

@@ -1,11 +1,16 @@
-// 2-way merge kernels, pairwise add2, incremental and tree SpKAdd, and the
-// MKL-substitute reference adder.
+// 2-way merge kernels, pairwise add2, and the two pairwise families
+// (incremental and tree folds of add2 and of the MKL-substitute reference
+// adder) run through core::spkadd.
 #include <gtest/gtest.h>
 
-#include "core/reference_add.hpp"
-#include "core/twoway.hpp"
+#include <algorithm>
+#include <string>
+
+#include "core/spkadd.hpp"
+#include "gen/workload.hpp"
 #include "matrix/validate.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_control.hpp"
 
 namespace {
 
@@ -76,48 +81,119 @@ TEST(Add2, FullOverlapHalvesOutput) {
   EXPECT_DOUBLE_EQ(out.at(5, 0), 4.0);
 }
 
+/// Sum `inputs` with one method through the public entry point.
+template <class ValueT>
+CscMatrix<std::int32_t, ValueT> sum_with(
+    std::span<const CscMatrix<std::int32_t, ValueT>> inputs, Method m,
+    Options opts = {}) {
+  opts.method = m;
+  return core::spkadd(inputs, opts);
+}
+
 TEST(TwoWayIncremental, MatchesDenseOracle) {
   const auto inputs = random_collection(5, 64, 8, 100, 3);
-  const auto got =
-      spkadd_twoway_incremental(std::span<const Csc>(inputs));
-  EXPECT_TRUE(approx_equal(
-      dense_sum_oracle(std::span<const Csc>(inputs)), got));
+  const std::span<const Csc> in(inputs);
+  EXPECT_TRUE(approx_equal(dense_sum_oracle(in),
+                           sum_with(in, Method::TwoWayIncremental)));
 }
 
 TEST(TwoWayTree, MatchesDenseOracleOddAndEvenK) {
   for (int k : {1, 2, 3, 4, 7, 8}) {
     const auto inputs = random_collection(k, 32, 8, 64, 100 + k);
-    const auto got = spkadd_twoway_tree(std::span<const Csc>(inputs));
-    EXPECT_TRUE(approx_equal(
-        dense_sum_oracle(std::span<const Csc>(inputs)), got))
+    const std::span<const Csc> in(inputs);
+    EXPECT_TRUE(
+        approx_equal(dense_sum_oracle(in), sum_with(in, Method::TwoWayTree)))
         << "k=" << k;
   }
 }
 
+constexpr Method kPairwise[] = {Method::TwoWayIncremental, Method::TwoWayTree,
+                                Method::ReferenceIncremental,
+                                Method::ReferenceTree};
+
 TEST(TwoWay, RejectsUnsortedInputs) {
-  std::vector<Csc> inputs{
+  const std::vector<Csc> unsorted{
       Csc(4, 1, {0, 2}, {2, 0}, {1.0, 1.0}),  // unsorted column
       from_triplets(4, 1, {{1, 0, 1.0}}),
   };
-  EXPECT_THROW(spkadd_twoway_tree(std::span<const Csc>(inputs)),
-               std::invalid_argument);
-  EXPECT_THROW(spkadd_twoway_incremental(std::span<const Csc>(inputs)),
-               std::invalid_argument);
+  const auto sorted = random_collection(3, 32, 4, 40, 7);
+  for (const Method m : kPairwise) {
+    EXPECT_THROW((void)sum_with(std::span<const Csc>(unsorted), m),
+                 std::invalid_argument)
+        << method_name(m);
+    Options undeclared;
+    undeclared.inputs_sorted = false;
+    EXPECT_THROW(
+        (void)sum_with(std::span<const Csc>(sorted), m, undeclared),
+        std::invalid_argument)
+        << method_name(m) << " inputs_sorted=false";
+  }
 }
 
 TEST(ReferenceAdd, MatchesTwoWayTree) {
   const auto inputs = random_collection(6, 64, 8, 120, 8);
-  const auto tree = spkadd_twoway_tree(std::span<const Csc>(inputs));
-  EXPECT_TRUE(approx_equal(
-      tree, spkadd_reference_incremental(std::span<const Csc>(inputs))));
-  EXPECT_TRUE(approx_equal(
-      tree, spkadd_reference_tree(std::span<const Csc>(inputs))));
+  const std::span<const Csc> in(inputs);
+  const auto tree = sum_with(in, Method::TwoWayTree);
+  EXPECT_TRUE(approx_equal(tree, sum_with(in, Method::ReferenceIncremental)));
+  EXPECT_TRUE(approx_equal(tree, sum_with(in, Method::ReferenceTree)));
 }
 
 TEST(ReferenceAdd, SingleInputPassesThrough) {
   const auto inputs = random_collection(1, 16, 4, 20, 2);
-  EXPECT_TRUE(spkadd_reference_tree(std::span<const Csc>(inputs)) ==
+  EXPECT_TRUE(sum_with(std::span<const Csc>(inputs), Method::ReferenceTree) ==
               inputs[0]);
+}
+
+// Float sums expose the association order. Both left folds add every row
+// strictly left to right over the inputs, as the heap merge does; both
+// trees pair the same neighbours at every level. So each family returns
+// the same bits as its counterpart, at every k and team size.
+TEST(PairwiseFoldOrder, EachFamilyReturnsItsCounterpartsBits) {
+  using FloatCsc = CscMatrix<std::int32_t, float>;
+  const int nproc =
+      static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
+  std::size_t tree_differs = 0;
+  for (const gen::Pattern pattern : {gen::Pattern::ER, gen::Pattern::RMAT}) {
+    gen::WorkloadSpec spec;
+    spec.pattern = pattern;
+    spec.rows = 1 << 10;
+    spec.cols = 1 << 6;
+    spec.avg_nnz_per_col = 16;
+    spec.k = 16;  // a power of two; each case takes a prefix
+    spec.seed = 2501;
+    std::vector<FloatCsc> all;
+    for (const Csc& m : gen::make_workload(spec)) {
+      const auto cp = m.col_ptr();
+      const auto rows = m.row_idx();
+      const auto vals = m.values();
+      all.emplace_back(m.rows(), m.cols(),
+                       std::vector<std::int32_t>(cp.begin(), cp.end()),
+                       std::vector<std::int32_t>(rows.begin(), rows.end()),
+                       std::vector<float>(vals.begin(), vals.end()));
+    }
+    for (const std::size_t k : {2, 3, 5, 8, 13}) {
+      const std::span<const FloatCsc> in(all.data(), k);
+      for (const int t : {1, nproc}) {
+        const std::string where = spec.describe() + " k=" +
+                                  std::to_string(k) + " T=" +
+                                  std::to_string(t);
+        Options opts;
+        opts.threads = t;
+        const FloatCsc heap = sum_with(in, Method::Heap, opts);
+        EXPECT_TRUE(sum_with(in, Method::TwoWayIncremental, opts) == heap)
+            << where;
+        EXPECT_TRUE(sum_with(in, Method::ReferenceIncremental, opts) == heap)
+            << where;
+        const FloatCsc tree = sum_with(in, Method::TwoWayTree, opts);
+        EXPECT_TRUE(sum_with(in, Method::ReferenceTree, opts) == tree)
+            << where;
+        tree_differs += tree == heap ? 0 : 1;
+      }
+    }
+  }
+  // The inputs must tell the two orders apart, or the checks above could
+  // not catch a fold that re-associates.
+  EXPECT_GT(tree_differs, 0u);
 }
 
 TEST(TwoWayIncremental, WorkGrowsQuadraticallyInK) {
@@ -129,8 +205,8 @@ TEST(TwoWayIncremental, WorkGrowsQuadraticallyInK) {
     OpCounters c;
     Options opts;
     opts.counters = &c;
-    [[maybe_unused]] const auto sum =
-        spkadd_twoway_incremental(std::span<const Csc>(inputs), opts);
+    (void)sum_with(std::span<const Csc>(inputs), Method::TwoWayIncremental,
+                   opts);
     return c.merge_ops;
   };
   const auto w4 = count_ops(4);
@@ -148,8 +224,7 @@ TEST(TwoWayTree, WorkGrowsAsKLogK) {
     OpCounters c;
     Options opts;
     opts.counters = &c;
-    [[maybe_unused]] const auto sum =
-        spkadd_twoway_tree(std::span<const Csc>(inputs), opts);
+    (void)sum_with(std::span<const Csc>(inputs), Method::TwoWayTree, opts);
     return c.merge_ops;
   };
   const auto w4 = count_ops(4);    // ~ 4 * 2 levels
