@@ -5,7 +5,7 @@
 // and because contributions *arrive as a stream*, the server folds them
 // through the §V streaming accumulator: each gradient is staged by borrowed
 // pointer (zero copies; acc.add(std::move(g)) would take ownership instead)
-// and folded into the running update every --batch arrivals.
+// and folded into the running update at least every --batch arrivals.
 //
 //   ./examples/gradient_aggregation [--workers 32] [--rows 65536]
 #include <iostream>
@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
   for (int w = 0; w < *workers; ++w) gradients.push_back(make_gradient(w));
 
   // Stream the reduction: each gradient is staged as a borrowed pointer
-  // (zero copies) and folded every --batch arrivals. The aggregated update
+  // (zero copies) and folded at least every --batch arrivals; `gradients`
+  // outlives finalize(), as a borrowed addend must. The aggregated update
   // needs no sorted columns (it is applied element-wise), so the hash
   // reducer can skip its output sort — the same trick the paper's
   // "unsorted hash" SUMMA pipeline uses.

@@ -13,9 +13,9 @@
 # reference fold) lands in BENCH_daemon.json on the same schema.
 #
 # The metrics-overhead leg re-runs a matched bench_service config with
-# the obs registry attached (--metrics on) and detached (--metrics off),
-# 5 reps each, alternating on and off, and FAILS when the best metrics-on
-# rep is more than 3% slower than the best metrics-off rep (the
+# the obs registry attached (--metrics on) and detached (--metrics off)
+# in 31 back-to-back on/off pairs, and FAILS when the median of the
+# paired differences (on - off) / off exceeds 3% (the
 # scrape-time-collector design promises hot paths never touch the
 # registry). Samples land in BENCH_obs.json.
 #
@@ -110,7 +110,7 @@ fi
 # real streaming/buffered paths (not toy 1-stage degenerate cases).
 echo "=== bench_streaming (small shape) ==="
 "$BUILD_DIR/bench/bench_streaming" \
-  --rows 4096 --cols 32 --d 4 --batch 8 --repeats 3 \
+  --rows 4096 --cols 32 --d 4 --repeats 3 \
   --json "$tmp/streaming.json" > "$tmp/streaming.txt"
 # stderr stays on the console: it carries the per-pipeline progress lines
 # and, on failure, the streaming-vs-buffered MISMATCH diagnostic.
@@ -159,26 +159,31 @@ echo "=== bench_dense (density + promotion sweep) ==="
 cat "$tmp/dense.txt"
 
 # Metrics-overhead gate: the identical saturation config with the obs
-# registry attached vs detached, 5 reps each. Min-of-reps ingest
-# seconds-per-update (averaged over the run's patterns) is the score —
-# best-of filters scheduler noise, and the 3% budget is the promise the
-# collector design makes (metrics-enabled within 3% of off). The reps
-# alternate on and off, so a host slowdown lands on both modes instead of
-# reading as overhead.
-OBS_REPS="1 2 3 4 5"
-echo "=== bench_service metrics-overhead gate (on vs off, 5 reps) ==="
-for rep in $OBS_REPS; do
-  for mode in on off; do
+# registry attached vs detached, in pairs run back to back. Each pair
+# scores (on - off) / off of its ingest seconds-per-update (averaged over
+# the run's patterns), and the gate reads the median over the pairs: a
+# pair shares the host's state of the moment, so a slow spell moves both
+# halves, and the median ignores the odd pair one stall hit. Odd pairs
+# run on first and even pairs off first, so a position effect cancels.
+# The 3% budget is the promise the collector design makes (metrics-enabled
+# within 3% of off). One pair's difference has a ~5% standard deviation
+# on a 4-vCPU VM, so 31 pairs make a false alarm on identical hot paths
+# rare while a real overhead of 5% or more fails.
+OBS_PAIRS=31
+echo "=== bench_service metrics-overhead gate (on vs off, $OBS_PAIRS pairs) ==="
+for rep in $(seq 1 "$OBS_PAIRS"); do
+  if [ $((rep % 2)) -eq 1 ]; then order="on off"; else order="off on"; fi
+  for mode in $order; do
     "$BUILD_DIR/bench/bench_service" \
       --rows 4096 --cols 16 --d 4 --updates 8 --duration-ms 300 \
       --shards 2 --producers 2 --burst 8 --metrics "$mode" \
       --json "$tmp/obs_${mode}_${rep}.json" > "$tmp/obs_${mode}_${rep}.txt"
   done
 done
-python3 - "$tmp" $OBS_REPS <<'PY'
-import json, sys
+python3 - "$tmp" "$OBS_PAIRS" <<'PY'
+import json, statistics, sys
 tmp = sys.argv[1]
-reps = sys.argv[2:]
+pairs = int(sys.argv[2])
 
 def rep_score(path):
     doc = json.load(open(path))
@@ -188,14 +193,16 @@ def rep_score(path):
         raise SystemExit(f"metrics-overhead gate: no ingest samples in {path}")
     return sum(secs) / len(secs)
 
-best = {m: min(rep_score(f"{tmp}/obs_{m}_{r}.json") for r in reps)
-        for m in ("on", "off")}
-overhead = best["on"] / best["off"] - 1.0
-print(f"metrics-overhead gate: on={best['on']:.3e}s/upd "
-      f"off={best['off']:.3e}s/upd overhead={overhead * 100:+.2f}%")
-if best["on"] > best["off"] * 1.03:
-    raise SystemExit("metrics-overhead gate FAILED: "
-                     "metrics-on more than 3% slower than metrics-off")
+diffs = [rep_score(f"{tmp}/obs_on_{r}.json") /
+         rep_score(f"{tmp}/obs_off_{r}.json") - 1.0
+         for r in range(1, pairs + 1)]
+overhead = statistics.median(diffs)
+print(f"metrics-overhead gate: median of {pairs} paired overheads "
+      f"{overhead * 100:+.2f}% (pairs ranged {min(diffs) * 100:+.1f}% "
+      f"to {max(diffs) * 100:+.1f}%)")
+if overhead > 0.03:
+    raise SystemExit("metrics-overhead gate FAILED: metrics-on more than "
+                     "3% slower than metrics-off (median paired difference)")
 PY
 
 merge_benches "$OUT" "$tmp/streaming.json" "$tmp/fig6.json"
@@ -204,7 +211,9 @@ merge_benches "$HYBRID_OUT" "$tmp/hybrid.json"
 merge_benches "$DAEMON_OUT" "$tmp/daemon.json"
 obs_docs=()
 for mode in on off; do
-  for rep in $OBS_REPS; do obs_docs+=("$tmp/obs_${mode}_${rep}.json"); done
+  for rep in $(seq 1 "$OBS_PAIRS"); do
+    obs_docs+=("$tmp/obs_${mode}_${rep}.json")
+  done
 done
 merge_benches "$OBS_OUT" "${obs_docs[@]}"
 merge_benches "$DENSE_OUT" "$tmp/dense.json"
@@ -215,7 +224,7 @@ if command -v jq > /dev/null 2>&1; then
   jq -e '.benches | length == 1' "$SERVICE_OUT" > /dev/null
   jq -e '.benches | length == 1' "$HYBRID_OUT" > /dev/null
   jq -e '.benches | length == 1' "$DAEMON_OUT" > /dev/null
-  jq -e '.benches | length == 10' "$OBS_OUT" > /dev/null
+  jq -e ".benches | length == $((2 * OBS_PAIRS))" "$OBS_OUT" > /dev/null
   jq -e '.benches | length == 1' "$DENSE_OUT" > /dev/null
 elif command -v python3 > /dev/null 2>&1; then
   for doc in "$OUT" "$SERVICE_OUT" "$HYBRID_OUT" "$DAEMON_OUT" \

@@ -6,10 +6,20 @@
 // one-shot span: contributions arrive one (or a few) at a time and the
 // consumer wants the running sum at the end. The Accumulator keeps a CSC
 // partial sum, stages incoming addends as borrowed pointers (or takes
-// ownership of rvalues), and folds a full batch plus the running sum with
-// one extra SpKAdd level — the exact §V trade-off of peak memory (one batch
+// ownership of rvalues), and folds the staged batch plus the running sum
+// with one extra SpKAdd level — the §V trade-off of peak memory (one batch
 // of addends live instead of all k) against re-streaming the partial sum
 // once per batch.
+//
+// When to fold is a size ratio, not a count: a fold fires once the staged
+// addends hold as many nonzeros as the running sum (and at least 8 are
+// staged), so the batch grows with the sum and each fold reads about as
+// much new input as old partial sum. This is the trigger of log-structured
+// merge trees (O'Neil et al., Acta Informatica 1996) without their
+// re-association: staged addends only ever meet the running sum, in staged
+// order, so every fold is the same strict left fold at any batch size. A
+// caller that needs §V's hard memory bound passes a batch_capacity, which
+// forces a fold at that many staged addends.
 //
 // What makes it cheaper than calling spkadd() once per batch in a loop:
 //   * zero input copies — batches are spans of borrowed matrix pointers
@@ -43,6 +53,7 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -78,11 +89,16 @@ class Accumulator {
  public:
   using Matrix = CscMatrix<IndexT, ValueT>;
 
-  /// Fold after this many staged addends unless the caller chose otherwise.
-  /// The fold then sums batch_capacity + 1 matrices (batch plus running
-  /// sum), comfortably past the k >= 8 regime where the paper's hash
-  /// methods dominate.
-  static constexpr std::size_t kDefaultBatchCapacity = 8;
+  /// batch_capacity meaning "no count bound": only the size ratio folds.
+  static constexpr std::size_t kNoBatchCap =
+      std::numeric_limits<std::size_t>::max();
+  /// Fold once the staged nnz reaches kFoldRatio x the running sum's nnz
+  /// (r = 1: a fold streams at least as much new input as old sum)...
+  static constexpr std::size_t kFoldRatio = 1;
+  /// ...and at least this many addends are staged, so a ratio fold sums
+  /// k >= 8 matrices, the regime where the paper's hash methods dominate.
+  /// An explicit batch_capacity <= 8 thus folds on count alone.
+  static constexpr std::size_t kMinFoldAddends = 8;
 
   /// Usage/footprint counters for benches and tests.
   struct Stats {
@@ -91,7 +107,9 @@ class Accumulator {
     std::size_t peak_intermediate_bytes = 0;  ///< max of acc+owned+scratch
     /// Max total nnz of addends simultaneously staged (awaiting a fold) —
     /// the "live intermediates" bound of the streaming SUMMA pipeline:
-    /// never more than batch_capacity addends' worth.
+    /// never more than batch_capacity addends' worth when the caller sets
+    /// one; without one, up to the running sum's nnz plus one addend, or
+    /// kMinFoldAddends addends' worth if that is more.
     std::size_t peak_staged_nnz = 0;
     /// Sparse→dense column promotions performed (DensePolicy).
     std::uint64_t dense_promotions = 0;
@@ -99,8 +117,10 @@ class Accumulator {
     std::uint64_t dense_demotions = 0;
   };
 
+  /// `batch_capacity` is an optional hard bound on staged addends: a fold
+  /// fires at that count even when the size ratio has not.
   explicit Accumulator(IndexT rows, IndexT cols, Options opts = {},
-                       std::size_t batch_capacity = kDefaultBatchCapacity,
+                       std::size_t batch_capacity = kNoBatchCap,
                        DensePolicy dense = {})
       : rows_(rows),
         cols_(cols),
@@ -110,8 +130,6 @@ class Accumulator {
     if (batch_capacity < 1)
       throw std::invalid_argument("Accumulator: batch_capacity must be >= 1");
     detail::check_sentinel_shape(rows);
-    staged_.reserve(cap_);
-    fold_.reserve(cap_ + 1);
   }
 
   // Copying would leave the copy's staged pointers aimed at the original's
@@ -144,8 +162,9 @@ class Accumulator {
   [[nodiscard]] Runtime<IndexT, ValueT>& runtime() { return rt_; }
 
   /// Stage a borrowed addend. The matrix must stay alive until the next
-  /// flush()/finalize() or until batch_capacity addends force a fold —
-  /// whichever comes first. No copy is made while folding batches; the one
+  /// flush(), partial_sum() or finalize(): a fold may fire on any add, and
+  /// when depends on the running sum's size, so counting addends does not
+  /// predict it. No copy is made while folding batches; the one
   /// exception is a stream that ends with a single borrowed addend and no
   /// running sum, whose buffer must be materialized as the result.
   void add(const Matrix& m) {
@@ -164,7 +183,8 @@ class Accumulator {
   }
 
   /// Stage a whole batch of borrowed addends (§V's "arrange input matrices
-  /// in multiple batches"); folds fire every batch_capacity addends.
+  /// in multiple batches"); folds fire as add() would fire them, so the
+  /// span must outlive the next flush(), partial_sum() or finalize().
   void add_batch(std::span<const Matrix> ms) {
     for (const auto& m : ms) add(m);
   }
@@ -264,6 +284,7 @@ class Accumulator {
     acc_ = Matrix();
     have_acc_ = false;
     acc_sorted_ = true;
+    sum_nnz_ = 0;
     return out;
   }
 
@@ -328,6 +349,9 @@ class Accumulator {
     }
     have_acc_ = true;
     acc_sorted_ = emits_sorted(opts_.method) || opts_.sorted_output;
+    sum_nnz_ = acc_.nnz();
+    for (std::size_t s = 0; s < resident_cols_.size(); ++s)
+      sum_nnz_ += slot_nnz(s);
 
     ++stats_.flushes;
     const std::size_t live = acc_before + acc_.storage_bytes() +
@@ -365,6 +389,14 @@ class Accumulator {
   }
   [[nodiscard]] std::uint64_t* slot_mask(std::size_t s) {
     return dense_mask_.data() + s * mask_words();
+  }
+  /// Rows occupied in slot `s`: its resident column's nnz.
+  [[nodiscard]] std::size_t slot_nnz(std::size_t s) {
+    const std::uint64_t* mask = slot_mask(s);
+    std::size_t nz = 0;
+    for (std::size_t w = 0; w < mask_words(); ++w)
+      nz += static_cast<std::size_t>(std::popcount(mask[w]));
+    return nz;
   }
 
   /// Before a fold: choose every full-enough column of the running sum
@@ -445,14 +477,9 @@ class Accumulator {
     std::vector<IndexT> counts(static_cast<std::size_t>(cols_));
     for (IndexT j = 0; j < cols_; ++j)
       counts[static_cast<std::size_t>(j)] = acc_.col_nnz(j);
-    for (std::size_t s = 0; s < resident_cols_.size(); ++s) {
-      const std::uint64_t* mask = slot_mask(s);
-      std::size_t nz = 0;
-      for (std::size_t w = 0; w < words; ++w)
-        nz += static_cast<std::size_t>(std::popcount(mask[w]));
+    for (std::size_t s = 0; s < resident_cols_.size(); ++s)
       counts[static_cast<std::size_t>(resident_cols_[s])] =
-          static_cast<IndexT>(nz);
-    }
+          static_cast<IndexT>(slot_nnz(s));
     Matrix merged(rows_, cols_);
     merged.set_structure(util::counts_to_offsets(
         std::span<const IndexT>(counts), detail::team_size(opts_)));
@@ -481,6 +508,7 @@ class Accumulator {
       }
     }
     acc_ = std::move(merged);
+    sum_nnz_ = acc_.nnz();
     stats_.dense_demotions += resident_cols_.size();
     resident_.clear();
     resident_cols_.clear();
@@ -506,7 +534,10 @@ class Accumulator {
     ++stats_.addends;
     staged_nnz_ += m->nnz();
     stats_.peak_staged_nnz = std::max(stats_.peak_staged_nnz, staged_nnz_);
-    if (staged_.size() >= cap_) flush();
+    if (staged_.size() >= cap_ ||
+        (staged_.size() >= kMinFoldAddends &&
+         staged_nnz_ >= kFoldRatio * sum_nnz_))
+      flush();
   }
 
   IndexT rows_;
@@ -517,6 +548,9 @@ class Accumulator {
   Matrix acc_;
   bool have_acc_ = false;
   bool acc_sorted_ = true;
+  /// Running-sum nnz, dense-resident columns included (acc_.nnz() leaves
+  /// them out); set once per fold and per demotion, read by stage().
+  std::size_t sum_nnz_ = 0;
 
   std::vector<const Matrix*> staged_;  ///< borrowed addends awaiting a fold
   std::size_t staged_nnz_ = 0;  ///< total nnz currently staged

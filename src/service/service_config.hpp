@@ -59,9 +59,10 @@ struct ServiceConfig {
   /// oversubscribed box hurts.
   bool pin_threads = false;
 
-  /// Accumulator fold window: each shard folds its running sum after
-  /// this many staged slices (core::Accumulator batch_capacity, the
-  /// paper's §V batch size).
+  /// Accumulator fold window: a hard count bound on owned slices staged
+  /// per shard fold (core::Accumulator batch_capacity, the paper's §V
+  /// batch size). The Accumulator's size-ratio trigger needs 8 staged
+  /// addends, so at 8 or fewer this count alone decides.
   std::size_t batch_window = 8;
 
   /// SpKAdd options used for shard folds and snapshot assembly. The

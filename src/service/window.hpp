@@ -50,8 +50,10 @@ struct WindowConfig {
   /// live_buckets retire in O(1) when time advances.
   std::size_t live_buckets = 8;
 
-  /// Accumulator fold window per bucket (core::Accumulator
-  /// batch_capacity, the paper's §V batch size).
+  /// Accumulator fold window per bucket: a hard count bound on owned
+  /// slices staged per fold (core::Accumulator batch_capacity, the
+  /// paper's §V batch size). The Accumulator's size-ratio trigger needs 8
+  /// staged addends, so at 8 or fewer this count alone decides.
   std::size_t batch_window = 8;
 
   /// SpKAdd options for bucket folds and snapshot assembly. The default

@@ -3,14 +3,17 @@
 // across finalize() cycles, and the hash-sentinel shape guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "core/accumulator.hpp"
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_control.hpp"
 
 namespace {
 
@@ -22,6 +25,25 @@ using spkadd::testing::random_collection;
 using spkadd::testing::random_matrix;
 
 using Csc = spkadd::testing::Csc;
+using FloatCsc = CscMatrix<std::int32_t, float>;
+
+// Float sums expose the association order, so an equality check on them
+// also checks that every fold stayed a strict left fold.
+FloatCsc to_float(const Csc& m) {
+  const auto cp = m.col_ptr();
+  const auto ri = m.row_idx();
+  const auto vv = m.values();
+  return FloatCsc(m.rows(), m.cols(),
+                  std::vector<std::int32_t>(cp.begin(), cp.end()),
+                  std::vector<std::int32_t>(ri.begin(), ri.end()),
+                  std::vector<float>(vv.begin(), vv.end()));
+}
+
+std::vector<FloatCsc> to_float(const std::vector<Csc>& ms) {
+  std::vector<FloatCsc> out;
+  for (const Csc& m : ms) out.push_back(to_float(m));
+  return out;
+}
 
 // ----------------------------------------------------- partial_sum borrow
 TEST(Accumulator, PartialSumBorrowsWithoutConsumingTheStream) {
@@ -338,6 +360,106 @@ TEST(Accumulator, HeapMethodStreamingIsBitIdenticalToOneShot) {
   }
 }
 
+// ------------------------------------------------------- size-ratio trigger
+TEST(FoldTrigger, DefaultStreamFoldsOnSizeRatioBitIdenticalToHeap) {
+  // 256 equal-shape addends: a fold every 8 would re-stream the growing
+  // running sum 32 times. The size ratio folds once the staged nnz reaches
+  // the sum's, so each batch is about as large as everything before it.
+  gen::WorkloadSpec spec;
+  spec.pattern = gen::Pattern::ER;
+  spec.rows = 4096;
+  spec.cols = 32;
+  spec.avg_nnz_per_col = 4;
+  spec.k = 256;
+  spec.seed = 2701;
+  const std::vector<FloatCsc> inputs = to_float(gen::make_workload(spec));
+  const int nproc =
+      static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
+  for (const int t : {1, nproc}) {
+    Options heap;
+    heap.method = Method::Heap;
+    heap.threads = t;
+    const FloatCsc one_shot = core::spkadd(inputs, heap);
+    Options opts;
+    opts.threads = t;
+    Accumulator<std::int32_t, float> acc(4096, 32, opts);
+    for (const auto& m : inputs) acc.add(m);
+    EXPECT_TRUE(acc.finalize() == one_shot) << "T=" << t;
+    EXPECT_LE(acc.stats().flushes, 8u) << "T=" << t;
+  }
+}
+
+TEST(FoldTrigger, ShortStreamFoldsOnlyWhenAsked) {
+  const auto inputs = random_collection(7, 64, 8, 120, 2703);
+  Accumulator<> acc(64, 8);
+  for (const auto& m : inputs) acc.add(m);
+  EXPECT_EQ(acc.stats().flushes, 0u);
+  EXPECT_EQ(acc.pending(), 7u);
+  EXPECT_TRUE(acc.finalize() == core::spkadd(inputs));
+  EXPECT_EQ(acc.stats().flushes, 1u);
+
+  // A borrow mid-stream still folds what is pending.
+  for (std::size_t i = 0; i < 3; ++i) acc.add(inputs[i]);
+  const std::vector<Csc> first3(inputs.begin(), inputs.begin() + 3);
+  EXPECT_TRUE(acc.partial_sum() == core::spkadd(first3));
+  EXPECT_EQ(acc.pending(), 0u);
+  EXPECT_EQ(acc.stats().flushes, 2u);
+  for (std::size_t i = 3; i < 7; ++i) acc.add(inputs[i]);
+  EXPECT_EQ(acc.stats().flushes, 2u);
+  EXPECT_TRUE(acc.finalize() == core::spkadd(inputs));
+}
+
+TEST(FoldTrigger, ExplicitCapsStayHardBounds) {
+  // A large first addend outweighs the small ones after it, so the size
+  // ratio alone lets the staged count run past every cap below.
+  std::vector<Csc> inputs{random_matrix(256, 8, 1500, 2707)};
+  for (auto& m : random_collection(40, 256, 8, 20, 2709))
+    inputs.push_back(std::move(m));
+  std::size_t max_addend = 0;
+  for (const auto& m : inputs) max_addend = std::max(max_addend, m.nnz());
+  const Csc one_shot = core::spkadd(inputs);
+  for (const std::size_t cap : {1u, 2u, 4u, 8u, 16u}) {
+    Accumulator<> acc(256, 8, Options{}, cap);
+    for (const auto& m : inputs) {
+      acc.add(m);
+      EXPECT_LT(acc.pending(), cap) << "cap=" << cap;
+    }
+    EXPECT_LE(acc.stats().peak_staged_nnz, cap * max_addend) << "cap=" << cap;
+    EXPECT_TRUE(acc.finalize() == one_shot) << "cap=" << cap;
+  }
+  Accumulator<> uncapped(256, 8);
+  std::size_t most_pending = 0;
+  for (const auto& m : inputs) {
+    uncapped.add(m);
+    most_pending = std::max(most_pending, uncapped.pending());
+  }
+  EXPECT_GT(most_pending, 16u);
+  EXPECT_TRUE(uncapped.finalize() == one_shot);
+}
+
+TEST(FoldTrigger, DenseResidentColumnsCountTowardTheRunningSum) {
+  // Every column turns resident after the first fold, where it is empty
+  // in the CSC part: a trigger that read only that part would see a zero
+  // sum and fold every 8 addends in the promoted stream alone.
+  const std::vector<FloatCsc> inputs =
+      to_float(random_collection(64, 4096, 8, 200, 2711));
+  DensePolicy hot;
+  hot.promote_fill = 0.01;
+  hot.min_rows = 1;
+  DensePolicy cold = hot;
+  cold.enabled = false;
+  using FloatAcc = Accumulator<std::int32_t, float>;
+  FloatAcc promoted(4096, 8, Options{}, FloatAcc::kNoBatchCap, hot);
+  FloatAcc sparse(4096, 8, Options{}, FloatAcc::kNoBatchCap, cold);
+  for (const auto& m : inputs) {
+    promoted.add(m);
+    sparse.add(m);
+  }
+  EXPECT_GT(promoted.stats().dense_promotions, 0u);
+  EXPECT_EQ(promoted.stats().flushes, sparse.stats().flushes);
+  EXPECT_TRUE(promoted.finalize() == sparse.finalize());
+}
+
 // ------------------------------------------------- sparse→dense residency
 TEST(DenseResidency, PromotedStreamIsByteIdenticalToSparseStream) {
   // Columns promoted to dense storage scatter addends in staged order, so
@@ -406,19 +528,8 @@ TEST(DenseResidency, ThrowingFoldKeepsSumAndResidents) {
   // throws inside the first fold that chooses any, and that fold must
   // leave the running sum, the dense slots and the mask as they were:
   // after discard_staged() the stream goes on to one-shot's bits.
-  using FloatCsc = CscMatrix<std::int32_t, float>;
-  const auto to_float = [](const Csc& m) {
-    const auto cp = m.col_ptr();
-    const auto ri = m.row_idx();
-    const auto vv = m.values();
-    return FloatCsc(m.rows(), m.cols(),
-                    std::vector<std::int32_t>(cp.begin(), cp.end()),
-                    std::vector<std::int32_t>(ri.begin(), ri.end()),
-                    std::vector<float>(vv.begin(), vv.end()));
-  };
-  std::vector<FloatCsc> sorted;
-  for (const Csc& m : random_collection(4, 64, 8, 300, 57))
-    sorted.push_back(to_float(m));
+  const std::vector<FloatCsc> sorted =
+      to_float(random_collection(4, 64, 8, 300, 57));
   Csc shuffled = random_matrix(64, 8, 300, 59);
   gen::shuffle_columns(shuffled, 61);
   const FloatCsc unsorted = to_float(shuffled);

@@ -80,7 +80,7 @@ TEST(TenantWindow, SingleBucketWindowMatchesNonWindowedAccumulator) {
   cfg.batch_window = 3;
   TenantWindow w(kRows, kCols, cfg);
   Accumulator<> acc(kRows, kCols, cfg.options, cfg.batch_window);
-  std::vector<Csc> updates;  // borrowed by acc until each batched flush
+  std::vector<Csc> updates;  // borrowed by acc until finalize()
   for (std::uint64_t i = 0; i < 9; ++i) updates.push_back(update(i));
   for (std::uint64_t i = 0; i < 9; ++i) {
     acc.add(updates[i]);
