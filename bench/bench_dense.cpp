@@ -1,21 +1,9 @@
-// Representation-adaptivity bench: the dense-accumulation kernel and the
-// Accumulator's sparse<->dense promotion machinery.
-//
-// Two sweeps:
-//   kernel face-off   — Hash vs DenseAcc (the SPA of Alg. 4) one-shot
-//                       SpKAdd across a column-density axis (union fill
-//                       from sparse to saturated). The dense kernel emits
-//                       sorted columns by construction (a summary-bitmap
-//                       walk over the occupied words, no radix sort) fed by
-//                       a branch-free scatter into -0.0 slots, so it should
-//                       pull ahead of hash as columns saturate.
-//                       Bit-identity to Hash is a hard gate on every cell.
-//   promotion sweep   — streaming Accumulator folds across a
-//                       (promote_fill x k x density) grid, timing the full
-//                       stream + finalize and checking the promoted run's
-//                       snapshot is byte-identical to a never-promoted
-//                       (DensePolicy disabled) run. This is the
-//                       calibration data behind DensePolicy::promote_fill.
+// Dense-accumulation bench: Hash vs DenseAcc (the SPA of Alg. 4) one-shot
+// SpKAdd across a column-density axis (union fill from sparse to
+// saturated). The dense kernel emits sorted columns by construction (a
+// summary-bitmap walk over the occupied words, no radix sort) fed by a
+// branch-free scatter into -0.0 slots, so it should pull ahead of hash as
+// columns saturate. Bit-identity to Hash is a hard gate on every cell.
 //
 // `--json` emits the SampleLog document scripts/bench_smoke.sh commits as
 // BENCH_dense.json.
@@ -25,7 +13,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/accumulator.hpp"
+#include "core/spkadd.hpp"
 #include "gen/workload.hpp"
 #include "util/cli.hpp"
 
@@ -58,30 +46,28 @@ std::vector<Csc> density_workload(std::int64_t rows, std::int64_t cols,
 
 int main(int argc, char** argv) {
   util::CliParser cli("bench_dense",
-                      "dense-accumulation kernel and promotion sweep");
+                      "dense-accumulation kernel density sweep");
   const auto* rows = cli.add_int("rows", 1 << 12, "rows per matrix (m)");
   const auto* cols = cli.add_int("cols", 32, "cols per matrix (n)");
-  const auto* k = cli.add_int("k", 16, "addends per workload (power of two)");
+  const auto* k = cli.add_int("k", 16, "addends per workload");
   const auto* repeats = cli.add_int("repeats", 3, "timing repetitions");
   const auto* threads = cli.add_int("threads", 0, "OpenMP threads (0=omp)");
   const auto* json = cli.add_string("json", "", "write JSON samples here");
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_header(
-      "Dense accumulation (ColumnKernel::DenseAcc) density + promotion sweep",
+      "Dense accumulation (ColumnKernel::DenseAcc) density sweep",
       "the bitmap accumulator emits sorted columns without a radix sort, so "
-      "it should overtake hash as column fill saturates; adaptive "
-      "promotion must never change snapshot bytes");
+      "it should overtake hash as column fill saturates");
   bench::SampleLog log("bench_dense");
 
-  const std::string dims =
-      "rows=" + std::to_string(*rows) + " cols=" + std::to_string(*cols);
-  const std::string shape = dims + " k=" + std::to_string(*k);
+  const std::string shape = "rows=" + std::to_string(*rows) +
+                            " cols=" + std::to_string(*cols) +
+                            " k=" + std::to_string(*k);
 
   core::Options base;
   base.threads = static_cast<int>(*threads);
 
-  // ---- kernel face-off across the density axis --------------------------
   const std::vector<double> densities = {0.05, 0.25, 0.5, 1.0};
   const std::vector<core::Method> methods = {core::Method::Hash,
                                              core::Method::DenseAcc};
@@ -121,78 +107,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-
-  // ---- promotion-threshold sweep ----------------------------------------
-  std::cout << "\nAccumulator promotion sweep (streaming fold + finalize; "
-               "snapshot must be byte-identical to DensePolicy off):\n";
-  util::TablePrinter ptable({"fill", "k", "density", "stream s", "vs off",
-                             "promotions"});
-  const std::vector<double> fills = {-1.0, 0.25, 0.5, 0.75};  // -1 = off
-  const std::vector<int> ks = {static_cast<int>(*k) / 2,
-                               static_cast<int>(*k)};
-  const std::vector<double> pdens = {0.25, 1.0};
-
-  for (const int kk : ks) {
-    for (const double density : pdens) {
-      const auto inputs =
-          density_workload(*rows, *cols, density, kk, 6200);
-      // Reference: promotion disabled.
-      core::DensePolicy off;
-      off.enabled = false;
-      Csc expected;
-      double t_off = 0.0;
-      {
-        core::Accumulator<> acc(static_cast<std::int32_t>(*rows),
-                                static_cast<std::int32_t>(*cols), base, 4,
-                                off);
-        t_off = bench::time_median(static_cast<int>(*repeats), [&] {
-                  acc.add_batch(std::span<const Csc>(inputs));
-                  expected = acc.finalize();
-                }).median;
-      }
-      for (const double fill : fills) {
-        core::DensePolicy dense;
-        if (fill < 0) {
-          dense.enabled = false;
-        } else {
-          dense.promote_fill = fill;
-          dense.min_rows = 1;
-        }
-        core::Accumulator<> acc(static_cast<std::int32_t>(*rows),
-                                static_cast<std::int32_t>(*cols), base, 4,
-                                dense);
-        Csc out;
-        const bench::Timing lap =
-            bench::time_median(static_cast<int>(*repeats), [&] {
-              acc.add_batch(std::span<const Csc>(inputs));
-              out = acc.finalize();
-            });
-        const double t = lap.median;
-        if (!(out == expected)) {
-          std::cerr << "MISMATCH: promote_fill=" << fill << " k=" << kk
-                    << " density=" << density
-                    << " snapshot differs from DensePolicy-off run\n";
-          all_exact = false;
-        }
-        char fbuf[16], dbuf[16];
-        std::snprintf(fbuf, sizeof(fbuf), fill < 0 ? "off" : "%.2f", fill);
-        std::snprintf(dbuf, sizeof(dbuf), "%.2f", density);
-        // Promotions from the timed laps accumulate; report per-stream.
-        const auto laps = static_cast<std::uint64_t>(*repeats) + 0;
-        const std::uint64_t promos =
-            acc.stats().dense_promotions / std::max<std::uint64_t>(laps, 1);
-        ptable.add_row({fbuf, std::to_string(kk), dbuf, bench::cell(t),
-                        ratio_cell(t > 0.0 ? t_off / t : 0.0),
-                        std::to_string(promos)});
-        log.add("promote/fill=" + std::string(fbuf) + "/k=" +
-                    std::to_string(kk) + "/density=" + dbuf,
-                dims + " k=" + std::to_string(kk) + " fill=" + fbuf +
-                    " density=" + dbuf,
-                lap);
-      }
-    }
-  }
-  ptable.print(std::cout);
 
   if (!json->empty() && !log.write(*json)) return 1;
   return all_exact ? 0 : 1;

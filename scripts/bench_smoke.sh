@@ -19,10 +19,9 @@
 # scrape-time-collector design promises hot paths never touch the
 # registry). Samples land in BENCH_obs.json.
 #
-# The representation-adaptivity leg (bench_dense: Hash vs DenseAcc across
-# a column-density axis plus the Accumulator promotion-threshold sweep,
-# every cell bit-identity gated) lands in BENCH_dense.json on the same
-# schema.
+# The dense-accumulation leg (bench_dense: Hash vs DenseAcc across a
+# column-density axis, every cell bit-identity gated) lands in
+# BENCH_dense.json on the same schema.
 #
 # Usage: scripts/bench_smoke.sh [summa.json] [service.json] [hybrid.json] \
 #                               [daemon.json] [obs.json] [dense.json]
@@ -148,11 +147,10 @@ echo "=== bench_daemon (8-connection windowed loadgen) ==="
   --tenants 2 --json "$tmp/daemon.json" > "$tmp/daemon.txt"
 cat "$tmp/daemon.txt"
 
-# Representation-adaptivity leg: the density face-off (Hash vs DenseAcc)
-# and the promotion-threshold sweep. Bit-identity (one-shot to Hash,
-# promoted snapshots to DensePolicy-off) gates the run; the timings are
-# recorded in the samples, not enforced (CI boxes are noisy).
-echo "=== bench_dense (density + promotion sweep) ==="
+# Dense-accumulation leg: the density face-off (Hash vs DenseAcc).
+# Bit-identity of every DenseAcc result to Hash gates the run; the
+# timings are recorded in the samples, not enforced (CI boxes are noisy).
+echo "=== bench_dense (density sweep) ==="
 "$BUILD_DIR/bench/bench_dense" \
   --rows 8192 --cols 32 --k 16 --repeats 5 \
   --json "$tmp/dense.json" > "$tmp/dense.txt"

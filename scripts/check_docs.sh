@@ -6,10 +6,12 @@
 # --llc-bytes/--llc-mb drift this gate was born from). Source-grep
 # based — no build needed, so the CI format job can run it.
 #
-# Second gate, same spirit: every `spkadd_*` metric name the docs
-# mention must appear as a string literal somewhere under src/ —
-# renaming a metric family without updating docs/OBSERVABILITY.md (or
-# vice versa) fails here, not in an operator's broken dashboard.
+# Second gate, same spirit, run both ways: every `spkadd_*` metric name
+# the docs mention must appear as a string literal somewhere under src/,
+# and every `"spkadd_*"` string literal under src/ must be named in
+# docs/OBSERVABILITY.md. Renaming, adding or deleting a metric family
+# without updating docs/OBSERVABILITY.md fails here, not in an
+# operator's broken dashboard.
 #
 # Third gate: every backticked file name the docs mention (*.json, *.sh,
 # *.hpp, *.cpp, *.py, *.yml, *.md) must be a tracked path or a trailing
@@ -98,6 +100,25 @@ for metric in $(grep -ohE 'spkadd_[a-z0-9_]+' $docs | sort -u); do
   fi
 done
 
+# The reverse direction: every family src/ emits is documented. A name
+# counts as documented when docs/OBSERVABILITY.md carries it verbatim or
+# with a derived suffix (a histogram's _bucket, say).
+obs_doc="docs/OBSERVABILITY.md"
+obs_names="$(grep -ohE 'spkadd_[a-z0-9_]+' "$obs_doc" | sort -u)"
+obs_bases="$(sed -E 's/_(bucket|sum|count|p50|p99|max)$//' <<< "$obs_names")"
+emitted_documented=0
+while IFS= read -r metric; do
+  if grep -qxF -- "$metric" <<< "$obs_names" ||
+     grep -qxF -- "$metric" <<< "$obs_bases"; then
+    emitted_documented=$((emitted_documented + 1))
+  else
+    where="$(grep -rlF -- "\"$metric\"" src | tr '\n' ' ')"
+    echo "UNDOCUMENTED METRIC: $metric emitted in ${where}but missing" \
+         "from $obs_doc"
+    fail=1
+  fi
+done < "$metrics_src"
+
 # File-name drift. Names CI uploads as artifacts but never commits:
 artifacts="BENCH_service_tN.json
 BENCH_obs.json"
@@ -161,6 +182,8 @@ if [ "$fail" -eq 0 ]; then
        "registered, docs: $docs)"
   echo "OK: every documented metric name is emitted" \
        "($metric_count documented, $(wc -l < "$metrics_src") in src/)"
+  echo "OK: every metric name src/ emits is documented in $obs_doc" \
+       "($emitted_documented/$(wc -l < "$metrics_src"))"
   echo "OK: every documented file name is tracked or a CI artifact" \
        "($path_count documented)"
   echo "OK: every documented code identifier occurs in the code" \

@@ -30,27 +30,15 @@
 //     Method::Auto (its chunk cut and its kernel choice) lives in the
 //     same Runtime and is recomputed in parallel once per fold, not per
 //     consumer. Every fold is a strict left fold whatever kernel mix the
-//     plan picks, so streaming stays bit-identical to one-shot.
-//
-// Representation adaptivity (DensePolicy, a constructor argument): a
-// running-sum column whose fill fraction reaches promote_fill is promoted
-// to dense column storage — a value array plus occupancy bitmap, like
-// the DenseAcc kernel's scratch. Promotion is the Accumulator's own
-// decision: a fold first chooses the full-enough columns of the running
-// sum, then runs the column-kernel driver with them masked out (kway_add's
-// skip mask), and only once it has returned copies their old sums into
-// dense slots and scatters the staged addends into every slot in staged
-// order — the same strict left fold, bit for bit. partial_sum() and
-// finalize() demote every resident column back to CSC (ascending-row
-// bitmap scan, values verbatim), so snapshots are byte-identical to a
-// never-promoted run.
+//     plan picks, so streaming stays bit-identical to one-shot. Under
+//     Method::Auto a full running-sum column's chunk goes to the DenseAcc
+//     kernel (Alg. 4's SPA), so the Accumulator keeps no dense store.
 //
 //   core::Accumulator<> acc(rows, cols, opts);
 //   for (auto& g : stream) acc.add(std::move(g));   // or acc.add(g) to borrow
 //   CscMatrix<> sum = acc.finalize();               // acc is reusable after
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -59,30 +47,8 @@
 #include <vector>
 
 #include "core/spkadd.hpp"
-#include "util/prefix_sum.hpp"
 
 namespace spkadd::core {
-
-/// Sparse→dense promotion policy of the streaming Accumulator (ROADMAP
-/// item 1, mirroring the HLL sparse→dense representation switch): a
-/// running partial-sum column whose fill fraction crosses `promote_fill`
-/// is promoted to dense column storage and subsequent addends fold into
-/// it with scatter adds; finalize()/partial_sum() demote back to CSC, so
-/// every output format — and every output *byte* — is unchanged.
-/// Promotion requires Options::sorted_output (demotion emits rows
-/// ascending) and a column-kernel method; pairwise folds never promote.
-struct DensePolicy {
-  bool enabled = true;
-  /// Promote a column once nnz >= promote_fill * rows (the calibratable
-  /// threshold BENCH_dense.json sweeps).
-  double promote_fill = 0.5;
-  /// Never promote matrices shorter than this: the dense win needs enough
-  /// rows to amortize per-column bookkeeping.
-  std::int64_t min_rows = 64;
-  /// Cap on total dense-resident bytes per accumulator; promotion stops
-  /// (new candidates stay sparse) once reached.
-  std::size_t max_resident_bytes = 256ull << 20;
-};
 
 template <class IndexT = std::int32_t, class ValueT = double>
 class Accumulator {
@@ -111,22 +77,13 @@ class Accumulator {
     /// one; without one, up to the running sum's nnz plus one addend, or
     /// kMinFoldAddends addends' worth if that is more.
     std::size_t peak_staged_nnz = 0;
-    /// Sparse→dense column promotions performed (DensePolicy).
-    std::uint64_t dense_promotions = 0;
-    /// Dense→CSC column demotions performed at snapshot boundaries.
-    std::uint64_t dense_demotions = 0;
   };
 
   /// `batch_capacity` is an optional hard bound on staged addends: a fold
   /// fires at that count even when the size ratio has not.
   explicit Accumulator(IndexT rows, IndexT cols, Options opts = {},
-                       std::size_t batch_capacity = kNoBatchCap,
-                       DensePolicy dense = {})
-      : rows_(rows),
-        cols_(cols),
-        opts_(opts),
-        cap_(batch_capacity),
-        dense_(dense) {
+                       std::size_t batch_capacity = kNoBatchCap)
+      : rows_(rows), cols_(cols), opts_(opts), cap_(batch_capacity) {
     if (batch_capacity < 1)
       throw std::invalid_argument("Accumulator: batch_capacity must be >= 1");
     detail::check_sentinel_shape(rows);
@@ -146,11 +103,6 @@ class Accumulator {
   /// Addends staged but not yet folded into the running sum.
   [[nodiscard]] std::size_t pending() const { return staged_.size(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Columns currently held in dense (promoted) storage. Zero between
-  /// snapshots: partial_sum()/finalize() demote everything.
-  [[nodiscard]] std::size_t dense_resident_cols() const {
-    return resident_cols_.size();
-  }
   /// Bytes of persistent per-thread scratch currently held (survives
   /// finalize(); the workspace-reuse guarantee tests pin this).
   [[nodiscard]] std::size_t workspace_bytes() const {
@@ -227,9 +179,6 @@ class Accumulator {
     detail::check_sentinel_shape(rows);
     rows_ = rows;
     cols_ = cols;
-    // Idle implies nothing resident, but the lazily-sized column mask
-    // must not carry the previous shape into the next stream.
-    resident_.clear();
   }
 
   /// Drop every staged addend without folding it — the recovery path
@@ -246,8 +195,52 @@ class Accumulator {
   }
 
   /// Fold everything staged into the running partial sum now. No-op when
-  /// nothing is pending.
-  void flush() { fold(/*promote=*/true); }
+  /// nothing is pending. A throwing fold never assigns the running sum,
+  /// so it keeps its last value.
+  void flush() {
+    require_no_open_buffer();
+    if (staged_.empty()) return;
+    fold_.clear();
+    if (have_acc_) fold_.push_back(&acc_);
+    fold_.insert(fold_.end(), staged_.begin(), staged_.end());
+
+    Options fopts = opts_;
+    // An unsorted running sum (hash family with sorted_output=false) must
+    // not be fed to a fold that assumes sorted inputs.
+    fopts.inputs_sorted = opts_.inputs_sorted && (!have_acc_ || acc_sorted_);
+
+    std::size_t owned_bytes = 0;
+    for (const auto& m : owned_) owned_bytes += m.storage_bytes();
+    // Mid-fold, the outgoing running sum and the fresh result are live at
+    // once; count both so the peak is not understated.
+    const std::size_t acc_before = have_acc_ ? acc_.storage_bytes() : 0;
+
+    if (fold_.size() == 1) {
+      // Single addend, no running sum yet: materialize it directly (move
+      // when we own it) instead of running a 1-way pipeline.
+      Matrix* own = owned_.empty() ? nullptr : &owned_.front();
+      acc_ = own ? std::move(*own) : Matrix(*fold_.front());
+      if (own) owned_bytes = 0;  // the owned buffer *became* acc_
+      if (fopts.sorted_output && !acc_.is_sorted()) acc_.sort_columns();
+    } else {
+      acc_ = spkadd(MatrixPtrs<IndexT, ValueT>(fold_), fopts, &rt_);
+      // Keep the persistent footprint independent of which thread ran
+      // which column (see Runtime::level_scratch).
+      rt_.level_scratch();
+    }
+    have_acc_ = true;
+    acc_sorted_ = emits_sorted(opts_.method) || opts_.sorted_output;
+
+    ++stats_.flushes;
+    const std::size_t live = acc_before + acc_.storage_bytes() +
+                             owned_bytes + rt_.storage_bytes();
+    stats_.peak_intermediate_bytes =
+        std::max(stats_.peak_intermediate_bytes, live);
+
+    staged_.clear();
+    owned_.clear();
+    staged_nnz_ = 0;
+  }
 
   /// Fold any pending addends and borrow the running sum WITHOUT
   /// consuming it — snapshot readers (the aggregation service) assemble
@@ -256,8 +249,7 @@ class Accumulator {
   /// addend materializes (and keeps) the all-zero rows x cols sum. The
   /// reference is invalidated by any later add/flush/finalize.
   [[nodiscard]] const Matrix& partial_sum() {
-    fold(/*promote=*/false);
-    demote_all();
+    flush();
     if (!have_acc_) {
       acc_ = Matrix(rows_, cols_);
       have_acc_ = true;
@@ -278,242 +270,15 @@ class Accumulator {
   /// stream reuses the grown scratch. An accumulator that never saw an
   /// addend yields the all-zero rows x cols matrix.
   [[nodiscard]] Matrix finalize() {
-    fold(/*promote=*/false);
-    demote_all();
+    flush();
     Matrix out = have_acc_ ? std::move(acc_) : Matrix(rows_, cols_);
     acc_ = Matrix();
     have_acc_ = false;
     acc_sorted_ = true;
-    sum_nnz_ = 0;
     return out;
   }
 
  private:
-  /// Fold the staged addends plus the running sum. With `promote`, the
-  /// fold first chooses new dense residents; partial_sum() and finalize()
-  /// pass false, since demote_all() would merge them straight back.
-  void fold(bool promote) {
-    require_no_open_buffer();
-    if (staged_.empty()) return;
-    fold_.clear();
-    if (have_acc_) fold_.push_back(&acc_);
-    fold_.insert(fold_.end(), staged_.begin(), staged_.end());
-
-    Options fopts = opts_;
-    // An unsorted running sum (hash family with sorted_output=false) must
-    // not be fed to a fold that assumes sorted inputs.
-    fopts.inputs_sorted = opts_.inputs_sorted && (!have_acc_ || acc_sorted_);
-
-    std::size_t owned_bytes = 0;
-    for (const auto& m : owned_) owned_bytes += m.storage_bytes();
-    // Mid-fold, the outgoing running sum and the fresh result are live at
-    // once; count both so the peak is not understated.
-    const std::size_t acc_before = have_acc_ ? acc_.storage_bytes() : 0;
-
-    if (fold_.size() == 1) {
-      // Single addend, no running sum yet (so nothing resident):
-      // materialize it directly (move when we own it) instead of running
-      // a 1-way pipeline.
-      Matrix* own = owned_.empty() ? nullptr : &owned_.front();
-      acc_ = own ? std::move(*own) : Matrix(*fold_.front());
-      if (own) owned_bytes = 0;  // the owned buffer *became* acc_
-      if (fopts.sorted_output && !acc_.is_sorted()) acc_.sort_columns();
-    } else {
-      const std::size_t kept = resident_cols_.size();
-      Matrix sum;
-      try {
-        if (promote) choose_promotions();
-        const MatrixPtrs<IndexT, ValueT> batch(fold_);
-        // Resident columns stay out of the sparse fold: the mask leaves
-        // them empty in `sum`, and their addends scatter below.
-        sum = resident_cols_.empty()
-                  ? spkadd(batch, fopts, &rt_)
-                  : kway_add(batch, fopts, method_kernel(opts_.method), rt_,
-                             resident_);
-      } catch (...) {
-        // A throwing fold leaves acc_, the slots and the mask as they
-        // were: un-choose this fold's promotions.
-        for (std::size_t s = kept; s < resident_cols_.size(); ++s)
-          resident_[static_cast<std::size_t>(resident_cols_[s])] = 0;
-        resident_cols_.resize(kept);
-        throw;
-      }
-      for (std::size_t s = kept; s < resident_cols_.size(); ++s)
-        load_slot(s);
-      stats_.dense_promotions += resident_cols_.size() - kept;
-      acc_ = std::move(sum);
-      scatter_staged_into_dense();
-      // Keep the persistent footprint independent of which thread ran
-      // which column (see Runtime::level_scratch).
-      rt_.level_scratch();
-    }
-    have_acc_ = true;
-    acc_sorted_ = emits_sorted(opts_.method) || opts_.sorted_output;
-    sum_nnz_ = acc_.nnz();
-    for (std::size_t s = 0; s < resident_cols_.size(); ++s)
-      sum_nnz_ += slot_nnz(s);
-
-    ++stats_.flushes;
-    const std::size_t live = acc_before + acc_.storage_bytes() +
-                             owned_bytes + rt_.storage_bytes() +
-                             dense_storage_bytes();
-    stats_.peak_intermediate_bytes =
-        std::max(stats_.peak_intermediate_bytes, live);
-
-    staged_.clear();
-    owned_.clear();
-    staged_nnz_ = 0;
-  }
-
-  /// Promotion is legal only when the stream can honor it: the policy is
-  /// on, snapshots want sorted columns (demotion emits ascending), the
-  /// matrix is tall enough to pay off, and folds run the column-kernel
-  /// driver (the pairwise families cannot skip columns).
-  [[nodiscard]] bool promotion_allowed() const {
-    return dense_.enabled && !is_pairwise(opts_.method) &&
-           opts_.sorted_output &&
-           static_cast<std::int64_t>(rows_) >= dense_.min_rows;
-  }
-
-  [[nodiscard]] std::size_t mask_words() const {
-    return (static_cast<std::size_t>(rows_) + 63) / 64;
-  }
-
-  [[nodiscard]] std::size_t dense_storage_bytes() const {
-    return dense_vals_.capacity() * sizeof(ValueT) +
-           dense_mask_.capacity() * sizeof(std::uint64_t);
-  }
-
-  [[nodiscard]] ValueT* slot_values(std::size_t s) {
-    return dense_vals_.data() + s * static_cast<std::size_t>(rows_);
-  }
-  [[nodiscard]] std::uint64_t* slot_mask(std::size_t s) {
-    return dense_mask_.data() + s * mask_words();
-  }
-  /// Rows occupied in slot `s`: its resident column's nnz.
-  [[nodiscard]] std::size_t slot_nnz(std::size_t s) {
-    const std::uint64_t* mask = slot_mask(s);
-    std::size_t nz = 0;
-    for (std::size_t w = 0; w < mask_words(); ++w)
-      nz += static_cast<std::size_t>(std::popcount(mask[w]));
-    return nz;
-  }
-
-  /// Before a fold: choose every full-enough column of the running sum
-  /// (under the byte budget) and mark it in the mask. Resident columns
-  /// are empty in acc_, so the nnz test skips them. The slots are sized
-  /// here, so nothing after a successful fold can fail.
-  void choose_promotions() {
-    if (!have_acc_ || !promotion_allowed()) return;
-    const auto m = static_cast<std::size_t>(rows_);
-    const std::size_t slot_bytes =
-        m * sizeof(ValueT) + mask_words() * sizeof(std::uint64_t);
-    const double cut = dense_.promote_fill * static_cast<double>(rows_);
-    for (IndexT j = 0; j < cols_; ++j) {
-      const auto nz = static_cast<std::size_t>(acc_.col_nnz(j));
-      if (nz == 0 || static_cast<double>(nz) < cut) continue;
-      if ((resident_cols_.size() + 1) * slot_bytes >
-          dense_.max_resident_bytes)
-        break;
-      if (resident_.empty())
-        resident_.assign(static_cast<std::size_t>(cols_), 0);
-      resident_[static_cast<std::size_t>(j)] = 1;
-      resident_cols_.push_back(j);
-    }
-    const std::size_t slots = resident_cols_.size();
-    if (dense_vals_.size() < slots * m) dense_vals_.resize(slots * m);
-    if (dense_mask_.size() < slots * mask_words())
-      dense_mask_.resize(slots * mask_words());
-  }
-
-  /// Copy the running sum's column of slot `s` into the slot verbatim
-  /// (promotion must not perturb a single bit). Unset value slots stay
-  /// stale — they are never read, and a first touch assigns rather than
-  /// adds.
-  void load_slot(std::size_t s) {
-    ValueT* vals = slot_values(s);
-    std::uint64_t* mask = slot_mask(s);
-    std::fill(mask, mask + mask_words(), std::uint64_t{0});
-    const auto col = acc_.column(resident_cols_[s]);
-    for (std::size_t p = 0; p < col.rows.size(); ++p) {
-      const auto r = static_cast<std::size_t>(col.rows[p]);
-      vals[r] = col.vals[p];
-      mask[r >> 6] |= std::uint64_t{1} << (r & 63);
-    }
-  }
-
-  /// Fold the just-staged addends' resident columns into their dense
-  /// slots, in staged order — the same strict left fold the kernels run
-  /// (first touch assigns, later touches +=), so the value bytes stay
-  /// identical to a never-promoted stream.
-  void scatter_staged_into_dense() {
-    for (const Matrix* a : staged_) {
-      for (std::size_t s = 0; s < resident_cols_.size(); ++s) {
-        ValueT* vals = slot_values(s);
-        std::uint64_t* mask = slot_mask(s);
-        const auto col = a->column(resident_cols_[s]);
-        for (std::size_t p = 0; p < col.rows.size(); ++p) {
-          const auto r = static_cast<std::size_t>(col.rows[p]);
-          const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-          if ((mask[r >> 6] & bit) != 0) {
-            vals[r] += col.vals[p];
-          } else {
-            mask[r >> 6] |= bit;
-            vals[r] = col.vals[p];
-          }
-        }
-      }
-    }
-  }
-
-  /// Merge every dense-resident column back into acc_ as CSC: ascending
-  /// bitmap scan, value bytes verbatim. Clears all residency state; the
-  /// dense backing stores keep their capacity for the next promotion.
-  void demote_all() {
-    if (resident_cols_.empty()) return;
-    const std::size_t words = mask_words();
-    // Resident columns are empty in acc_; their counts come from the
-    // slots' bitmaps.
-    std::vector<IndexT> counts(static_cast<std::size_t>(cols_));
-    for (IndexT j = 0; j < cols_; ++j)
-      counts[static_cast<std::size_t>(j)] = acc_.col_nnz(j);
-    for (std::size_t s = 0; s < resident_cols_.size(); ++s)
-      counts[static_cast<std::size_t>(resident_cols_[s])] =
-          static_cast<IndexT>(slot_nnz(s));
-    Matrix merged(rows_, cols_);
-    merged.set_structure(util::counts_to_offsets(
-        std::span<const IndexT>(counts), detail::team_size(opts_)));
-    auto* orow = merged.mutable_row_idx().data();
-    auto* oval = merged.mutable_values().data();
-    const auto ocp = merged.col_ptr();
-    for (IndexT j = 0; j < cols_; ++j) {
-      const auto col = acc_.column(j);
-      const auto out = ocp[static_cast<std::size_t>(j)];
-      std::copy(col.rows.begin(), col.rows.end(), orow + out);
-      std::copy(col.vals.begin(), col.vals.end(), oval + out);
-    }
-    for (std::size_t s = 0; s < resident_cols_.size(); ++s) {
-      const ValueT* vals = slot_values(s);
-      const std::uint64_t* mask = slot_mask(s);
-      auto out = static_cast<std::size_t>(
-          ocp[static_cast<std::size_t>(resident_cols_[s])]);
-      for (std::size_t w = 0; w < words; ++w) {
-        for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
-          const auto r =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-          orow[out] = static_cast<IndexT>(r);
-          oval[out] = vals[r];
-          ++out;
-        }
-      }
-    }
-    acc_ = std::move(merged);
-    sum_nnz_ = acc_.nnz();
-    stats_.dense_demotions += resident_cols_.size();
-    resident_.clear();
-    resident_cols_.clear();
-  }
-
   void check_shape(const Matrix& m) const {
     if (m.rows() != rows_ || m.cols() != cols_)
       throw std::invalid_argument("Accumulator: addend is not conformant");
@@ -536,7 +301,7 @@ class Accumulator {
     stats_.peak_staged_nnz = std::max(stats_.peak_staged_nnz, staged_nnz_);
     if (staged_.size() >= cap_ ||
         (staged_.size() >= kMinFoldAddends &&
-         staged_nnz_ >= kFoldRatio * sum_nnz_))
+         staged_nnz_ >= kFoldRatio * acc_.nnz()))
       flush();
   }
 
@@ -548,9 +313,6 @@ class Accumulator {
   Matrix acc_;
   bool have_acc_ = false;
   bool acc_sorted_ = true;
-  /// Running-sum nnz, dense-resident columns included (acc_.nnz() leaves
-  /// them out); set once per fold and per demotion, read by stage().
-  std::size_t sum_nnz_ = 0;
 
   std::vector<const Matrix*> staged_;  ///< borrowed addends awaiting a fold
   std::size_t staged_nnz_ = 0;  ///< total nnz currently staged
@@ -559,15 +321,6 @@ class Accumulator {
   std::vector<const Matrix*> fold_;  ///< scratch: [acc?, staged...]
   Runtime<IndexT, ValueT> rt_;  ///< persistent scratch + cost scan
   Stats stats_;
-
-  // Dense-resident (promoted) column state. Invariants: a resident
-  // column is empty in acc_ (the fold masks it), and residents imply
-  // have_acc_ (promotion chooses from acc_; every snapshot demotes first).
-  DensePolicy dense_;
-  std::vector<std::uint8_t> resident_;  ///< kway_add mask: 1 = dense column
-  std::vector<IndexT> resident_cols_;   ///< column of each slot, slot order
-  std::vector<ValueT> dense_vals_;      ///< slot-major value arrays (m each)
-  std::vector<std::uint64_t> dense_mask_;  ///< slot-major occupancy bitmaps
 };
 
 extern template class Accumulator<std::int32_t, double>;

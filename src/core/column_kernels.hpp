@@ -417,8 +417,8 @@ std::size_t sliding_hash_add_column(
 namespace detail {
 
 /// True when `v` is the identity-dense column 0..rows-1 (one entry per
-/// row, ascending) — the shape a fully dense addend or a promoted running
-/// sum presents. Checked exactly with one vector-friendly pass rather
+/// row, ascending) — the shape a fully dense addend or a full running-sum
+/// column presents. Checked exactly with one vector-friendly pass rather
 /// than inferred from nnz == rows: unsorted and duplicate-row columns are
 /// legal inputs to the hash-family kernels, so a count alone proves
 /// nothing.

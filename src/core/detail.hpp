@@ -113,20 +113,16 @@ std::size_t total_nnz(std::span<Element> inputs) {
 
 /// One parallel O(k*n) pass filling `costs` with the per-column summed
 /// input nnz — the cost model of the per-chunk plan, which both its
-/// chunk cut and its kernel choice read. A column `skip` masks costs
-/// nothing: the fold never gathers its views, so the plan does not weigh
-/// it.
+/// chunk cut and its kernel choice read.
 template <class Element>
 void column_input_nnz(std::span<Element> inputs, const Options& opts,
-                      std::vector<std::uint64_t>& costs,
-                      std::span<const std::uint8_t> skip = {}) {
+                      std::vector<std::uint64_t>& costs) {
   using IndexT = std::decay_t<decltype(deref(inputs.front()).cols())>;
   const IndexT cols = inputs.empty() ? IndexT{0} : deref(inputs.front()).cols();
   costs.assign(static_cast<std::size_t>(cols), 0);
   const int nthreads = team_size(opts);
 #pragma omp parallel for num_threads(nthreads) schedule(static)
   for (IndexT j = 0; j < cols; ++j) {
-    if (!skip.empty() && skip[static_cast<std::size_t>(j)] != 0) continue;
     std::uint64_t t = 0;
     for (const auto& e : inputs)
       t += static_cast<std::uint64_t>(deref(e).col_nnz(j));
@@ -207,17 +203,11 @@ void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
 }
 
 /// Gather the jth column views of all inputs into `views` (reused scratch);
-/// empty columns are skipped — they contribute nothing to any kernel. A
-/// column masked by `skip` (the skip mask of kway_add, which the
-/// Accumulator points at its dense-resident columns) gathers NO views:
-/// every kernel then naturally emits an empty output column, so a mask
-/// needs no per-kernel special case.
+/// empty columns are skipped — they contribute nothing to any kernel.
 template <class Element, class IndexT, class ValueT>
 void gather_views(std::span<Element> inputs, IndexT j,
-                  std::vector<ColumnView<IndexT, ValueT>>& views,
-                  std::span<const std::uint8_t> skip = {}) {
+                  std::vector<ColumnView<IndexT, ValueT>>& views) {
   views.clear();
-  if (!skip.empty() && skip[static_cast<std::size_t>(j)] != 0) return;
   for (const auto& e : inputs) {
     auto col = deref(e).column(j);
     if (!col.empty()) views.push_back(col);

@@ -15,9 +15,7 @@
 //
 // kway_add takes borrowed matrix pointers (MatrixPtrs) plus a Runtime: the
 // streaming accumulator folds batches without copying an input and with
-// scratch that survives across calls. An optional column skip mask leaves
-// the masked output columns empty; the Accumulator passes its
-// dense-resident columns, which it folds itself.
+// scratch that survives across calls.
 #pragma once
 
 #include <optional>
@@ -51,20 +49,15 @@ namespace spkadd::core {
 /// sum is a NaN under every plan, but its sign and payload may differ by
 /// kernel: the compiler may swap the operands of `+`, x86 returns the
 /// first operand's NaN, and DenseAcc's -0.0 slots quiet a signaling NaN.
-/// The heap merge requires sorted
-/// input columns and throws without them. `skip`, when not empty, holds
-/// one byte per column; a nonzero byte leaves that output column empty.
+/// The heap merge requires sorted input columns and throws without them.
 template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> kway_add(
     MatrixPtrs<IndexT, ValueT> inputs, const Options& opts,
-    std::optional<ColumnKernel> kernel, Runtime<IndexT, ValueT>& R,
-    std::span<const std::uint8_t> skip = {}) {
+    std::optional<ColumnKernel> kernel, Runtime<IndexT, ValueT>& R) {
   const auto [rows, cols] = detail::check_conformant(inputs);
-  if (!skip.empty() && skip.size() != static_cast<std::size_t>(cols))
-    throw std::invalid_argument("kway_add: skip needs one byte per column");
   if (kernel == ColumnKernel::Heap && !opts.inputs_sorted)
     throw std::invalid_argument("spkadd(Heap): requires sorted inputs");
-  const ColumnPlan<IndexT> plan = plan_columns(inputs, kernel, opts, R, skip);
+  const ColumnPlan<IndexT> plan = plan_columns(inputs, kernel, opts, R);
   if (plan.uses(ColumnKernel::Heap))
     detail::require_sorted_inputs(inputs, "spkadd(Heap)");
   if (opts.counters && !kernel)

@@ -3,7 +3,7 @@
 // Options carries the choices of the paper's algorithm and nothing else:
 // the method, sortedness, the team size T, the cache budget M of Alg. 7/8
 // and a counter sink. State of a caller of SpKAdd (the streaming
-// Accumulator's dense residency) lives with that caller.
+// Accumulator's fold trigger) lives with that caller.
 #pragma once
 
 #include <cstddef>

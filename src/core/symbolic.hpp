@@ -13,10 +13,6 @@
 // tables inside the last-level cache, or the dense occupancy bitmap. The
 // count preallocates the result and sizes the numeric hash tables.
 //
-// A plan also carries the caller's optional column skip mask: a masked
-// column costs nothing in the scan, gathers no views and comes out empty
-// (the streaming Accumulator masks its dense-resident columns this way).
-//
 // The primary entry points take borrowed matrix pointers plus a Runtime
 // whose per-thread scratch and per-column cost vector are reused across
 // calls (the streaming accumulator's workspace-persistence path).
@@ -133,15 +129,12 @@ template <class IndexT>
 }
 
 /// The execution plan of a column-kernel call: column ranges plus the
-/// kernel that fills each, and the caller's skip mask. Built by
-/// plan_hybrid for a planned call and by plan_columns for every call.
+/// kernel that fills each. Built by plan_hybrid for a planned call and by
+/// plan_columns for every call.
 template <class IndexT>
 struct ColumnPlan {
   std::vector<std::pair<IndexT, IndexT>> chunks;  ///< [first, second) cols
   std::vector<ColumnKernel> kernels;              ///< one per chunk
-  /// One byte per column, nonzero = gather no views (the output column
-  /// stays empty); empty = no mask. Borrowed from the caller of kway_add.
-  std::span<const std::uint8_t> skip;
 
   [[nodiscard]] std::size_t size() const { return chunks.size(); }
   [[nodiscard]] bool uses(ColumnKernel k) const {
@@ -184,18 +177,15 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
 
 /// Plan one call: the planner's mix (plan_hybrid) when `kernel` is
 /// empty, otherwise `*kernel` on every 8-column block. The per-column
-/// cost scan runs into R only for a planned call. Columns `skip` masks
-/// cost nothing and are left empty by every walk of the plan.
+/// cost scan runs into R only for a planned call.
 template <class IndexT, class ValueT>
 [[nodiscard]] ColumnPlan<IndexT> plan_columns(
     MatrixPtrs<IndexT, ValueT> inputs, std::optional<ColumnKernel> kernel,
-    const Options& opts, Runtime<IndexT, ValueT>& R,
-    std::span<const std::uint8_t> skip = {}) {
+    const Options& opts, Runtime<IndexT, ValueT>& R) {
   const auto [rows, cols] = detail::check_conformant(inputs);
   ColumnPlan<IndexT> plan;
-  plan.skip = skip;
   if (!kernel) {
-    detail::column_input_nnz(inputs, opts, R.col_costs, skip);
+    detail::column_input_nnz(inputs, opts, R.col_costs);
     plan_hybrid<IndexT, ValueT>(R.col_costs, rows, inputs.size(), opts,
                                 plan);
   } else {
@@ -208,10 +198,10 @@ template <class IndexT, class ValueT>
 namespace detail {
 
 /// Walk a plan in parallel: every chunk on one thread, every column of it
-/// with its views gathered (none for a column the plan's skip mask marks),
-/// as body(KernelTag<kernel>, j, views, thread scratch, counters). The
-/// kernel switch runs once per chunk (with_kernel). R's thread scratch is
-/// reused: only grown, never re-allocated per call.
+/// with its views gathered, as body(KernelTag<kernel>, j, views, thread
+/// scratch, counters). The kernel switch runs once per chunk
+/// (with_kernel). R's thread scratch is reused: only grown, never
+/// re-allocated per call.
 template <class IndexT, class ValueT, class Body>
 void walk_plan(MatrixPtrs<IndexT, ValueT> inputs,
                const ColumnPlan<IndexT>& plan, const Options& opts,
@@ -224,7 +214,7 @@ void walk_plan(MatrixPtrs<IndexT, ValueT> inputs,
         const auto [c0, c1] = plan.chunks[ci];
         with_kernel(plan.kernels[ci], [&](auto kernel) {
           for (IndexT j = c0; j < c1; ++j) {
-            gather_views(inputs, j, s.views, plan.skip);
+            gather_views(inputs, j, s.views);
             body(kernel, j,
                  std::span<const ColumnView<IndexT, ValueT>>(s.views), s, c);
           }

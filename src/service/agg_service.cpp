@@ -355,9 +355,6 @@ ServiceStats AggService::stats() const {
       out.shards[s].peak_staged_nnz = std::max(
           out.shards[s].peak_staged_nnz, sh.acc.stats().peak_staged_nnz);
       out.shards[s].counters += sh.counters;
-      out.shards[s].dense_promotions += sh.acc.stats().dense_promotions;
-      out.shards[s].dense_demotions += sh.acc.stats().dense_demotions;
-      out.shards[s].dense_resident_cols += sh.acc.dense_resident_cols();
     }
     out.tenants.push_back(std::move(ts));
   });
@@ -381,9 +378,6 @@ void AggService::export_metrics(obs::CollectorSink& sink) const {
     totals.peak_staged_nnz =
         std::max(totals.peak_staged_nnz, sh.peak_staged_nnz);
     totals.counters += sh.counters;
-    totals.dense_promotions += sh.dense_promotions;
-    totals.dense_demotions += sh.dense_demotions;
-    totals.dense_resident_cols += sh.dense_resident_cols;
   }
   sink.counter("spkadd_shard_fold_flushes_total",
                "Accumulator folds performed across shards", svc,
@@ -392,15 +386,6 @@ void AggService::export_metrics(obs::CollectorSink& sink) const {
              "Max nonzeros awaiting a fold in any one shard", svc,
              d(totals.peak_staged_nnz));
   export_chunk_mix(sink, "agg", totals.counters);
-  sink.counter("spkadd_dense_promotions_total",
-               "Sparse→dense column promotions across shard accumulators",
-               svc, d(totals.dense_promotions));
-  sink.counter("spkadd_dense_demotions_total",
-               "Dense→sparse column demotions across shard accumulators",
-               svc, d(totals.dense_demotions));
-  sink.gauge("spkadd_dense_resident_chunks",
-             "Columns currently held in dense (promoted) storage",
-             svc, d(totals.dense_resident_cols));
   for (const auto& ts : st.tenants) {
     sink.counter("spkadd_tenant_updates_applied_total",
                  "Updates folded into this tenant's running sum",

@@ -38,12 +38,6 @@ struct ShardStats {
   std::size_t peak_staged_nnz = 0;   ///< max nnz awaiting a fold at once
   /// This shard's fold work, including the planner's chunk-dispatch mix.
   core::OpCounters counters;
-  // Representation adaptivity (core::DensePolicy): sparse→dense column
-  // promotions and demotions performed by this shard's accumulators, and
-  // the columns currently held dense across them (a gauge, not a counter).
-  std::uint64_t dense_promotions = 0;
-  std::uint64_t dense_demotions = 0;
-  std::size_t dense_resident_cols = 0;
 };
 
 /// The ingest spine's counters (service/ingest_spine.hpp), the part

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -104,6 +105,34 @@ TEST(Accumulator, DiscardStagedRecoversAfterAFailedFold) {
   expected.push_back(sorted[0]);
   EXPECT_TRUE(approx_equal(dense_sum_oracle(std::span<const Csc>(expected)),
                            acc.finalize()));
+}
+
+TEST(Accumulator, ThrowingFoldKeepsTheSumBitForBit) {
+  // The heap's sortedness check throws inside a fold, after the running
+  // sum was handed to spkadd() but before the result could replace it:
+  // on float values the sum must keep its exact bits, and after
+  // discard_staged() the stream goes on to one-shot's bits.
+  const std::vector<FloatCsc> sorted =
+      to_float(random_collection(4, 64, 8, 300, 57));
+  Csc shuffled = random_matrix(64, 8, 300, 59);
+  gen::shuffle_columns(shuffled, 61);
+  const FloatCsc unsorted = to_float(shuffled);
+  ASSERT_FALSE(unsorted.is_sorted());
+
+  Options opts;
+  opts.method = Method::Heap;
+  Accumulator<std::int32_t, float> acc(64, 8, opts, 2);
+  acc.add(sorted[0]);
+  acc.add(sorted[1]);
+  const std::vector<FloatCsc> first2(sorted.begin(), sorted.begin() + 2);
+  const FloatCsc kept = core::spkadd(first2, opts);
+  acc.add(sorted[2]);
+  EXPECT_THROW(acc.add(unsorted), std::invalid_argument);
+  acc.discard_staged();
+  EXPECT_TRUE(acc.partial_sum() == kept);
+  acc.add(sorted[2]);
+  acc.add(sorted[3]);
+  EXPECT_TRUE(acc.finalize() == core::spkadd(sorted, opts));
 }
 
 // --------------------------------------------------- incremental == one-shot
@@ -437,121 +466,42 @@ TEST(FoldTrigger, ExplicitCapsStayHardBounds) {
   EXPECT_TRUE(uncapped.finalize() == one_shot);
 }
 
-TEST(FoldTrigger, DenseResidentColumnsCountTowardTheRunningSum) {
-  // Every column turns resident after the first fold, where it is empty
-  // in the CSC part: a trigger that read only that part would see a zero
-  // sum and fold every 8 addends in the promoted stream alone.
+TEST(FoldTrigger, HighFillStreamIsBitIdenticalToOneShot) {
+  // Every column of this stream's running sum fills past half its rows,
+  // so Auto's planner gives each fold's chunks to DenseAcc. On float
+  // values the snapshots, a mid-stream partial_sum() included, must match
+  // one-shot spkadd() bit for bit, whether a count or the size ratio
+  // fires the folds, at T=1 and T=nproc.
   const std::vector<FloatCsc> inputs =
-      to_float(random_collection(64, 4096, 8, 200, 2711));
-  DensePolicy hot;
-  hot.promote_fill = 0.01;
-  hot.min_rows = 1;
-  DensePolicy cold = hot;
-  cold.enabled = false;
+      to_float(random_collection(10, 64, 8, 300, 51));
+  const std::vector<FloatCsc> first6(inputs.begin(), inputs.begin() + 6);
   using FloatAcc = Accumulator<std::int32_t, float>;
-  FloatAcc promoted(4096, 8, Options{}, FloatAcc::kNoBatchCap, hot);
-  FloatAcc sparse(4096, 8, Options{}, FloatAcc::kNoBatchCap, cold);
-  for (const auto& m : inputs) {
-    promoted.add(m);
-    sparse.add(m);
-  }
-  EXPECT_GT(promoted.stats().dense_promotions, 0u);
-  EXPECT_EQ(promoted.stats().flushes, sparse.stats().flushes);
-  EXPECT_TRUE(promoted.finalize() == sparse.finalize());
-}
-
-// ------------------------------------------------- sparse→dense residency
-TEST(DenseResidency, PromotedStreamIsByteIdenticalToSparseStream) {
-  // Columns promoted to dense storage scatter addends in staged order, so
-  // every snapshot must reproduce the never-promoted stream bit for bit —
-  // including a mid-stream partial_sum() that forces demotion and a
-  // second promotion wave afterwards.
-  const auto inputs = random_collection(10, 64, 8, 300, 51);
-  Options opts;
-  opts.method = Method::Hash;
-  DensePolicy hot;
-  hot.promote_fill = 0.1;  // promote almost immediately
-  DensePolicy cold = hot;
-  cold.enabled = false;
-
-  Accumulator<> promoted(64, 8, opts, 2, hot);
-  Accumulator<> sparse(64, 8, opts, 2, cold);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    promoted.add(inputs[i]);
-    sparse.add(inputs[i]);
-    if (i == 5) {
-      EXPECT_TRUE(promoted.partial_sum() == sparse.partial_sum());
-      EXPECT_EQ(promoted.dense_resident_cols(), 0u);  // snapshot demotes
+  const int nproc =
+      static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
+  for (const Method m : {Method::Auto, Method::Hash}) {
+    for (const int t : {1, nproc}) {
+      for (const std::size_t cap : {std::size_t{2}, FloatAcc::kNoBatchCap}) {
+        const std::string where = method_name(m) + " T=" +
+                                  std::to_string(t) +
+                                  " cap=" + std::to_string(cap);
+        Options opts;
+        opts.method = m;
+        opts.threads = t;
+        FloatAcc acc(64, 8, opts, cap);
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          acc.add(inputs[i]);
+          if (i == 5) {
+            EXPECT_TRUE(acc.partial_sum() == core::spkadd(first6, opts))
+                << where;
+          }
+        }
+        const FloatCsc sum = acc.finalize();
+        EXPECT_TRUE(sum == core::spkadd(inputs, opts)) << where;
+        for (std::int32_t j = 0; j < sum.cols(); ++j)
+          EXPECT_GE(2 * sum.col_nnz(j), sum.rows()) << where << " col " << j;
+      }
     }
   }
-  promoted.flush();
-  EXPECT_GT(promoted.dense_resident_cols(), 0u);
-  EXPECT_GT(promoted.stats().dense_promotions, 0u);
-  EXPECT_TRUE(promoted.finalize() == sparse.finalize());
-  EXPECT_EQ(promoted.dense_resident_cols(), 0u);
-  EXPECT_EQ(promoted.stats().dense_demotions,
-            promoted.stats().dense_promotions);
-  EXPECT_EQ(sparse.stats().dense_promotions, 0u);
-}
-
-TEST(DenseResidency, BudgetMinRowsAndSortednessGatePromotion) {
-  const auto inputs = random_collection(6, 64, 8, 300, 53);
-  const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  // A residency budget smaller than one column slot: nothing promotes.
-  DensePolicy tiny;
-  tiny.promote_fill = 0.1;
-  tiny.max_resident_bytes = 8;
-  // A min_rows taller than the matrix: nothing promotes.
-  DensePolicy tall;
-  tall.promote_fill = 0.0;
-  tall.min_rows = 1000;
-  // Unsorted running sums cannot host dense residents.
-  Options unsorted;
-  unsorted.method = Method::Hash;
-  unsorted.sorted_output = false;
-  DensePolicy eager;
-  eager.promote_fill = 0.0;
-  const std::pair<Options, DensePolicy> cases[] = {
-      {Options{}, tiny}, {Options{}, tall}, {unsorted, eager}};
-  for (const auto& [opts, dense] : cases) {
-    Accumulator<> acc(64, 8, opts, 2, dense);
-    acc.add_batch(std::span<const Csc>(inputs));
-    acc.flush();
-    EXPECT_EQ(acc.dense_resident_cols(), 0u);
-    EXPECT_EQ(acc.stats().dense_promotions, 0u);
-    EXPECT_TRUE(approx_equal(oracle, canonicalized(acc.finalize())));
-  }
-}
-
-TEST(DenseResidency, ThrowingFoldKeepsSumAndResidents) {
-  // Promotions are chosen before the fold. The heap's sortedness check
-  // throws inside the first fold that chooses any, and that fold must
-  // leave the running sum, the dense slots and the mask as they were:
-  // after discard_staged() the stream goes on to one-shot's bits.
-  const std::vector<FloatCsc> sorted =
-      to_float(random_collection(4, 64, 8, 300, 57));
-  Csc shuffled = random_matrix(64, 8, 300, 59);
-  gen::shuffle_columns(shuffled, 61);
-  const FloatCsc unsorted = to_float(shuffled);
-  ASSERT_FALSE(unsorted.is_sorted());
-
-  Options opts;
-  opts.method = Method::Heap;
-  DensePolicy dense;
-  dense.promote_fill = 0.1;
-  Accumulator<std::int32_t, float> acc(64, 8, opts, 2, dense);
-  acc.add(sorted[0]);
-  acc.add(sorted[1]);
-  const std::size_t residents = acc.dense_resident_cols();
-  acc.add(sorted[2]);
-  EXPECT_THROW(acc.add(unsorted), std::invalid_argument);
-  EXPECT_EQ(acc.dense_resident_cols(), residents);
-  acc.discard_staged();
-  acc.add(sorted[2]);
-  acc.add(sorted[3]);
-  EXPECT_GT(acc.dense_resident_cols(), 0u);
-  EXPECT_TRUE(acc.finalize() == core::spkadd(sorted, opts));
-  EXPECT_EQ(acc.stats().dense_demotions, acc.stats().dense_promotions);
 }
 
 // ------------------------------------------------------- hash sentinel guard

@@ -175,8 +175,8 @@ TEST(HybridBitIdentity, MatchesEverySingleKernelMethodOnGrids) {
   // right, so the planner's per-chunk mix must reproduce each
   // single-kernel method bit for bit — raw FP values, no quantization.
   // The planner runs through kway_add with no kernel, so k=2 is planned
-  // too: spkadd sends a sorted pair to the 2-way tree, but the
-  // Accumulator plans one whenever it masks its dense-resident columns.
+  // too: spkadd sends a sorted pair to the 2-way tree, but kway_add plans
+  // any pair it is handed, as spkadd does an unsorted one.
   for (const gen::Pattern p : {gen::Pattern::ER, gen::Pattern::RMAT}) {
     for (const int k : {2, 8, 16}) {
       for (const int d : {2, 32}) {

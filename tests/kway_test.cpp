@@ -3,8 +3,7 @@
 // against the dense oracle, edge cases, sorted/unsorted modes, counters,
 // the dense accumulator's bits on special values at its bitmap
 // boundaries — and the one column driver (core::kway_add): its chunk
-// cutter and skip mask under every method and team size, and its
-// team-size discipline.
+// cutter under every method and team size, and its team-size discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -371,7 +370,7 @@ TEST(DenseAccKernel, SpecialValuesAtBitmapBoundariesMatchHeapAndHash) {
 }
 
 // ---------------------------------------------------------------------------
-// The column driver: chunk cutter and skip mask
+// The column driver: chunk cutter
 // ---------------------------------------------------------------------------
 
 TEST(ColumnDriver, EveryMethodAndTeamMatchesHeap) {
@@ -391,11 +390,6 @@ TEST(ColumnDriver, EveryMethodAndTeamMatchesHeap) {
                         std::vector<std::int32_t>(rows.begin(), rows.end()),
                         std::vector<float>(vals.begin(), vals.end()));
   }
-  std::vector<const FloatCsc*> ptrs;
-  detail::borrow_all(std::span<const FloatCsc>(inputs), ptrs);
-  std::vector<std::uint8_t> mask(kCols, 0);
-  for (std::size_t j = 0; j < mask.size(); j += 3) mask[j] = 1;
-
   Options heap_opts;
   heap_opts.method = Method::Heap;
   const FloatCsc heap = core::spkadd(inputs, heap_opts);
@@ -413,23 +407,6 @@ TEST(ColumnDriver, EveryMethodAndTeamMatchesHeap) {
       opts.counters = &counters;
       EXPECT_TRUE(core::spkadd(inputs, opts) == heap) << where;
       EXPECT_EQ(counters.chunks_total() > 0, planned) << where;
-
-      counters = OpCounters{};
-      Runtime<std::int32_t, float> rt;
-      const FloatCsc masked = kway_add(MatrixPtrs<std::int32_t, float>(ptrs),
-                                       opts, method_kernel(m), rt, mask);
-      EXPECT_EQ(counters.chunks_total() > 0, planned) << where << " masked";
-      for (std::int32_t j = 0; j < kCols; ++j) {
-        const auto got = masked.column(j);
-        if (mask[static_cast<std::size_t>(j)] != 0) {
-          EXPECT_EQ(got.nnz(), 0u) << where << " col " << j;
-          continue;
-        }
-        const auto want = heap.column(j);
-        EXPECT_TRUE(std::ranges::equal(got.rows, want.rows) &&
-                    std::ranges::equal(got.vals, want.vals))
-            << where << " col " << j;
-      }
     }
   }
 }
