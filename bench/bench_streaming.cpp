@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
 
       // Streaming: borrowed addends folded on the size ratio (and every
       // `batch`, when set); the accumulator tracks its own peak
-      // intermediate footprint (running sum + owned addends + persistent
-      // scratch).
+      // intermediate footprint (running sum + owned addends + the
+      // thread's kernel scratch).
       core::Accumulator<> acc(one_shot.rows(), one_shot.cols(), opts,
                               batch_cap);
       for (const auto& m : inputs) acc.add(m);

@@ -21,18 +21,14 @@
 // caller that needs §V's hard memory bound passes a batch_capacity, which
 // forces a fold at that many staged addends.
 //
-// What makes it cheaper than calling spkadd() once per batch in a loop:
-//   * zero input copies — batches are spans of borrowed matrix pointers
-//     fed straight to the pointer-span drivers;
-//   * persistent per-thread workspaces — the hash/dense/heap scratch in
-//     the owned Runtime only ever grows, so no batch re-allocates tables;
-//   * the per-column cost scan feeding the per-chunk kernel plan of
-//     Method::Auto (its chunk cut and its kernel choice) lives in the
-//     same Runtime and is recomputed in parallel once per fold, not per
-//     consumer. Every fold is a strict left fold whatever kernel mix the
-//     plan picks, so streaming stays bit-identical to one-shot. Under
-//     Method::Auto a full running-sum column's chunk goes to the DenseAcc
-//     kernel (Alg. 4's SPA), so the Accumulator keeps no dense store.
+// Batches are spans of borrowed matrix pointers fed straight to the
+// pointer-span drivers, so no input is copied. The Accumulator holds no
+// kernel scratch: every fold runs on the folding thread's Runtime
+// (thread_runtime), which any number of Accumulators share. Every fold is
+// a strict left fold whatever kernel mix the plan picks, so streaming
+// stays bit-identical to one-shot. Under Method::Auto a full running-sum
+// column's chunk goes to the DenseAcc kernel (Alg. 4's SPA), so the
+// Accumulator keeps no dense store.
 //
 //   core::Accumulator<> acc(rows, cols, opts);
 //   for (auto& g : stream) acc.add(std::move(g));   // or acc.add(g) to borrow
@@ -70,7 +66,8 @@ class Accumulator {
   struct Stats {
     std::uint64_t addends = 0;  ///< total matrices ever staged
     std::uint64_t flushes = 0;  ///< folds performed
-    std::size_t peak_intermediate_bytes = 0;  ///< max of acc+owned+scratch
+    /// Max of running sum + owned addends + the folding thread's scratch.
+    std::size_t peak_intermediate_bytes = 0;
     /// Max total nnz of addends simultaneously staged (awaiting a fold) —
     /// the "live intermediates" bound of the streaming SUMMA pipeline:
     /// never more than batch_capacity addends' worth when the caller sets
@@ -103,15 +100,6 @@ class Accumulator {
   /// Addends staged but not yet folded into the running sum.
   [[nodiscard]] std::size_t pending() const { return staged_.size(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Bytes of persistent per-thread scratch currently held (survives
-  /// finalize(); the workspace-reuse guarantee tests pin this).
-  [[nodiscard]] std::size_t workspace_bytes() const {
-    return rt_.storage_bytes();
-  }
-  /// The persistent execution context (per-thread scratch + cost scan).
-  /// Producers that emit addends — e.g. spgemm::multiply_into — can share
-  /// it so the local multiply and the folds keep one hot scratch pool.
-  [[nodiscard]] Runtime<IndexT, ValueT>& runtime() { return rt_; }
 
   /// Stage a borrowed addend. The matrix must stay alive until the next
   /// flush(), partial_sum() or finalize(): a fold may fire on any add, and
@@ -170,9 +158,9 @@ class Accumulator {
   }
 
   /// Re-shape an *idle* accumulator (nothing staged, no running sum) for
-  /// the next stream. Keeps the grown workspaces — this is what lets one
-  /// accumulator serve a sequence of differently-shaped reductions, e.g.
-  /// the per-process blocks of the streaming SUMMA pipeline.
+  /// the next stream, so one accumulator serves a sequence of
+  /// differently-shaped reductions, e.g. the per-process blocks of the
+  /// streaming SUMMA pipeline.
   void reshape(IndexT rows, IndexT cols) {
     if (have_acc_ || !staged_.empty() || staging_open_)
       throw std::logic_error("Accumulator: reshape while not idle");
@@ -223,17 +211,15 @@ class Accumulator {
       if (own) owned_bytes = 0;  // the owned buffer *became* acc_
       if (fopts.sorted_output && !acc_.is_sorted()) acc_.sort_columns();
     } else {
-      acc_ = spkadd(MatrixPtrs<IndexT, ValueT>(fold_), fopts, &rt_);
-      // Keep the persistent footprint independent of which thread ran
-      // which column (see Runtime::level_scratch).
-      rt_.level_scratch();
+      acc_ = spkadd(MatrixPtrs<IndexT, ValueT>(fold_), fopts);
     }
     have_acc_ = true;
     acc_sorted_ = emits_sorted(opts_.method) || opts_.sorted_output;
 
     ++stats_.flushes;
-    const std::size_t live = acc_before + acc_.storage_bytes() +
-                             owned_bytes + rt_.storage_bytes();
+    const std::size_t live =
+        acc_before + acc_.storage_bytes() + owned_bytes +
+        thread_runtime<IndexT, ValueT>().storage_bytes();
     stats_.peak_intermediate_bytes =
         std::max(stats_.peak_intermediate_bytes, live);
 
@@ -266,9 +252,9 @@ class Accumulator {
   }
 
   /// Fold any pending addends and hand the sum to the caller. The
-  /// accumulator resets to empty but keeps its workspaces, so the next
-  /// stream reuses the grown scratch. An accumulator that never saw an
-  /// addend yields the all-zero rows x cols matrix.
+  /// accumulator resets to empty and can take the next stream. An
+  /// accumulator that never saw an addend yields the all-zero rows x cols
+  /// matrix.
   [[nodiscard]] Matrix finalize() {
     flush();
     Matrix out = have_acc_ ? std::move(acc_) : Matrix(rows_, cols_);
@@ -319,7 +305,6 @@ class Accumulator {
   bool staging_open_ = false;   ///< a stage_buffer() awaits commit_staged()
   std::deque<Matrix> owned_;  ///< moved-in addends (deque: stable addresses)
   std::vector<const Matrix*> fold_;  ///< scratch: [acc?, staged...]
-  Runtime<IndexT, ValueT> rt_;  ///< persistent scratch + cost scan
   Stats stats_;
 };
 

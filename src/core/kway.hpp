@@ -13,9 +13,9 @@
 // picks a kernel per nnz-balanced chunk. Both phases walk the plan's
 // chunks through the uniform ColumnKernel interface.
 //
-// kway_add takes borrowed matrix pointers (MatrixPtrs) plus a Runtime: the
-// streaming accumulator folds batches without copying an input and with
-// scratch that survives across calls.
+// kway_add takes borrowed matrix pointers (MatrixPtrs), so the streaming
+// accumulator folds batches without copying an input, and runs on the
+// calling thread's Runtime, whose scratch survives across calls.
 #pragma once
 
 #include <optional>
@@ -53,10 +53,11 @@ namespace spkadd::core {
 template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> kway_add(
     MatrixPtrs<IndexT, ValueT> inputs, const Options& opts,
-    std::optional<ColumnKernel> kernel, Runtime<IndexT, ValueT>& R) {
+    std::optional<ColumnKernel> kernel) {
   const auto [rows, cols] = detail::check_conformant(inputs);
   if (kernel == ColumnKernel::Heap && !opts.inputs_sorted)
     throw std::invalid_argument("spkadd(Heap): requires sorted inputs");
+  auto& R = thread_runtime<IndexT, ValueT>();
   const ColumnPlan<IndexT> plan = plan_columns(inputs, kernel, opts, R);
   if (plan.uses(ColumnKernel::Heap))
     detail::require_sorted_inputs(inputs, "spkadd(Heap)");
@@ -85,6 +86,7 @@ template <class IndexT, class ValueT>
   if (opts.counters)
     opts.counters->bytes_moved += detail::streamed_bytes<IndexT, ValueT>(
         detail::total_nnz(inputs), out.nnz());
+  R.level_scratch();
   return out;
 }
 

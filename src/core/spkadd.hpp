@@ -42,13 +42,11 @@ template <class IndexT, class ValueT>
 }
 
 /// Add a collection of borrowed conformant sparse matrices:
-/// B = sum_i *inputs[i]. The primary entry point: a caller-owned Runtime
-/// keeps the per-thread scratch and the per-column cost scan alive
-/// across calls.
+/// B = sum_i *inputs[i]. The primary entry point; the column kernels run
+/// on the calling thread's Runtime (thread_runtime).
 template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> spkadd(
-    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts = {},
-    Runtime<IndexT, ValueT>* rt = nullptr) {
+    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts = {}) {
   detail::check_conformant(inputs);
   if (inputs.size() == 1) {
     CscMatrix<IndexT, ValueT> out = *inputs[0];
@@ -80,8 +78,7 @@ template <class IndexT, class ValueT>
     default:  // a column kernel on every chunk, or the per-chunk planner
       break;
   }
-  Runtime<IndexT, ValueT> local;
-  return kway_add(inputs, opts, method_kernel(method), rt ? *rt : local);
+  return kway_add(inputs, opts, method_kernel(method));
 }
 
 /// Add a collection of conformant sparse matrices: B = sum_i inputs[i].

@@ -13,9 +13,9 @@
 // tables inside the last-level cache, or the dense occupancy bitmap. The
 // count preallocates the result and sizes the numeric hash tables.
 //
-// The primary entry points take borrowed matrix pointers plus a Runtime
-// whose per-thread scratch and per-column cost vector are reused across
-// calls (the streaming accumulator's workspace-persistence path).
+// The primary entry points take borrowed matrix pointers plus the
+// caller's Runtime, whose per-thread scratch and per-column cost vector
+// are reused across calls (kway_add passes its thread's).
 #pragma once
 
 #include <optional>
@@ -244,7 +244,7 @@ std::vector<IndexT> symbolic_nnz_per_column(
 }
 
 /// Value-span form (tests/benches that time the symbolic phase alone):
-/// count every column with `kernel`.
+/// count every column with `kernel`, on the calling thread's Runtime.
 template <class IndexT, class ValueT>
 std::vector<IndexT> symbolic_nnz_per_column(
     std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts,
@@ -252,7 +252,7 @@ std::vector<IndexT> symbolic_nnz_per_column(
   std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
   detail::borrow_all(inputs, ptrs);
   const MatrixPtrs<IndexT, ValueT> borrowed(ptrs);
-  Runtime<IndexT, ValueT> R;
+  auto& R = thread_runtime<IndexT, ValueT>();
   return symbolic_nnz_per_column(
       borrowed, opts, plan_columns(borrowed, kernel, opts, R), R);
 }

@@ -163,12 +163,11 @@ struct ThreadScratch {
   }
 };
 
-/// Per-call execution context that is *reusable across calls*: the
-/// per-thread scratch pool and the per-column input-nnz totals driving
-/// the per-chunk plan. core::spkadd accepts an
-/// optional Runtime; when none is given it falls back to a call-local one.
-/// The Accumulator owns one so hash/dense/heap scratch survives across
-/// batches instead of being re-grown per call.
+/// Execution context reused across calls: the scratch of every thread of
+/// a team (indexed by omp_get_thread_num()) and the per-column input-nnz
+/// totals driving the per-chunk plan. Each calling thread has exactly one
+/// (thread_runtime), so hash/dense/heap scratch survives across calls and
+/// folds instead of being re-grown per call.
 template <class IndexT, class ValueT>
 struct Runtime {
   std::vector<ThreadScratch<IndexT, ValueT>> scratch;
@@ -193,9 +192,8 @@ struct Runtime {
   /// on every call, so without this a persistent Runtime keeps growing
   /// whenever a thread draws a heavier column than it drew before, even
   /// on an identical stream. Afterwards every thread can run any column
-  /// seen so far without reallocating. O(threads) per buffer; owners that
-  /// reuse a Runtime across calls (the Accumulator) call it after each
-  /// fold, one-shot calls do not.
+  /// seen so far without reallocating. O(threads) per buffer; kway_add
+  /// calls it at the end of every call.
   void level_scratch() {
     using Scratch = ThreadScratch<IndexT, ValueT>;
     std::vector<std::size_t> caps;
@@ -213,6 +211,15 @@ struct Runtime {
     }
   }
 };
+
+/// The calling thread's Runtime, the only one in the program. Created on
+/// a thread's first call and kept until the thread exits, so it holds the
+/// scratch of the largest call that thread has made.
+template <class IndexT, class ValueT>
+[[nodiscard]] Runtime<IndexT, ValueT>& thread_runtime() {
+  thread_local Runtime<IndexT, ValueT> rt;
+  return rt;
+}
 
 /// Size of the hash table allocated for `need` distinct keys. Alg. 5 line 2
 /// asks for "a power of two greater than nnz"; taken literally that allows

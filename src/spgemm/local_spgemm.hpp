@@ -151,16 +151,15 @@ std::size_t numeric_column_heap(const CscMatrix<IndexT, ValueT>& a,
 /// C = A * B, emitted into `out` (which is reset to an m x n product). A is
 /// m x p, B is p x n. Column-parallel over the columns of B/C with
 /// thread-private accumulators and two-phase exact allocation; the scratch
-/// comes from the caller's Runtime (the same per-thread superset pool the
-/// SpKAdd drivers use), so a streaming consumer — the SUMMA pipeline
-/// emitting stage products straight into accumulator-owned staging buffers
-/// — keeps one hot scratch pool across every multiply *and* every fold.
+/// comes from the calling thread's Runtime (the same per-thread superset
+/// pool the SpKAdd drivers use), so a streaming consumer — the SUMMA
+/// pipeline emitting stage products straight into accumulator-owned
+/// staging buffers — keeps one hot scratch pool across every multiply *and*
+/// every fold.
 template <class IndexT, class ValueT>
 void multiply_into(const CscMatrix<IndexT, ValueT>& a,
                    const CscMatrix<IndexT, ValueT>& b,
-                   const SpgemmOptions& opts,
-                   core::Runtime<IndexT, ValueT>& rt,
-                   CscMatrix<IndexT, ValueT>& out) {
+                   const SpgemmOptions& opts, CscMatrix<IndexT, ValueT>& out) {
   if (a.cols() != b.rows())
     throw std::invalid_argument("spgemm: inner dimensions disagree");
   if (opts.accumulator == Accumulator::Heap && !a.is_sorted())
@@ -168,6 +167,7 @@ void multiply_into(const CscMatrix<IndexT, ValueT>& a,
   const IndexT n = b.cols();
   const int nthreads =
       opts.threads > 0 ? opts.threads : util::current_max_threads();
+  auto& rt = core::thread_runtime<IndexT, ValueT>();
   rt.ensure_threads(nthreads);
 
   // Symbolic phase: nnz(C(:,j)) is SpKAdd's Alg. 6 over the columns of A
@@ -220,14 +220,13 @@ void multiply_into(const CscMatrix<IndexT, ValueT>& a,
   }
 }
 
-/// C = A * B with a call-local Runtime (the one-shot convenience API).
+/// C = A * B (the one-shot convenience API).
 template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> multiply(
     const CscMatrix<IndexT, ValueT>& a, const CscMatrix<IndexT, ValueT>& b,
     const SpgemmOptions& opts = {}) {
-  core::Runtime<IndexT, ValueT> rt;
   CscMatrix<IndexT, ValueT> c;
-  multiply_into(a, b, opts, rt, c);
+  multiply_into(a, b, opts, c);
   return c;
 }
 

@@ -158,11 +158,11 @@ void run_buffered(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
 }
 
 /// Streaming schedule: the g x g process loop runs OpenMP-parallel; each
-/// worker thread owns one core::Accumulator (reshaped per process, its
-/// Runtime scratch persisting across every stage, fold, and process it
-/// serves) and emits each stage product in place into an accumulator-owned
-/// staging buffer — no stage product is ever copied, and at most
-/// stream_window of them are live per process.
+/// worker thread owns one core::Accumulator (reshaped per process; the
+/// thread's Runtime scratch persists across every stage, fold, and process
+/// it serves) and emits each stage product in place into an
+/// accumulator-owned staging buffer — no stage product is ever copied, and
+/// at most stream_window of them are live per process.
 void run_streaming(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
                    SummaResult& result) {
   const int g = plan.config.grid;
@@ -205,8 +205,7 @@ void run_streaming(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
                             plan.b_cols[static_cast<std::size_t>(pj)],
                             plan.b_cols[static_cast<std::size_t>(pj) + 1]);
           Csc& stage = acc.stage_buffer();
-          spgemm::multiply_into(a_blk, b_blk, mult_opts, acc.runtime(),
-                                stage);
+          spgemm::multiply_into(a_blk, b_blk, mult_opts, stage);
           mult_s[static_cast<std::size_t>(s)] += mult_timer.seconds();
           inter_nnz += stage.nnz();
           max_stage = std::max(max_stage, stage.nnz());

@@ -23,8 +23,8 @@
 //     intermediates per process drop from g stage products to at most
 //     stream_window — the paper's §V memory-constrained extension applied
 //     to its own headline application. The g x g process loop runs
-//     OpenMP-parallel, one accumulator (and thus one persistent Runtime of
-//     per-thread scratch) per worker thread, reshaped across processes.
+//     OpenMP-parallel, one accumulator per worker thread, reshaped across
+//     processes; each worker's multiplies and folds share its Runtime.
 //   * Buffered — the pre-streaming schedule: materialize all g stage
 //     products, then one-shot SpKAdd. Kept as the comparison baseline;
 //     produces the bit-identical C (all SpKAdd folds accumulate strictly

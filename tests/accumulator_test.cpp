@@ -1,12 +1,14 @@
 // The streaming accumulator (paper §V as a stateful subsystem): incremental
-// folds equal one-shot SpKAdd, zero-copy staging, workspace persistence
-// across finalize() cycles, and the hash-sentinel shape guard.
+// folds equal one-shot SpKAdd, zero-copy staging, reuse of the folding
+// thread's scratch across finalize() cycles and shapes, and the
+// hash-sentinel shape guard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,7 @@ using namespace spkadd;
 using namespace spkadd::core;
 using spkadd::testing::canonicalized;
 using spkadd::testing::dense_sum_oracle;
+using spkadd::testing::dense_workspace_clean;
 using spkadd::testing::random_collection;
 using spkadd::testing::random_matrix;
 
@@ -259,23 +262,67 @@ TEST(Accumulator, MovedAddendsMakeZeroCopies) {
 
 // ----------------------------------------------------------- workspace reuse
 TEST(Accumulator, WorkspaceSurvivesFinalizeAndDoesNotRegrow) {
-  const auto inputs = random_collection(12, 128, 16, 400, 31);
-  const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  Options opts;
-  opts.method = Method::Hash;
-  Accumulator<> acc(128, 16, opts, 4);
+  // On a fresh thread, whose Runtime starts empty.
+  std::thread([] {
+    const auto inputs = random_collection(12, 128, 16, 400, 31);
+    const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
+    Options opts;
+    opts.method = Method::Hash;
+    Accumulator<> acc(128, 16, opts, 4);
+    const auto& rt = thread_runtime<std::int32_t, double>();
 
-  acc.add_batch(std::span<const Csc>(inputs));
-  EXPECT_TRUE(approx_equal(oracle, acc.finalize()));
-  const std::size_t grown = acc.workspace_bytes();
-  EXPECT_GT(grown, 0u);  // scratch survives finalize()
+    acc.add_batch(std::span<const Csc>(inputs));
+    EXPECT_TRUE(approx_equal(oracle, acc.finalize()));
+    const std::size_t grown = rt.storage_bytes();
+    EXPECT_GT(grown, 0u);  // scratch survives finalize()
 
-  // An identical second stream must not grow the scratch further.
-  acc.add_batch(std::span<const Csc>(inputs));
-  EXPECT_TRUE(approx_equal(oracle, acc.finalize()));
-  EXPECT_EQ(acc.workspace_bytes(), grown);
-  EXPECT_EQ(acc.stats().addends, 24u);
-  EXPECT_GE(acc.stats().flushes, 6u);
+    // An identical second stream must not grow the scratch further.
+    acc.add_batch(std::span<const Csc>(inputs));
+    EXPECT_TRUE(approx_equal(oracle, acc.finalize()));
+    EXPECT_EQ(rt.storage_bytes(), grown);
+    EXPECT_EQ(acc.stats().addends, 24u);
+    EXPECT_GE(acc.stats().flushes, 6u);
+  }).join();
+}
+
+TEST(Accumulator, InterleavedShapesShareTheThreadsScratchBitExactly) {
+  // A tall and a wide stream fold alternately on one thread, so one pool
+  // serves a 65,537-row fold, then a 64-row one, and back. On float
+  // values each sum must match one-shot Heap bit for bit, and the
+  // DenseAcc workspace must come back clean after every fold.
+  const std::vector<FloatCsc> streams[] = {
+      to_float(random_collection(12, 65537, 8, 400, 53)),
+      to_float(random_collection(12, 64, 32, 200, 59))};
+  using FloatAcc = Accumulator<std::int32_t, float>;
+  const auto& rt = thread_runtime<std::int32_t, float>();
+  const int nproc =
+      static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
+  for (const Method m : {Method::Auto, Method::DenseAcc}) {
+    for (const int t : {1, nproc}) {
+      const std::string where = method_name(m) + " T=" + std::to_string(t);
+      Options opts;
+      opts.method = m;
+      opts.threads = t;
+      std::vector<FloatAcc> accs;
+      for (const auto& s : streams)
+        accs.emplace_back(s[0].rows(), s[0].cols(), opts, 3);
+      for (std::size_t i = 0; i < 12; ++i) {
+        for (std::size_t a = 0; a < accs.size(); ++a) {
+          accs[a].add(streams[a][i]);
+          EXPECT_TRUE(dense_workspace_clean(rt)) << where;
+        }
+      }
+      Options heap = opts;
+      heap.method = Method::Heap;
+      for (std::size_t a = 0; a < accs.size(); ++a) {
+        EXPECT_TRUE(accs[a].finalize() == core::spkadd(streams[a], heap))
+            << where << " rows=" << streams[a][0].rows();
+        EXPECT_TRUE(dense_workspace_clean(rt)) << where;
+        EXPECT_EQ(accs[a].stats().flushes, 4u) << where;
+      }
+    }
+  }
+  EXPECT_GE(rt.scratch.at(0).dense.values.size(), 65537u);
 }
 
 TEST(Accumulator, StatsTrackPeakIntermediateFootprint) {
@@ -338,12 +385,13 @@ TEST(Accumulator, ReshapeServesDifferentlyShapedStreams) {
   acc.add_batch(std::span<const Csc>(first));
   EXPECT_TRUE(approx_equal(dense_sum_oracle(std::span<const Csc>(first)),
                            acc.finalize()));
-  const std::size_t grown = acc.workspace_bytes();
+  const auto& rt = thread_runtime<std::int32_t, double>();
+  const std::size_t grown = rt.storage_bytes();
 
   acc.reshape(32, 5);
   EXPECT_EQ(acc.rows(), 32);
   EXPECT_EQ(acc.cols(), 5);
-  EXPECT_EQ(acc.workspace_bytes(), grown);  // scratch survives the reshape
+  EXPECT_EQ(rt.storage_bytes(), grown);  // scratch survives the reshape
   const auto second = random_collection(6, 32, 5, 80, 44);
   acc.add_batch(std::span<const Csc>(second));
   EXPECT_TRUE(approx_equal(dense_sum_oracle(std::span<const Csc>(second)),

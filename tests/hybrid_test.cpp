@@ -191,9 +191,8 @@ TEST(HybridBitIdentity, MatchesEverySingleKernelMethodOnGrids) {
         const auto inputs = gen::make_workload(spec);
         std::vector<const Csc*> ptrs;
         core::detail::borrow_all(std::span<const Csc>(inputs), ptrs);
-        Runtime<std::int32_t, double> rt;
         const Csc hybrid = kway_add(MatrixPtrs<std::int32_t, double>(ptrs),
-                                    Options{}, std::nullopt, rt);
+                                    Options{}, std::nullopt);
         EXPECT_TRUE(hybrid == core::spkadd(inputs)) << "Auto k=" << k;
         for (const Method m : {Method::Heap, Method::Hash,
                                Method::SlidingHash, Method::DenseAcc}) {

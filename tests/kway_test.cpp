@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -26,6 +25,7 @@ using namespace spkadd;
 using namespace spkadd::core;
 using spkadd::testing::canonicalized;
 using spkadd::testing::dense_sum_oracle;
+using spkadd::testing::dense_workspace_clean;
 using spkadd::testing::from_triplets;
 using spkadd::testing::random_collection;
 
@@ -313,31 +313,17 @@ bool bit_identical(const Csc& a, const Csc& b) {
          same(a.values(), b.values());
 }
 
-/// The DenseAcc workspace contract between columns: every value slot is
-/// -0.0 by bit pattern and both bitmaps are all zero.
-bool dense_workspace_clean(const Runtime<std::int32_t, double>& rt) {
-  const auto neg_zero = std::bit_cast<std::uint64_t>(-0.0);
-  return std::ranges::all_of(rt.scratch, [&](const auto& s) {
-    return std::ranges::all_of(s.dense.values,
-                               [&](double v) {
-                                 return std::bit_cast<std::uint64_t>(v) ==
-                                        neg_zero;
-                               }) &&
-           std::ranges::all_of(s.dense.mask, [](auto w) { return w == 0; }) &&
-           std::ranges::all_of(s.dense.summary,
-                               [](auto w) { return w == 0; });
-  });
-}
-
 TEST(DenseAccKernel, SpecialValuesAtBitmapBoundariesMatchHeapAndHash) {
   // Row counts straddle one occupancy word (64 rows) and one summary word
   // (4,096 rows). Sorted inputs must give the heap merge's bits, shuffled
-  // ones the hash kernel's, at one thread and at every CPU; one Runtime
-  // serves every call, so its workspace must come back clean each time.
+  // ones the hash kernel's, at one thread and at every CPU. The thread's
+  // one Runtime serves every call, small shapes after large ones too, so
+  // its workspace must come back clean each time.
   const int nproc =
       static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
-  Runtime<std::int32_t, double> rt;
-  for (const std::int32_t rows : {1, 63, 64, 65, 4095, 4096, 4097, 65537}) {
+  const auto& rt = thread_runtime<std::int32_t, double>();
+  for (const std::int32_t rows : {1, 63, 64, 65, 4095, 4096, 4097, 65537,
+                                  4097, 4096, 4095, 65, 64, 63, 1}) {
     std::vector<Csc> inputs =
         special_value_addends(rows, static_cast<std::uint64_t>(rows));
     const Csc heap = add(inputs, Method::Heap);
@@ -358,8 +344,8 @@ TEST(DenseAccKernel, SpecialValuesAtBitmapBoundariesMatchHeapAndHash) {
         opts.method = Method::DenseAcc;
         opts.threads = t;
         opts.inputs_sorted = sorted;
-        const Csc got = core::spkadd(MatrixPtrs<std::int32_t, double>(ptrs),
-                                     opts, &rt);
+        const Csc got =
+            core::spkadd(MatrixPtrs<std::int32_t, double>(ptrs), opts);
         EXPECT_TRUE(bit_identical(got, sorted ? heap : hash))
             << where << (sorted ? " vs Heap" : " shuffled vs Hash");
         EXPECT_TRUE(dense_workspace_clean(rt)) << where;

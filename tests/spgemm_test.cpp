@@ -127,12 +127,11 @@ TEST(Spgemm, ThreadCountsAgree) {
 }
 
 TEST(Spgemm, MultiplyIntoMatchesMultiplyBitIdentically) {
-  // multiply_into with a shared, reused Runtime is the streaming SUMMA
+  // multiply_into on the thread's reused Runtime is the streaming SUMMA
   // producer; it must be the same computation as the one-shot API, bit for
   // bit, no matter how stale or grown the scratch pool is.
   const auto a = random_matrix(72, 56, 600, 40);
   const auto b = random_matrix(56, 64, 500, 41);
-  core::Runtime<std::int32_t, double> rt;
   for (const auto acc : {Accumulator::Hash, Accumulator::Heap}) {
     for (const bool sorted : {true, false}) {
       if (acc == Accumulator::Heap && !sorted) continue;
@@ -141,7 +140,7 @@ TEST(Spgemm, MultiplyIntoMatchesMultiplyBitIdentically) {
       opts.sorted_output = sorted;
       const auto one_shot = multiply(a, b, opts);
       Csc emitted;
-      multiply_into(a, b, opts, rt, emitted);  // rt reused across configs
+      multiply_into(a, b, opts, emitted);  // one pool across configs
       EXPECT_TRUE(emitted == one_shot)
           << (acc == Accumulator::Hash ? "hash" : "heap")
           << " sorted=" << sorted;

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/workspace.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/csc.hpp"
 #include "matrix/dense.hpp"
@@ -89,6 +92,22 @@ inline Csc dense_sum_oracle(std::span<const Csc> inputs) {
 inline Csc canonicalized(Csc m) {
   m.sort_columns();
   return m;
+}
+
+/// The DenseAcc workspace contract between columns, on every thread of a
+/// Runtime: every value slot is -0.0 by bit pattern (zero with the sign
+/// bit set) and both bitmaps are all zero.
+template <class IndexT, class ValueT>
+bool dense_workspace_clean(const core::Runtime<IndexT, ValueT>& rt) {
+  const auto zero_word = [](std::uint64_t w) { return w == 0; };
+  return std::ranges::all_of(rt.scratch, [&](const auto& s) {
+    return std::ranges::all_of(s.dense.values,
+                               [](ValueT v) {
+                                 return v == ValueT{0} && std::signbit(v);
+                               }) &&
+           std::ranges::all_of(s.dense.mask, zero_word) &&
+           std::ranges::all_of(s.dense.summary, zero_word);
+  });
 }
 
 }  // namespace spkadd::testing

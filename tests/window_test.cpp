@@ -1,11 +1,13 @@
 // TenantWindow: bucket routing, O(1) expiry, windowed snapshot
-// bit-identity against reference folds, and the window-edge cases
-// (rotation-spanning snapshots, expired submits, bucket boundaries).
+// bit-identity against reference folds, the window-edge cases
+// (rotation-spanning snapshots, expired submits, bucket boundaries), and
+// kernel scratch that follows the folding thread, not the buckets.
 #include "service/window.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/accumulator.hpp"
@@ -161,6 +163,34 @@ TEST(TenantWindow, ExpiryIsO1NoFoldWorkOnRetire) {
   const Csc empty = w.snapshot();
   EXPECT_EQ(empty.nnz(), 0);
   EXPECT_EQ(empty.rows(), kRows);
+}
+
+// ------------------------------------------------------------- scratch
+TEST(TenantWindow, ScratchDoesNotGrowWithBuckets) {
+  // Every bucket folds on the calling thread's Runtime, so once the first
+  // bucket's folds have grown it, seven more buckets of the same shape
+  // and stream add nothing. A fresh thread starts with an empty pool.
+  std::thread([] {
+    const auto& rt = spkadd::core::thread_runtime<std::int32_t, double>();
+    EXPECT_EQ(rt.storage_bytes(), 0u);
+    WindowConfig cfg;
+    cfg.bucket_width = 10;
+    cfg.live_buckets = 8;
+    cfg.batch_window = 3;
+    TenantWindow w(kRows, kCols, cfg);
+    const auto fill = [&w](std::uint64_t b) {
+      for (std::uint64_t i = 0; i < 6; ++i)
+        EXPECT_TRUE(w.submit(b * 10 + i, update(i)));
+    };
+    fill(0);
+    EXPECT_EQ(w.stats().fold_flushes, 2u);
+    const std::size_t grown = rt.storage_bytes();
+    EXPECT_GT(grown, 0u);
+    for (std::uint64_t b = 1; b < 8; ++b) fill(b);
+    EXPECT_EQ(w.stats().live_buckets, 8u);
+    EXPECT_EQ(w.stats().fold_flushes, 16u);
+    EXPECT_EQ(rt.storage_bytes(), grown);
+  }).join();
 }
 
 // -------------------------------------------------------- edge cases

@@ -26,13 +26,13 @@ constexpr std::int32_t kCols = 9;
 
 /// Integer-valued update: double addition is exact, so any
 /// producer/worker interleaving yields bit-identical sums.
-Csc integer_matrix(std::uint64_t seed) {
+Csc integer_matrix(std::uint64_t seed, std::int32_t rows = kRows) {
   spkadd::util::Xoshiro256 rng(seed);
-  spkadd::CooMatrix<std::int32_t, double> coo(kRows, kCols);
+  spkadd::CooMatrix<std::int32_t, double> coo(rows, kCols);
   coo.reserve(80);
   for (std::size_t i = 0; i < 80; ++i) {
     const auto r = static_cast<std::int32_t>(
-        rng.bounded(static_cast<std::uint64_t>(kRows)));
+        rng.bounded(static_cast<std::uint64_t>(rows)));
     const auto c = static_cast<std::int32_t>(
         rng.bounded(static_cast<std::uint64_t>(kCols)));
     coo.push(r, c, static_cast<double>(rng.bounded(9)) - 4.0);
@@ -55,15 +55,16 @@ WindowedAggService::Config small_config() {
 /// Reference: per-bucket strict folds, then a strict left fold of the
 /// partials ascending — the same shape TenantWindow::snapshot uses.
 Csc reference_fold(const WindowedAggService::Config& cfg,
-                   const std::vector<std::vector<Csc>>& bucket_streams) {
+                   const std::vector<std::vector<Csc>>& bucket_streams,
+                   std::int32_t rows = kRows) {
   std::vector<spkadd::core::Accumulator<>> accs;
   for (const auto& stream : bucket_streams) {
     if (stream.empty()) continue;
-    accs.emplace_back(kRows, kCols, cfg.window.options,
+    accs.emplace_back(rows, kCols, cfg.window.options,
                       cfg.window.batch_window);
     for (const auto& u : stream) accs.back().add(u);
   }
-  if (accs.empty()) return Csc(kRows, kCols);
+  if (accs.empty()) return Csc(rows, kCols);
   std::vector<const Csc*> parts;
   for (auto& a : accs) parts.push_back(&a.partial_sum());
   if (parts.size() == 1) return *parts.front();
@@ -221,6 +222,9 @@ TEST(WindowedService, StopFoldsBacklogAndRejectsLateSubmits) {
 }
 
 TEST(WindowedService, MultiTenantStreamsStayIsolated) {
+  // The tenants differ in shape and both plan DenseAcc, so a worker's
+  // thread-local scratch pool serves whichever shapes it folds.
+  constexpr std::int32_t kTallRows = 4097;
   const auto cfg = small_config();
   WindowedAggService svc(cfg);
   std::vector<Csc> a_updates, b_updates;
@@ -232,7 +236,7 @@ TEST(WindowedService, MultiTenantStreamsStayIsolated) {
   });
   std::thread tb([&] {
     for (std::uint64_t i = 0; i < 8; ++i) {
-      b_updates.push_back(integer_matrix(2000 + i));
+      b_updates.push_back(integer_matrix(2000 + i, kTallRows));
       EXPECT_TRUE(svc.submit("b", 22, Csc(b_updates.back())));
     }
   });
@@ -240,8 +244,14 @@ TEST(WindowedService, MultiTenantStreamsStayIsolated) {
   tb.join();
   svc.drain();
   EXPECT_EQ(svc.snapshot("a", 0).sum, reference_fold(cfg, {a_updates}));
-  EXPECT_EQ(svc.snapshot("b", 0).sum, reference_fold(cfg, {b_updates}));
-  EXPECT_EQ(svc.stats().tenants.size(), 2u);
+  EXPECT_EQ(svc.snapshot("b", 0).sum,
+            reference_fold(cfg, {b_updates}, kTallRows));
+  const auto tenants = svc.stats().tenants;
+  EXPECT_EQ(tenants.size(), 2u);
+  for (const auto& [name, w] : tenants) {
+    EXPECT_GT(w.counters.chunks_dense, 0u) << name;
+    EXPECT_EQ(w.counters.chunks_total(), w.counters.chunks_dense) << name;
+  }
 }
 
 }  // namespace
