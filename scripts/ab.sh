@@ -5,10 +5,13 @@
 #
 # Exports each revision with `git archive` into a temporary directory and
 # runs that tree's own perfbench/run.py, which builds the tree on first
-# use. Pair i runs seed i on both sides; odd pairs run the parent first,
-# even pairs the change. pairs defaults to 10, seconds to BENCHMARK.json's
-# run_seconds, workloads (comma-separated) to the workloads BENCHMARK.json
-# declares.
+# use. Before pair 1 of each workload, each tree makes one warm-up run of
+# 1 s whose result is dropped: a tree's first run of a workload can read
+# a set-up several times slower than its later runs, and counted as
+# pair 1 it widens the quartiles the verdict reads. Pair i runs seed i
+# on both sides; odd pairs run the parent first, even pairs the change.
+# pairs defaults to 10, seconds to BENCHMARK.json's run_seconds,
+# workloads (comma-separated) to the workloads BENCHMARK.json declares.
 #
 # For each workload and end-to-end metric it prints both sides' medians
 # and quartiles, the median paired ratio change/parent, how many pairs the
@@ -55,12 +58,12 @@ if pairs < 2:
     sys.exit("ab.sh: need at least 2 pairs for quartiles")
 
 
-def run(side, workload, seed):
+def run(side, workload, seed, secs=seconds):
     tree = os.path.join(work, side)
     done = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(secs), "--trace", "0"],
         cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
     lines = done.stdout.strip().splitlines()
@@ -99,6 +102,8 @@ def verdict(parent, change, better, bound):
 
 runs = {(w, s): [] for w in workloads for s in ("parent", "change")}
 for w in workloads:
+    for side in ("parent", "change"):
+        run(side, w, 1, secs=1)  # warm-up run, result dropped
     for i in range(1, pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:

@@ -9,14 +9,17 @@
 //   hash_add_column    Alg. 5 (hash-table accumulation)
 //   sliding_symbolic_column   Alg. 7 (cache-capped symbolic partition)
 //   sliding_hash_add_column   Alg. 8 (cache-capped numeric partition)
-//   dense_symbolic_column     occupancy-bitmap distinct-row count
 //   dense_add_column   Alg. 4 (sparse accumulator: a dense value array
 //                      with its touched rows held as bitmaps)
 //
 // The ColumnKernel layer at the bottom puts the four k-way kernels (heap,
-// hash, sliding hash, dense) behind one uniform symbolic/numeric
-// per-column interface, the unit a ColumnPlan assigns to each column
-// chunk and among which the per-chunk planner of Method::Auto picks.
+// hash, sliding hash, dense) behind one uniform per-column interface,
+// the unit a ColumnPlan assigns to each column chunk and among which the
+// per-chunk planner of Method::Auto picks. Its one pass per column
+// (kernel_add_column) counts the column first only where a kernel sizes
+// a table from the count: the two hash kernels. The heap merge and the
+// dense accumulator write at most min(rows, input nnz) entries and
+// return how many.
 // Every kernel accumulates equal-row values strictly left to right over
 // the inputs, so any per-chunk mix of them is bit-identical to any
 // single kernel run over the whole matrix.
@@ -436,7 +439,7 @@ template <class IndexT, class ValueT>
 /// A view with at least one entry per this many rows is a dense view. Its
 /// consecutive entries share occupancy words, so an unconditional
 /// `mask |= bit` per entry chains every store into the next entry's load;
-/// dense views test the bit before storing it, in both passes. Storing
+/// dense views test the bit before storing it. Storing
 /// unconditionally took bench_hybrid's RMAT-hub DenseAcc from 0.179 to
 /// 0.120 Gnnz/s at T=1 on a 4-vCPU Xeon, and its hub column from
 /// 2.2-4.4 ms to 5.5-7.0 ms in a serial probe.
@@ -450,55 +453,9 @@ template <class IndexT, class ValueT>
 
 }  // namespace detail
 
-/// Symbolic phase of the dense kernel: count distinct rows through the
-/// occupancy bitmap (sequential word access — on dense columns this beats
-/// the random probes of the hash symbolic). A sparse view counts without
-/// a branch; a dense view tests before it stores (kDenseViewRowsPerEntry).
-/// Restores the workspace's all-clear mask invariant by replaying the
-/// touched words.
-template <class IndexT, class ValueT>
-std::size_t dense_symbolic_column(
-    std::span<const ColumnView<IndexT, ValueT>> cols, IndexT rows,
-    DenseAccWorkspace<ValueT>& ws, OpCounters* counters = nullptr) {
-  std::size_t inz = 0;
-  for (const auto& v : cols) inz += v.nnz();
-  if (inz == 0) return 0;
-  ws.ensure_rows(static_cast<std::size_t>(rows));
-  auto* mask = ws.mask.data();
-  std::size_t nz = 0;
-  for (const auto& v : cols) {
-    const std::size_t n = v.nnz();
-    if (detail::is_dense_view(v, rows)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto r = static_cast<std::size_t>(v.rows[i]);
-        const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-        if (!(mask[r >> 6] & bit)) {
-          mask[r >> 6] |= bit;
-          ++nz;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto r = static_cast<std::size_t>(v.rows[i]);
-        const std::uint64_t word = mask[r >> 6];
-        const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-        nz += (word & bit) == 0;
-        mask[r >> 6] = word | bit;
-      }
-    }
-  }
-  // Only words an entry touched can hold set bits; zeroing them by replay
-  // is O(input nnz), never O(rows/64).
-  for (const auto& v : cols)
-    for (std::size_t i = 0; i < v.nnz(); ++i)
-      mask[static_cast<std::size_t>(v.rows[i]) >> 6] = 0;
-  if (counters) counters->dense_touches += inz;
-  return nz;
-}
-
-/// Numeric phase of the dense kernel, the paper's Alg. 4: every entry
-/// adds into its kIdentity slot unconditionally and marks its row and its
-/// occupancy word. A dense view tests its row bit before it marks, and
+/// The dense kernel, the paper's Alg. 4: every entry adds into its
+/// kIdentity slot unconditionally and marks its row and its occupancy
+/// word. A dense view tests its row bit before it marks, and
 /// sets a word's summary bit only when the word was empty
 /// (kDenseViewRowsPerEntry). Equal rows still fold strictly left to
 /// right, the same per-element order as every sparse kernel, so any mix
@@ -653,9 +610,8 @@ struct KernelEnv {
 };
 
 /// Uniform symbolic phase: nnz of the added column under kernel K.
-/// Heap and Hash count with the plain hash symbolic (Alg. 6);
-/// sliding hash uses the cache-capped partition (Alg. 7); DenseAcc counts
-/// through the occupancy bitmap.
+/// Sliding hash uses the cache-capped partition (Alg. 7); every other
+/// kernel counts with the plain hash symbolic (Alg. 6).
 template <ColumnKernel K, class IndexT, class ValueT>
 std::size_t kernel_symbolic_column(
     KernelTag<K>, std::span<const ColumnView<IndexT, ValueT>> views,
@@ -664,35 +620,36 @@ std::size_t kernel_symbolic_column(
   if constexpr (K == ColumnKernel::SlidingHash)
     return sliding_symbolic_column(views, env.rows, env.sym_cap,
                                    env.inputs_sorted, scratch, counters);
-  else if constexpr (K == ColumnKernel::DenseAcc)
-    return dense_symbolic_column(views, env.rows, scratch.dense, counters);
   else
     return hash_symbolic_column(views, scratch.sym_table, counters);
 }
 
-/// Uniform numeric phase: add the column under kernel K into
-/// (out_rows, out_vals), which must hold `expected_nnz` entries (the
-/// symbolic result). Returns entries written (== expected_nnz).
+/// One pass over a column under kernel K: add it into (out_rows,
+/// out_vals) and return the entries written. Hash and SlidingHash count
+/// the column first (kernel_symbolic_column) to size their tables; Heap
+/// and DenseAcc count nothing. The output needs room for min(rows, the
+/// column's input nnz) entries, a bound every kernel's result meets.
 template <ColumnKernel K, class IndexT, class ValueT>
-std::size_t kernel_numeric_column(
-    KernelTag<K>, std::span<const ColumnView<IndexT, ValueT>> views,
-    std::size_t expected_nnz, const KernelEnv<IndexT>& env,
-    ThreadScratch<IndexT, ValueT>& scratch, IndexT* out_rows,
-    ValueT* out_vals, OpCounters* counters = nullptr) {
+std::size_t kernel_add_column(
+    KernelTag<K> tag, std::span<const ColumnView<IndexT, ValueT>> views,
+    const KernelEnv<IndexT>& env, ThreadScratch<IndexT, ValueT>& scratch,
+    IndexT* out_rows, ValueT* out_vals, OpCounters* counters = nullptr) {
   if constexpr (K == ColumnKernel::Heap) {
     return heap_add_column(views, scratch.heap, out_rows, out_vals,
                            counters);
-  } else if constexpr (K == ColumnKernel::Hash) {
-    return hash_add_column(views, expected_nnz, scratch.table, out_rows,
-                           out_vals, env.sorted_output, counters);
-  } else if constexpr (K == ColumnKernel::SlidingHash) {
-    return sliding_hash_add_column(views, expected_nnz, env.rows,
-                                   env.num_cap, env.inputs_sorted,
-                                   env.sorted_output, scratch, out_rows,
-                                   out_vals, counters);
-  } else {
+  } else if constexpr (K == ColumnKernel::DenseAcc) {
     return dense_add_column(views, env.rows, scratch.dense, out_rows,
                             out_vals, counters);
+  } else {
+    const std::size_t nz =
+        kernel_symbolic_column(tag, views, env, scratch, counters);
+    if constexpr (K == ColumnKernel::Hash)
+      return hash_add_column(views, nz, scratch.table, out_rows, out_vals,
+                             env.sorted_output, counters);
+    else
+      return sliding_hash_add_column(views, nz, env.rows, env.num_cap,
+                                     env.inputs_sorted, env.sorted_output,
+                                     scratch, out_rows, out_vals, counters);
   }
 }
 

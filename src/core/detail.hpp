@@ -1,7 +1,7 @@
 // Shared plumbing for the SpKAdd drivers: input checking, the team size,
-// the per-column cost scan, the chunk cutter and the one column-parallel
-// loop (for_each_chunk, with per-thread counter reduction), and view
-// gathering.
+// the per-column cost scan, the two chunk cutters and the one
+// column-parallel loop (for_each_chunk, with per-thread counter
+// reduction), and view gathering.
 //
 // The drivers' primary signatures take *pointer* spans
 // (span<const CscMatrix* const>) so callers that stream or batch addends —
@@ -11,6 +11,8 @@
 
 #include "util/omp_compat.hpp"
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -120,8 +122,7 @@ void column_input_nnz(std::span<Element> inputs, const Options& opts,
   using IndexT = std::decay_t<decltype(deref(inputs.front()).cols())>;
   const IndexT cols = inputs.empty() ? IndexT{0} : deref(inputs.front()).cols();
   costs.assign(static_cast<std::size_t>(cols), 0);
-  const int nthreads = team_size(opts);
-#pragma omp parallel for num_threads(nthreads) schedule(static)
+#pragma omp parallel for num_threads(team_size(opts)) schedule(static)
   for (IndexT j = 0; j < cols; ++j) {
     std::uint64_t t = 0;
     for (const auto& e : inputs)
@@ -130,9 +131,10 @@ void column_input_nnz(std::span<Element> inputs, const Options& opts,
   }
 }
 
-/// Greedily cut [0, n) into chunks of roughly equal summed cost, about
-/// 8 chunks per thread so the dynamic chunk queue can still rebalance
-/// stragglers. Zero-cost tails collapse into the final chunk.
+/// The chunk cutter of every k-way call: greedily cut [0, n) into chunks
+/// of roughly equal summed cost, about 8 chunks per thread so the dynamic
+/// chunk queue can still rebalance stragglers. Zero-cost tails collapse
+/// into the final chunk.
 template <class IndexT>
 void balance_chunks(std::span<const std::uint64_t> costs, int nthreads,
                     std::vector<std::pair<IndexT, IndexT>>& chunks) {
@@ -157,20 +159,11 @@ void balance_chunks(std::span<const std::uint64_t> costs, int nthreads,
   if (begin < n) chunks.push_back({begin, n});
 }
 
-/// The chunk cutter. `costs` covers the n columns exactly when the caller
-/// scanned them (a planned call), and then the columns are cut into
-/// cost-balanced chunks; every other column loop (a single-kernel method,
-/// the 2-way merge) cuts 8-column blocks. for_each_chunk drains either
-/// cut `dynamic,1`, so the blocks reproduce OpenMP's `dynamic,8`, the
-/// paper's schedule (§III-A).
+/// The chunk cutter of the 2-way merge, which scans no costs: 8-column
+/// blocks. for_each_chunk drains them `dynamic,1`, which reproduces
+/// OpenMP's `dynamic,8`, the paper's schedule (§III-A).
 template <class IndexT>
-void cut_chunks(IndexT n, std::span<const std::uint64_t> costs,
-                const Options& opts,
-                std::vector<std::pair<IndexT, IndexT>>& chunks) {
-  if (costs.size() == static_cast<std::size_t>(n)) {
-    balance_chunks(costs, team_size(opts), chunks);
-    return;
-  }
+void cut_chunks(IndexT n, std::vector<std::pair<IndexT, IndexT>>& chunks) {
   chunks.clear();
   constexpr IndexT kBlock = 8;
   for (IndexT j = 0; j < n; j += kBlock)
@@ -181,22 +174,32 @@ void cut_chunks(IndexT n, std::span<const std::uint64_t> costs,
 /// The column-parallel loop: drain `chunks` `dynamic,1` on a team of
 /// team_size(opts) threads. `body` is called as body(chunk_index,
 /// OpCounters*) where the counter pointer is thread-private (or null when
-/// opts.counters is null) and reduced afterwards.
-template <class IndexT, class Body>
+/// opts.counters is null) and reduced afterwards. One shared ticket hands
+/// the chunks out in increasing index order, so every chunk below one a
+/// thread holds is already held by some thread; kway_add's in-order
+/// placement relies on that to never wait on a chunk nobody runs. When
+/// `drain` is given, every thread calls drain() once the whole team has
+/// passed a barrier after the last chunk.
+template <class IndexT, class Body, class Drain = std::nullptr_t>
 void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
-                    const Options& opts, Body&& body) {
+                    const Options& opts, Body&& body, Drain&& drain = {}) {
   const int nthreads = team_size(opts);
   std::vector<OpCounters> per(static_cast<std::size_t>(nthreads));
-  const auto nchunks = static_cast<std::int64_t>(chunks.size());
+  std::atomic<std::size_t> ticket{0};
 #pragma omp parallel num_threads(nthreads)
   {
     OpCounters* c =
         opts.counters
             ? &per[static_cast<std::size_t>(omp_get_thread_num())]
             : nullptr;
-#pragma omp for schedule(dynamic, 1) nowait
-    for (std::int64_t i = 0; i < nchunks; ++i)
-      body(static_cast<std::size_t>(i), c);
+    for (std::size_t i = ticket.fetch_add(1, std::memory_order_relaxed);
+         i < chunks.size();
+         i = ticket.fetch_add(1, std::memory_order_relaxed))
+      body(i, c);
+    if constexpr (!std::is_same_v<std::decay_t<Drain>, std::nullptr_t>) {
+#pragma omp barrier
+      drain();
+    }
   }
   if (opts.counters)
     for (const auto& c : per) *opts.counters += c;

@@ -1,21 +1,21 @@
 // Column plans and the symbolic phase of SpKAdd (paper §II-D, Alg. 6/7).
 //
 // Every k-way method runs over a ColumnPlan: column chunks, each with the
-// ColumnKernel that fills it. A single-kernel method puts its kernel on
-// every 8-column block. The per-chunk planner behind Method::Auto cuts
-// the per-column input-nnz totals into cost-balanced chunks and classifies
-// each on the paper's Fig. 2 decision surface
+// ColumnKernel that fills it. Every call scans the per-column input-nnz
+// totals and cuts them into cost-balanced chunks. A single-kernel method
+// puts its kernel on every chunk; the per-chunk planner behind
+// Method::Auto classifies each on the paper's Fig. 2 decision surface
 // (plan_hybrid/hybrid_kernel_for).
 //
-// The symbolic pass walks a plan and computes nnz(B(:,j)) per output
-// column, each chunk with its kernel's symbolic variant: the keys-only
-// hash table of Alg. 6, its sliding partition of Alg. 7 that keeps
-// tables inside the last-level cache, or the dense occupancy bitmap. The
-// count preallocates the result and sizes the numeric hash tables.
+// The symbolic phase computes nnz(B(:,j)) with a kernel's symbolic
+// variant: the keys-only hash table of Alg. 6, or its sliding partition
+// of Alg. 7 that keeps tables inside the last-level cache. kway_add runs
+// it per column inside its one pass, for the hash kernels alone, to size
+// their numeric tables. symbolic_nnz_per_column runs it over a whole
+// plan, for the benches and tests that time the symbolic phase alone.
 //
-// The primary entry points take borrowed matrix pointers plus the
-// caller's Runtime, whose per-thread scratch and per-column cost vector
-// are reused across calls (kway_add passes its thread's).
+// plan_columns takes the caller's Runtime, whose per-column cost vector
+// is reused across calls (kway_add passes its thread's).
 #pragma once
 
 #include <optional>
@@ -153,8 +153,7 @@ template <class IndexT, class ValueT>
 void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
                  std::size_t k, const Options& opts,
                  ColumnPlan<IndexT>& plan) {
-  detail::cut_chunks(static_cast<IndexT>(costs.size()), costs, opts,
-                     plan.chunks);
+  detail::balance_chunks(costs, detail::team_size(opts), plan.chunks);
   plan.kernels.clear();
   plan.kernels.reserve(plan.chunks.size());
   const std::size_t b = sizeof(IndexT) + sizeof(ValueT);
@@ -175,21 +174,22 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
   }
 }
 
-/// Plan one call: the planner's mix (plan_hybrid) when `kernel` is
-/// empty, otherwise `*kernel` on every 8-column block. The per-column
-/// cost scan runs into R only for a planned call.
+/// Plan one call: scan the per-column costs into R.col_costs, then the
+/// planner's mix (plan_hybrid) when `kernel` is empty, otherwise
+/// `*kernel` on every cost-balanced chunk.
 template <class IndexT, class ValueT>
 [[nodiscard]] ColumnPlan<IndexT> plan_columns(
     MatrixPtrs<IndexT, ValueT> inputs, std::optional<ColumnKernel> kernel,
     const Options& opts, Runtime<IndexT, ValueT>& R) {
-  const auto [rows, cols] = detail::check_conformant(inputs);
+  const IndexT rows = detail::check_conformant(inputs).first;
   ColumnPlan<IndexT> plan;
+  detail::column_input_nnz(inputs, opts, R.col_costs);
   if (!kernel) {
-    detail::column_input_nnz(inputs, opts, R.col_costs);
     plan_hybrid<IndexT, ValueT>(R.col_costs, rows, inputs.size(), opts,
                                 plan);
   } else {
-    detail::cut_chunks(cols, {}, opts, plan.chunks);
+    detail::balance_chunks(std::span<const std::uint64_t>(R.col_costs),
+                           detail::team_size(opts), plan.chunks);
     plan.kernels.assign(plan.chunks.size(), *kernel);
   }
   return plan;
@@ -197,54 +197,27 @@ template <class IndexT, class ValueT>
 
 namespace detail {
 
-/// Walk a plan in parallel: every chunk on one thread, every column of it
-/// with its views gathered, as body(KernelTag<kernel>, j, views, thread
-/// scratch, counters). The kernel switch runs once per chunk
-/// (with_kernel). R's thread scratch is reused: only grown, never
-/// re-allocated per call.
+/// Run chunk `ci` of `plan` on one thread's scratch: every column of it
+/// with its views gathered into s.views, as body(KernelTag<kernel>, j,
+/// views). The kernel switch runs once per chunk (with_kernel).
 template <class IndexT, class ValueT, class Body>
-void walk_plan(MatrixPtrs<IndexT, ValueT> inputs,
-               const ColumnPlan<IndexT>& plan, const Options& opts,
-               Runtime<IndexT, ValueT>& R, Body&& body) {
-  R.ensure_threads(team_size(opts));
-  for_each_chunk(
-      std::span<const std::pair<IndexT, IndexT>>(plan.chunks), opts,
-      [&](std::size_t ci, OpCounters* c) {
-        auto& s = R.scratch[static_cast<std::size_t>(omp_get_thread_num())];
-        const auto [c0, c1] = plan.chunks[ci];
-        with_kernel(plan.kernels[ci], [&](auto kernel) {
-          for (IndexT j = c0; j < c1; ++j) {
-            gather_views(inputs, j, s.views);
-            body(kernel, j,
-                 std::span<const ColumnView<IndexT, ValueT>>(s.views), s, c);
-          }
-        });
-      });
+void walk_chunk(MatrixPtrs<IndexT, ValueT> inputs,
+                const ColumnPlan<IndexT>& plan, std::size_t ci,
+                ThreadScratch<IndexT, ValueT>& s, Body&& body) {
+  const auto [c0, c1] = plan.chunks[ci];
+  with_kernel(plan.kernels[ci], [&](auto kernel) {
+    for (IndexT j = c0; j < c1; ++j) {
+      gather_views(inputs, j, s.views);
+      body(kernel, j, std::span<const ColumnView<IndexT, ValueT>>(s.views));
+    }
+  });
 }
 
 }  // namespace detail
 
-/// The symbolic pass: nnz(B(:,j)) for every column, each chunk of `plan`
-/// counted with its kernel's symbolic variant.
-template <class IndexT, class ValueT>
-std::vector<IndexT> symbolic_nnz_per_column(
-    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts,
-    const ColumnPlan<IndexT>& plan, Runtime<IndexT, ValueT>& R) {
-  const auto [rows, cols] = detail::check_conformant(inputs);
-  std::vector<IndexT> counts(static_cast<std::size_t>(cols));
-  const auto env = detail::kernel_env<IndexT, ValueT>(opts, rows);
-  detail::walk_plan(inputs, plan, opts, R,
-                    [&](auto kernel, IndexT j, auto views, auto& s,
-                        OpCounters* c) {
-                      counts[static_cast<std::size_t>(j)] =
-                          static_cast<IndexT>(kernel_symbolic_column(
-                              kernel, views, env, s, c));
-                    });
-  return counts;
-}
-
-/// Value-span form (tests/benches that time the symbolic phase alone):
-/// count every column with `kernel`, on the calling thread's Runtime.
+/// The symbolic phase alone (tests and benches that time it): nnz(B(:,j))
+/// for every column, each counted with `kernel`'s symbolic variant, on
+/// the calling thread's Runtime.
 template <class IndexT, class ValueT>
 std::vector<IndexT> symbolic_nnz_per_column(
     std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts,
@@ -253,8 +226,23 @@ std::vector<IndexT> symbolic_nnz_per_column(
   detail::borrow_all(inputs, ptrs);
   const MatrixPtrs<IndexT, ValueT> borrowed(ptrs);
   auto& R = thread_runtime<IndexT, ValueT>();
-  return symbolic_nnz_per_column(
-      borrowed, opts, plan_columns(borrowed, kernel, opts, R), R);
+  const ColumnPlan<IndexT> plan = plan_columns(borrowed, kernel, opts, R);
+  const auto [rows, cols] = detail::check_conformant(borrowed);
+  std::vector<IndexT> counts(static_cast<std::size_t>(cols));
+  const auto env = detail::kernel_env<IndexT, ValueT>(opts, rows);
+  R.ensure_threads(detail::team_size(opts));
+  detail::for_each_chunk(
+      std::span<const std::pair<IndexT, IndexT>>(plan.chunks), opts,
+      [&](std::size_t ci, OpCounters* c) {
+        auto& s = R.scratch[static_cast<std::size_t>(omp_get_thread_num())];
+        detail::walk_chunk(borrowed, plan, ci, s,
+                           [&](auto k, IndexT j, auto views) {
+                             counts[static_cast<std::size_t>(j)] =
+                                 static_cast<IndexT>(kernel_symbolic_column(
+                                     k, views, env, s, c));
+                           });
+      });
+  return counts;
 }
 
 }  // namespace spkadd::core

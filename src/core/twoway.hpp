@@ -28,7 +28,7 @@ template <class IndexT, class ValueT>
     throw std::invalid_argument("add2: shape mismatch");
   const IndexT n = a.cols();
   std::vector<std::pair<IndexT, IndexT>> chunks;
-  detail::cut_chunks(n, {}, opts, chunks);
+  detail::cut_chunks(n, chunks);
   // Run body(j, counters) on every column, chunk-parallel.
   const auto column_loop = [&](auto&& body) {
     detail::for_each_chunk(

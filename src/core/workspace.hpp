@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "matrix/column_view.hpp"
+#include "matrix/csc.hpp"
 #include "util/bit_ops.hpp"
 
 namespace spkadd::core {
@@ -114,14 +115,14 @@ struct HeapWorkspace {
 };
 
 /// Everything one thread needs across any SpKAdd phase: the method scratch
-/// structures plus the view/partition buffers of the symbolic and
-/// sliding passes. One superset struct (rather than one per kernel) lets
-/// a single pool serve symbolic + numeric phases and every method, so a
-/// streaming accumulator can keep the scratch hot across batches. All
-/// members start empty and only grow on first use, so within one call a
-/// thread's scratch footprint is the union of the kernels its chunks
-/// actually ran — e.g. the O(m) dense array is never allocated on a
-/// thread that only ever drew hash chunks.
+/// structures, the view/partition buffers of the symbolic and sliding
+/// passes, and kway_add's stash. One superset struct (rather than one per
+/// kernel) lets a single pool serve symbolic + numeric phases and every
+/// method, so a streaming accumulator can keep the scratch hot across
+/// batches. All members start empty and only grow on first use, so
+/// within one call a thread's kernel scratch is the union of the kernels
+/// its chunks actually ran — e.g. the O(m) dense array is never allocated
+/// on a thread that only ever drew hash chunks.
 template <class IndexT, class ValueT>
 struct ThreadScratch {
   HashWorkspace<IndexT, ValueT> table;
@@ -133,6 +134,12 @@ struct ThreadScratch {
   std::vector<IndexT> rows_scratch;
   std::vector<ValueT> vals_scratch;
   std::vector<std::size_t> bounds;
+  /// kway_add's two stash slots of finished chunks that wait for their
+  /// output offset. Sized from each call's plan, never from which chunk
+  /// finished first, left unwritten, and emptied (capacity kept) at the
+  /// end of the call.
+  CscArray<IndexT> stash_rows;
+  CscArray<ValueT> stash_vals;
 
   /// Call f on every backing vector above, in declaration order.
   template <class Self, class F>
@@ -150,6 +157,8 @@ struct ThreadScratch {
     f(s.rows_scratch);
     f(s.vals_scratch);
     f(s.bounds);
+    f(s.stash_rows);
+    f(s.stash_vals);
   }
 
   /// Bytes of backing storage currently held (footprint reporting and the
@@ -172,7 +181,7 @@ template <class IndexT, class ValueT>
 struct Runtime {
   std::vector<ThreadScratch<IndexT, ValueT>> scratch;
 
-  /// Per-column sum of input nnz, rescanned by every planned call; the
+  /// Per-column sum of input nnz, rescanned by every k-way call; the
   /// vector only keeps its capacity across calls.
   std::vector<std::uint64_t> col_costs;
 

@@ -111,10 +111,10 @@ std::vector<CscMatrix<std::int32_t, double>> split_columns(
     const auto lo = static_cast<std::size_t>(base);
     const auto hi =
         static_cast<std::size_t>(cp[static_cast<std::size_t>(j0 + slab)]);
-    std::vector<std::int32_t> row_idx(
+    CscArray<std::int32_t> row_idx(
         m.row_idx().begin() + static_cast<std::ptrdiff_t>(lo),
         m.row_idx().begin() + static_cast<std::ptrdiff_t>(hi));
-    std::vector<double> values(
+    CscArray<double> values(
         m.values().begin() + static_cast<std::ptrdiff_t>(lo),
         m.values().begin() + static_cast<std::ptrdiff_t>(hi));
     out.emplace_back(m.rows(), slab, std::move(col_ptr), std::move(row_idx),

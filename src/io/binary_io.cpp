@@ -34,9 +34,12 @@ void write_array(std::ostream& out, std::span<const T> data) {
             static_cast<std::streamsize>(data.size() * sizeof(T)));
 }
 
-template <class T>
-std::vector<T> read_array(std::istream& in, std::size_t count) {
-  std::vector<T> data(count);
+/// Read `count` elements into a Vec. A CscArray is sized without a fill,
+/// since the read writes every element.
+template <class Vec>
+Vec read_array(std::istream& in, std::size_t count) {
+  using T = typename Vec::value_type;
+  Vec data(count);
   in.read(reinterpret_cast<char*>(data.data()),
           static_cast<std::streamsize>(count * sizeof(T)));
   if (!in) throw std::runtime_error("binary matrix: truncated array");
@@ -75,10 +78,11 @@ CscMatrix<std::int32_t, double> read_binary(std::istream& in) {
   const auto nnz = read_pod<std::int64_t>(in);
   if (rows < 0 || cols < 0 || nnz < 0 || rows > INT32_MAX || cols > INT32_MAX)
     throw std::runtime_error("binary matrix: bad dimensions");
-  auto col_ptr = read_array<std::int32_t>(
+  auto col_ptr = read_array<std::vector<std::int32_t>>(
       in, static_cast<std::size_t>(cols) + 1);
-  auto row_idx = read_array<std::int32_t>(in, static_cast<std::size_t>(nnz));
-  auto values = read_array<double>(in, static_cast<std::size_t>(nnz));
+  auto row_idx =
+      read_array<CscArray<std::int32_t>>(in, static_cast<std::size_t>(nnz));
+  auto values = read_array<CscArray<double>>(in, static_cast<std::size_t>(nnz));
   if (col_ptr.back() != nnz)
     throw std::runtime_error("binary matrix: col_ptr/nnz mismatch");
   CscMatrix<std::int32_t, double> m(

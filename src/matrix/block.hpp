@@ -23,8 +23,8 @@ template <class IndexT, class ValueT>
     throw std::invalid_argument("extract_block: bad range");
   const IndexT bcols = c1 - c0;
   std::vector<IndexT> col_ptr(static_cast<std::size_t>(bcols) + 1, 0);
-  std::vector<IndexT> row_idx;
-  std::vector<ValueT> values;
+  CscArray<IndexT> row_idx;
+  CscArray<ValueT> values;
   for (IndexT j = 0; j < bcols; ++j) {
     const auto sub = m.column(c0 + j).row_range(r0, r1);
     for (std::size_t i = 0; i < sub.nnz(); ++i) {

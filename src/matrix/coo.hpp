@@ -79,8 +79,8 @@ class CooMatrix {
     std::vector<IndexT> col_ptr =
         util::counts_to_offsets(std::span<const IndexT>(counts));
     std::vector<IndexT> cursor(col_ptr.begin(), col_ptr.end() - 1);
-    std::vector<IndexT> row_idx(entries_.size());
-    std::vector<ValueT> values(entries_.size());
+    CscArray<IndexT> row_idx(entries_.size());
+    CscArray<ValueT> values(entries_.size());
     for (const Entry& e : entries_) {
       auto& cur = cursor[static_cast<std::size_t>(e.col)];
       row_idx[static_cast<std::size_t>(cur)] = e.row;

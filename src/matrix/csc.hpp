@@ -11,11 +11,18 @@
 //     each column (no duplicates). Hash and dense kernels tolerate
 //     unsorted columns; merge/heap kernels require sorted ones (Table I).
 //   * Explicit numeric zeros are kept: sparsity is structural.
+//   * row_idx and values live in CscArray, a vector whose value-less
+//     resize leaves new entries unwritten (DefaultInitAllocator). A driver
+//     that fills an output in parallel sizes it without a serial
+//     zero-fill, and every entry is first written by the thread that
+//     computes it.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -44,6 +51,36 @@ inline std::atomic<std::uint64_t>& csc_copy_counter() {
 
 }  // namespace debug
 
+/// std::allocator whose value-less construct default-initializes, so
+/// `resize(n)` and `vector(n)` leave trivially constructible entries
+/// unwritten. Constructs with arguments (push_back, copies, `resize(n,
+/// v)`) behave as std::allocator's.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using value_type = T;
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() noexcept = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// The storage of a CscMatrix's row indices and values.
+template <class T>
+using CscArray = std::vector<T, DefaultInitAllocator<T>>;
+
 template <class IndexT = std::int32_t, class ValueT = double>
 class CscMatrix {
  public:
@@ -66,7 +103,7 @@ class CscMatrix {
   /// Adopt pre-built CSC arrays. `col_ptr.size() == cols+1`,
   /// `row_idx.size() == values.size() == col_ptr.back()`.
   CscMatrix(IndexT rows, IndexT cols, std::vector<IndexT> col_ptr,
-            std::vector<IndexT> row_idx, std::vector<ValueT> values)
+            CscArray<IndexT> row_idx, CscArray<ValueT> values)
       : rows_(rows), cols_(cols), col_ptr_(std::move(col_ptr)),
         row_idx_(std::move(row_idx)), values_(std::move(values)) {
     if constexpr (std::is_signed_v<IndexT>) {
@@ -81,6 +118,16 @@ class CscMatrix {
     if (row_idx_.size() != nz || values_.size() != nz)
       throw std::invalid_argument("CscMatrix: array length != col_ptr.back()");
   }
+
+  /// Copy arrays held in any other vector (tests build them in
+  /// std::vector).
+  template <class RowAlloc, class ValAlloc>
+  CscMatrix(IndexT rows, IndexT cols, std::vector<IndexT> col_ptr,
+            const std::vector<IndexT, RowAlloc>& row_idx,
+            const std::vector<ValueT, ValAlloc>& values)
+      : CscMatrix(rows, cols, std::move(col_ptr),
+                  CscArray<IndexT>(row_idx.begin(), row_idx.end()),
+                  CscArray<ValueT>(values.begin(), values.end())) {}
 
   // Copies are counted (see debug::csc_copy_counter) so tests can assert
   // the zero-copy guarantees of the streaming paths; moves stay free.
@@ -134,8 +181,9 @@ class CscMatrix {
         std::span<const ValueT>(values_).subspan(lo, len)};
   }
 
-  /// Reserve storage and set the column-pointer array from per-column
-  /// counts; used by numeric phases after a symbolic pass.
+  /// Set the column-pointer array and size row_idx and values to match,
+  /// leaving new entries unwritten: the caller writes every entry (the
+  /// numeric phase after a symbolic pass).
   void set_structure(std::vector<IndexT> col_ptr) {
     if (col_ptr.size() != static_cast<std::size_t>(cols_) + 1)
       throw std::invalid_argument("set_structure: col_ptr size mismatch");
@@ -212,8 +260,8 @@ class CscMatrix {
   IndexT rows_ = 0;
   IndexT cols_ = 0;
   std::vector<IndexT> col_ptr_;
-  std::vector<IndexT> row_idx_;
-  std::vector<ValueT> values_;
+  CscArray<IndexT> row_idx_;
+  CscArray<ValueT> values_;
 };
 
 }  // namespace spkadd

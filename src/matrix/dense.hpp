@@ -48,8 +48,8 @@ class DenseMatrix {
   template <class IndexT = std::int32_t, class Keep>
   [[nodiscard]] CscMatrix<IndexT, ValueT> to_csc(Keep&& keep) const {
     std::vector<IndexT> col_ptr(static_cast<std::size_t>(cols_) + 1, 0);
-    std::vector<IndexT> row_idx;
-    std::vector<ValueT> values;
+    CscArray<IndexT> row_idx;
+    CscArray<ValueT> values;
     for (std::int64_t c = 0; c < cols_; ++c) {
       for (std::int64_t r = 0; r < rows_; ++r) {
         if (keep(r, c)) {

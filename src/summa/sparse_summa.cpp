@@ -72,8 +72,8 @@ Csc assemble_blocks(const std::vector<std::vector<Csc>>& blocks,
   std::vector<std::int32_t> col_ptr =
       util::counts_to_offsets(std::span<const std::int32_t>(counts));
   std::vector<std::int32_t> cursor(col_ptr.begin(), col_ptr.end() - 1);
-  std::vector<std::int32_t> row_idx(static_cast<std::size_t>(col_ptr.back()));
-  std::vector<double> values(static_cast<std::size_t>(col_ptr.back()));
+  CscArray<std::int32_t> row_idx(static_cast<std::size_t>(col_ptr.back()));
+  CscArray<double> values(static_cast<std::size_t>(col_ptr.back()));
 
   // Block rows are visited in ascending row order per global column, so the
   // assembled columns stay sorted when block columns are sorted.
@@ -166,8 +166,10 @@ void run_buffered(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
 void run_streaming(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
                    SummaResult& result) {
   const int g = plan.config.grid;
-  const int outer = plan.config.threads > 0 ? plan.config.threads
-                                            : util::current_max_threads();
+  // Read only by the pragma below, which a build without OpenMP drops.
+  [[maybe_unused]] const int outer = plan.config.threads > 0
+                                         ? plan.config.threads
+                                         : util::current_max_threads();
   // Inside the process-parallel region the per-process kernels run on the
   // (single-threaded) nested team; pin their scratch pools to one slot.
   spgemm::SpgemmOptions mult_opts = plan.mult_opts;

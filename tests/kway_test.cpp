@@ -123,6 +123,14 @@ TEST_F(KwayDriverTest, IdenticalInputsGiveCompressionFactorK) {
     for (std::size_t i = 0; i < col.nnz(); ++i)
       EXPECT_NEAR(out.at(col.rows[i], j), 6.0 * col.vals[i], 1e-12);
   }
+  // The output was reserved at 6x its size; no k-way result keeps more
+  // than twice its exact arrays.
+  const std::size_t exact =
+      (static_cast<std::size_t>(base.cols()) + 1) * sizeof(std::int32_t) +
+      base.nnz() * (sizeof(std::int32_t) + sizeof(double));
+  for (const Method m : {Method::Heap, Method::Hash, Method::SlidingHash,
+                         Method::DenseAcc, Method::Auto})
+    EXPECT_LE(add(inputs, m).storage_bytes(), 2 * exact) << method_name(m);
 }
 
 TEST_F(KwayDriverTest, CancellationKeepsStructuralZero) {
@@ -359,44 +367,92 @@ TEST(DenseAccKernel, SpecialValuesAtBitmapBoundariesMatchHeapAndHash) {
 // The column driver: chunk cutter
 // ---------------------------------------------------------------------------
 
+/// Six addends of 207 columns over 65,536 rows for the in-order
+/// placement: columns 0-2 and 204-206 are empty, column 3 is a hub of
+/// up to 1,500 entries per addend, and columns 4-203 hold 1-3 entries
+/// each. The hub's chunk is the first one and the slowest, so the later
+/// chunks finish first and wait in their threads' stashes; under Auto the
+/// hub chunk is DenseAcc and the sparse ones are Hash.
+std::vector<Csc> hub_first_addends() {
+  constexpr std::int32_t kRows = 1 << 16;
+  util::Xoshiro256 rng(17);
+  std::vector<Csc> out;
+  for (int a = 0; a < 6; ++a) {
+    spkadd::testing::Coo coo(kRows, 207);
+    for (std::int32_t j = 3; j < 204; ++j) {
+      const std::uint64_t draws = j == 3 ? 1500 : 1 + rng.bounded(3);
+      for (std::uint64_t i = 0; i < draws; ++i)
+        coo.push(static_cast<std::int32_t>(rng.bounded(kRows)), j,
+                 1.0 - 2.0 * rng.uniform());
+    }
+    coo.compress();
+    out.push_back(coo.to_csc());
+  }
+  return out;
+}
+
 TEST(ColumnDriver, EveryMethodAndTeamMatchesHeap) {
   // Every column method runs the same chunk loop, so every method and
-  // team size must give the heap merge's bits on raw float values. 37
-  // columns is not a multiple of the 8-column block, so the cut leaves a
-  // ragged tail.
+  // team size must give the heap merge's bits on raw float values, and a
+  // valid matrix. Every call cuts cost-balanced chunks: on the random set
+  // the cut leaves a ragged tail, on the hub set the chunks after the
+  // first are placed out of completion order, and Auto mixes DenseAcc
+  // with hash chunks. Hash with unsorted output gives the same entries.
   using FloatCsc = CscMatrix<std::int32_t, float>;
-  constexpr std::int32_t kCols = 37;
-  std::vector<FloatCsc> inputs;
-  for (const Csc& m : random_collection(6, 256, kCols, 600, 91)) {
-    const auto cp = m.col_ptr();
-    const auto rows = m.row_idx();
-    const auto vals = m.values();
-    inputs.emplace_back(m.rows(), m.cols(),
-                        std::vector<std::int32_t>(cp.begin(), cp.end()),
-                        std::vector<std::int32_t>(rows.begin(), rows.end()),
-                        std::vector<float>(vals.begin(), vals.end()));
-  }
-  Options heap_opts;
-  heap_opts.method = Method::Heap;
-  const FloatCsc heap = core::spkadd(inputs, heap_opts);
+  const auto to_float = [](const std::vector<Csc>& set) {
+    std::vector<FloatCsc> inputs;
+    for (const Csc& m : set) {
+      const auto cp = m.col_ptr();
+      const auto rows = m.row_idx();
+      const auto vals = m.values();
+      inputs.emplace_back(m.rows(), m.cols(),
+                          std::vector<std::int32_t>(cp.begin(), cp.end()),
+                          std::vector<std::int32_t>(rows.begin(), rows.end()),
+                          std::vector<float>(vals.begin(), vals.end()));
+    }
+    return inputs;
+  };
   const int nproc =
       static_cast<int>(std::max<std::size_t>(1, util::online_cpu_count()));
-  for (const Method m : {Method::Heap, Method::Hash, Method::SlidingHash,
-                         Method::DenseAcc, Method::Auto}) {
-    const bool planned = m == Method::Auto;
-    for (const int t : {1, 3, nproc}) {
-      const std::string where = method_name(m) + " T=" + std::to_string(t);
-      Options opts;
-      opts.method = m;
-      opts.threads = t;
-      OpCounters counters;
-      opts.counters = &counters;
-      EXPECT_TRUE(core::spkadd(inputs, opts) == heap) << where;
-      EXPECT_EQ(counters.chunks_total() > 0, planned) << where;
+  for (const bool hub : {false, true}) {
+    const std::vector<FloatCsc> inputs = to_float(
+        hub ? hub_first_addends() : random_collection(6, 256, 37, 600, 91));
+    Options heap_opts;
+    heap_opts.method = Method::Heap;
+    const FloatCsc heap = core::spkadd(inputs, heap_opts);
+    for (const Method m : {Method::Heap, Method::Hash, Method::SlidingHash,
+                           Method::DenseAcc, Method::Auto}) {
+      const bool planned = m == Method::Auto;
+      for (const int t : {1, 3, nproc}) {
+        const std::string where = std::string(hub ? "hub " : "random ") +
+                                  method_name(m) + " T=" + std::to_string(t);
+        Options opts;
+        opts.method = m;
+        opts.threads = t;
+        OpCounters counters;
+        opts.counters = &counters;
+        const FloatCsc got = core::spkadd(inputs, opts);
+        EXPECT_TRUE(got == heap) << where;
+        EXPECT_TRUE(validate(got)) << where;
+        EXPECT_EQ(counters.chunks_total() > 0, planned) << where;
+        if (planned && hub) {
+          EXPECT_GT(counters.chunks_dense, 0u) << where;
+          EXPECT_GT(counters.chunks_hash + counters.chunks_sliding, 0u)
+              << where;
+        }
+        if (m == Method::Hash) {
+          opts.sorted_output = false;
+          FloatCsc unsorted = core::spkadd(inputs, opts);
+          EXPECT_TRUE(validate(unsorted, /*require_sorted=*/false)) << where;
+          unsorted.sort_columns();
+          EXPECT_TRUE(unsorted == heap) << where << " unsorted output";
+        }
+      }
     }
   }
 }
 
+#ifdef _OPENMP
 /// Threads of this process per /proc/self/task; 0 where it is absent.
 std::size_t process_threads() {
   std::error_code ec;
@@ -406,6 +462,7 @@ std::size_t process_threads() {
     ++n;
   return n;
 }
+#endif
 
 TEST(ColumnDriver, WideOutputScanStaysOnTheCallersTeam) {
   // A call pinned to one thread opens no wider team anywhere, the output
