@@ -184,7 +184,8 @@ template <class IndexT, class Body, class Drain = std::nullptr_t>
 void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
                     const Options& opts, Body&& body, Drain&& drain = {}) {
   const int nthreads = team_size(opts);
-  std::vector<OpCounters> per(static_cast<std::size_t>(nthreads));
+  std::vector<OpCounters> per(
+      opts.counters ? static_cast<std::size_t>(nthreads) : 0);
   std::atomic<std::size_t> ticket{0};
 #pragma omp parallel num_threads(nthreads)
   {

@@ -141,11 +141,12 @@ template <class IndexT, class ValueT>
   if (opts.counters && !kernel)
     for (const ColumnKernel k : plan.kernels) count_chunk(*opts.counters, k);
 
-  const std::size_t input_nnz = detail::total_nnz(inputs);
-  std::vector<IndexT> col_ptr(static_cast<std::size_t>(cols) + 1, 0);
-  CscArray<IndexT> row_idx(input_nnz);
-  CscArray<ValueT> values(input_nnz);
-
+  // Everything the call allocates, the team's stash and dense arrays and
+  // the bookkeeping of the pass, comes before the output: an allocation
+  // made while the output is live sits above it in the heap, and once the
+  // caller frees the output its space is a hole of exactly the output's
+  // size, which the next call's output outgrows as soon as anything else
+  // takes a few bytes of it.
   // A team of one places every chunk straight away and needs no stash.
   const int nthreads = detail::team_size(opts);
   R.ensure_threads(nthreads);
@@ -160,6 +161,8 @@ template <class IndexT, class ValueT>
     s.stash_vals.clear();
     s.stash_rows.resize(2 * slot);
     s.stash_vals.resize(2 * slot);
+    if (plan.uses(ColumnKernel::DenseAcc))
+      s.dense.ensure_rows(static_cast<std::size_t>(rows));
   }
 
   // slots[t][i]: the chunk thread t holds in stash slot i, or kFree.
@@ -171,6 +174,11 @@ template <class IndexT, class ValueT>
   std::vector<std::array<Slot, 2>> slots(
       static_cast<std::size_t>(nthreads), {Slot{kFree, 0}, Slot{kFree, 0}});
   detail::ChunkOffsets offsets(plan.size());
+
+  const std::size_t input_nnz = detail::total_nnz(inputs);
+  std::vector<IndexT> col_ptr(static_cast<std::size_t>(cols) + 1, 0);
+  CscArray<IndexT> row_idx(input_nnz);
+  CscArray<ValueT> values(input_nnz);
   const auto place = [&](ThreadScratch<IndexT, ValueT>& s, Slot& held,
                          std::size_t i) {
     const std::size_t off = offsets.offset(held.chunk);

@@ -9,8 +9,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "matrix/column_view.hpp"
@@ -141,24 +144,20 @@ struct ThreadScratch {
   CscArray<IndexT> stash_rows;
   CscArray<ValueT> stash_vals;
 
+  /// Every backing vector above, in declaration order.
+  template <class Self>
+  static auto buffers(Self& s) {
+    return std::tie(s.table.keys, s.table.vals, s.sym_table.keys,
+                    s.dense.values, s.dense.mask, s.dense.summary,
+                    s.heap.nodes, s.heap.cursor, s.views, s.part_views,
+                    s.rows_scratch, s.vals_scratch, s.bounds, s.stash_rows,
+                    s.stash_vals);
+  }
+
   /// Call f on every backing vector above, in declaration order.
   template <class Self, class F>
   static void for_each_buffer(Self& s, F&& f) {
-    f(s.table.keys);
-    f(s.table.vals);
-    f(s.sym_table.keys);
-    f(s.dense.values);
-    f(s.dense.mask);
-    f(s.dense.summary);
-    f(s.heap.nodes);
-    f(s.heap.cursor);
-    f(s.views);
-    f(s.part_views);
-    f(s.rows_scratch);
-    f(s.vals_scratch);
-    f(s.bounds);
-    f(s.stash_rows);
-    f(s.stash_vals);
+    std::apply([&f](auto&... v) { (f(v), ...); }, buffers(s));
   }
 
   /// Bytes of backing storage currently held (footprint reporting and the
@@ -201,15 +200,17 @@ struct Runtime {
   /// on every call, so without this a persistent Runtime keeps growing
   /// whenever a thread draws a heavier column than it drew before, even
   /// on an identical stream. Afterwards every thread can run any column
-  /// seen so far without reallocating. O(threads) per buffer; kway_add
-  /// calls it at the end of every call.
+  /// seen so far without reallocating. O(threads) per buffer, and no heap
+  /// allocation beyond the reservations; kway_add calls it at the end of
+  /// every call.
   void level_scratch() {
     using Scratch = ThreadScratch<IndexT, ValueT>;
-    std::vector<std::size_t> caps;
+    std::array<std::size_t, std::tuple_size_v<decltype(Scratch::buffers(
+                                std::declval<Scratch&>()))>>
+        caps{};
     for (const Scratch& s : scratch) {
       std::size_t i = 0;
       Scratch::for_each_buffer(s, [&](const auto& v) {
-        if (caps.size() <= i) caps.push_back(0);
         caps[i] = std::max(caps[i], v.capacity());
         ++i;
       });
