@@ -141,13 +141,13 @@ template <class IndexT, class ValueT>
   if (opts.counters && !kernel)
     for (const ColumnKernel k : plan.kernels) count_chunk(*opts.counters, k);
 
-  // Everything the call allocates, the team's stash and dense arrays and
+  // Everything the call allocates, the team's stash, its dense arrays and
   // the bookkeeping of the pass, comes before the output: an allocation
   // made while the output is live sits above it in the heap, and once the
   // caller frees the output its space is a hole of exactly the output's
   // size, which the next call's output outgrows as soon as anything else
-  // takes a few bytes of it.
-  // A team of one places every chunk straight away and needs no stash.
+  // takes a few bytes of it. A team of one places every chunk straight
+  // away and needs no stash.
   const int nthreads = detail::team_size(opts);
   R.ensure_threads(nthreads);
   const std::size_t slot =
@@ -162,7 +162,7 @@ template <class IndexT, class ValueT>
     s.stash_rows.resize(2 * slot);
     s.stash_vals.resize(2 * slot);
     if (plan.uses(ColumnKernel::DenseAcc))
-      s.dense.ensure_rows(static_cast<std::size_t>(rows));
+      s.dense.reserve_rows(static_cast<std::size_t>(rows));
   }
 
   // slots[t][i]: the chunk thread t holds in stash slot i, or kFree.
@@ -244,11 +244,6 @@ template <class IndexT, class ValueT>
   if (input_nnz > 2 * total) {
     row_idx.shrink_to_fit();
     values.shrink_to_fit();
-  }
-  for (int t = 0; t < nthreads; ++t) {
-    auto& s = R.scratch[static_cast<std::size_t>(t)];
-    s.stash_rows.clear();
-    s.stash_vals.clear();
   }
   if (opts.counters)
     opts.counters->bytes_moved +=

@@ -97,6 +97,15 @@ struct DenseAccWorkspace {
     if (summary.size() < (words + 63) / 64)
       summary.resize((words + 63) / 64, 0);
   }
+
+  /// Reserve what ensure_rows(rows) needs without writing it, so that
+  /// ensure_rows allocates nothing afterwards.
+  void reserve_rows(std::size_t rows) {
+    const std::size_t words = (rows + 63) / 64;
+    values.reserve(rows);
+    mask.reserve(words);
+    summary.reserve((words + 63) / 64);
+  }
 };
 
 /// Min-heap scratch for Alg. 3: array-based binary heap of (row, source)
@@ -139,8 +148,7 @@ struct ThreadScratch {
   std::vector<std::size_t> bounds;
   /// kway_add's two stash slots of finished chunks that wait for their
   /// output offset. Sized from each call's plan, never from which chunk
-  /// finished first, left unwritten, and emptied (capacity kept) at the
-  /// end of the call.
+  /// finished first, and left unwritten until a chunk is stashed.
   CscArray<IndexT> stash_rows;
   CscArray<ValueT> stash_vals;
 
