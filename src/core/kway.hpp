@@ -18,9 +18,11 @@
 //     shifts its col_ptr slice, once its offset is known;
 //   * a thread keeps at most one finished chunk waiting for its offset.
 //     With a second one finished it yields until the older one's offset
-//     resolves, so the stash holds two slots, each sized for the plan's
-//     largest chunk. Chunks still stashed at the loop's closing barrier
-//     are placed after it.
+//     resolves, so each thread's stash holds two slots, each sized for
+//     the plan's largest chunk. Chunks still stashed at the loop's
+//     closing barrier are placed after it. The call reserves the team's
+//     stash once, unwritten, and frees it before it returns, so no
+//     thread keeps a stash whose size follows the largest call.
 // The output is reserved at the union bound, the total input nnz, and
 // left unwritten, so placement writes every output entry exactly once.
 // The result keeps that reservation unless it is more than twice the
@@ -141,30 +143,18 @@ template <class IndexT, class ValueT>
   if (opts.counters && !kernel)
     for (const ColumnKernel k : plan.kernels) count_chunk(*opts.counters, k);
 
-  // Everything the call allocates, the team's stash, its dense arrays and
-  // the bookkeeping of the pass, comes before the output: an allocation
-  // made while the output is live sits above it in the heap, and once the
-  // caller frees the output its space is a hole of exactly the output's
-  // size, which the next call's output outgrows as soon as anything else
-  // takes a few bytes of it. A team of one places every chunk straight
-  // away and needs no stash.
+  // What the call keeps past its end, the team's dense arrays, and the
+  // small bookkeeping of the pass come before the output: an allocation
+  // that outlives the output's placement above it in the heap makes the
+  // freed output a hole of exactly the output's size, which the next
+  // call's output outgrows as soon as anything else takes a few bytes of
+  // it.
   const int nthreads = detail::team_size(opts);
   R.ensure_threads(nthreads);
-  const std::size_t slot =
-      nthreads > 1 ? detail::stash_slot_entries(
-                         plan, std::span<const std::uint64_t>(R.col_costs),
-                         rows)
-                   : 0;
-  for (int t = 0; t < nthreads; ++t) {
-    auto& s = R.scratch[static_cast<std::size_t>(t)];
-    s.stash_rows.clear();  // nothing to carry over into a regrown buffer
-    s.stash_vals.clear();
-    s.stash_rows.resize(2 * slot);
-    s.stash_vals.resize(2 * slot);
-    if (plan.uses(ColumnKernel::DenseAcc))
-      s.dense.reserve_rows(static_cast<std::size_t>(rows));
-  }
-
+  if (plan.uses(ColumnKernel::DenseAcc))
+    for (int t = 0; t < nthreads; ++t)
+      R.scratch[static_cast<std::size_t>(t)].dense.reserve_rows(
+          static_cast<std::size_t>(rows));
   // slots[t][i]: the chunk thread t holds in stash slot i, or kFree.
   struct Slot {
     std::size_t chunk;
@@ -179,17 +169,33 @@ template <class IndexT, class ValueT>
   std::vector<IndexT> col_ptr(static_cast<std::size_t>(cols) + 1, 0);
   CscArray<IndexT> row_idx(input_nnz);
   CscArray<ValueT> values(input_nnz);
-  const auto place = [&](ThreadScratch<IndexT, ValueT>& s, Slot& held,
-                         std::size_t i) {
-    const std::size_t off = offsets.offset(held.chunk);
-    std::copy_n(s.stash_rows.data() + i * slot, held.size,
+  // The stash comes after the output: it is large and freed before the
+  // call returns, so it merges back into the free top of the heap. A team
+  // of one places every chunk straight away and needs none. Thread t's
+  // stash slot i starts at entry (2t + i) * slot.
+  const std::size_t slot =
+      nthreads > 1 ? detail::stash_slot_entries(
+                         plan, std::span<const std::uint64_t>(R.col_costs),
+                         rows)
+                   : 0;
+  CscArray<IndexT> stash_rows(2 * slot * static_cast<std::size_t>(nthreads));
+  CscArray<ValueT> stash_vals(stash_rows.size());
+  const auto stash_at = [&](std::size_t t, std::size_t i) {
+    return (2 * t + i) * slot;
+  };
+  // Copy the chunk in thread t's stash slot i into place, shift its
+  // col_ptr slice by its offset, and free the slot.
+  const auto place = [&](std::size_t t, std::size_t i) {
+    Slot& slot_ti = slots[t][i];
+    const std::size_t off = offsets.offset(slot_ti.chunk);
+    std::copy_n(stash_rows.data() + stash_at(t, i), slot_ti.size,
                 row_idx.data() + off);
-    std::copy_n(s.stash_vals.data() + i * slot, held.size,
+    std::copy_n(stash_vals.data() + stash_at(t, i), slot_ti.size,
                 values.data() + off);
-    const auto [c0, c1] = plan.chunks[held.chunk];
+    const auto [c0, c1] = plan.chunks[slot_ti.chunk];
     for (IndexT j = c0; j < c1; ++j)
       col_ptr[static_cast<std::size_t>(j) + 1] += static_cast<IndexT>(off);
-    held.chunk = kFree;
+    slot_ti.chunk = kFree;
   };
 
   const auto env = detail::kernel_env<IndexT, ValueT>(opts, rows);
@@ -207,9 +213,9 @@ template <class IndexT, class ValueT>
         const std::size_t i = held[0].chunk == kFree ? 0 : 1;
         const std::size_t base = direct ? offsets.offset(ci) : 0;
         IndexT* out_rows = direct ? row_idx.data() + base
-                                  : s.stash_rows.data() + i * slot;
+                                  : stash_rows.data() + stash_at(t, i);
         ValueT* out_vals = direct ? values.data() + base
-                                  : s.stash_vals.data() + i * slot;
+                                  : stash_vals.data() + stash_at(t, i);
         std::size_t n = 0;
         detail::walk_chunk(inputs, plan, ci, s,
                            [&](auto k, IndexT j, auto views) {
@@ -229,13 +235,12 @@ template <class IndexT, class ValueT>
         }
         for (std::size_t h = 0; h < 2; ++h)
           if (held[h].chunk != kFree && offsets.known(held[h].chunk))
-            place(s, held[h], h);
+            place(t, h);
       },
       [&] {
         const auto t = static_cast<std::size_t>(omp_get_thread_num());
         for (std::size_t h = 0; h < 2; ++h)
-          if (slots[t][h].chunk != kFree)
-            place(R.scratch[t], slots[t][h], h);
+          if (slots[t][h].chunk != kFree) place(t, h);
       });
 
   const std::size_t total = offsets.total();

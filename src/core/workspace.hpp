@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "matrix/column_view.hpp"
-#include "matrix/csc.hpp"
 #include "util/bit_ops.hpp"
 
 namespace spkadd::core {
@@ -127,14 +126,14 @@ struct HeapWorkspace {
 };
 
 /// Everything one thread needs across any SpKAdd phase: the method scratch
-/// structures, the view/partition buffers of the symbolic and sliding
-/// passes, and kway_add's stash. One superset struct (rather than one per
-/// kernel) lets a single pool serve symbolic + numeric phases and every
-/// method, so a streaming accumulator can keep the scratch hot across
-/// batches. All members start empty and only grow on first use, so
-/// within one call a thread's kernel scratch is the union of the kernels
-/// its chunks actually ran — e.g. the O(m) dense array is never allocated
-/// on a thread that only ever drew hash chunks.
+/// structures plus the view/partition buffers of the symbolic and
+/// sliding passes. One superset struct (rather than one per kernel) lets
+/// a single pool serve symbolic + numeric phases and every method, so a
+/// streaming accumulator can keep the scratch hot across batches. All
+/// members start empty and only grow on first use, so within one call a
+/// thread's scratch footprint is the union of the kernels its chunks
+/// actually ran — e.g. the O(m) dense array is never allocated on a
+/// thread that only ever drew hash chunks.
 template <class IndexT, class ValueT>
 struct ThreadScratch {
   HashWorkspace<IndexT, ValueT> table;
@@ -146,11 +145,6 @@ struct ThreadScratch {
   std::vector<IndexT> rows_scratch;
   std::vector<ValueT> vals_scratch;
   std::vector<std::size_t> bounds;
-  /// kway_add's two stash slots of finished chunks that wait for their
-  /// output offset. Sized from each call's plan, never from which chunk
-  /// finished first, and left unwritten until a chunk is stashed.
-  CscArray<IndexT> stash_rows;
-  CscArray<ValueT> stash_vals;
 
   /// Every backing vector above, in declaration order.
   template <class Self>
@@ -158,8 +152,7 @@ struct ThreadScratch {
     return std::tie(s.table.keys, s.table.vals, s.sym_table.keys,
                     s.dense.values, s.dense.mask, s.dense.summary,
                     s.heap.nodes, s.heap.cursor, s.views, s.part_views,
-                    s.rows_scratch, s.vals_scratch, s.bounds, s.stash_rows,
-                    s.stash_vals);
+                    s.rows_scratch, s.vals_scratch, s.bounds);
   }
 
   /// Call f on every backing vector above, in declaration order.
