@@ -115,9 +115,11 @@ std::size_t total_nnz(std::span<Element> inputs) {
 
 /// One parallel O(k*n) pass filling `costs` with the per-column summed
 /// input nnz — the cost model of the per-chunk plan, which both its
-/// chunk cut and its kernel choice read.
+/// chunk cut and its kernel choice read. `opts` is read only by the
+/// pragma, which a build without OpenMP drops.
 template <class Element>
-void column_input_nnz(std::span<Element> inputs, const Options& opts,
+void column_input_nnz(std::span<Element> inputs,
+                      [[maybe_unused]] const Options& opts,
                       std::vector<std::uint64_t>& costs) {
   using IndexT = std::decay_t<decltype(deref(inputs.front()).cols())>;
   const IndexT cols = inputs.empty() ? IndexT{0} : deref(inputs.front()).cols();
